@@ -44,17 +44,12 @@ from .propagation import (
     Propagator,
     aggregated_log_likelihood,
     block_log_likelihood,
-    diverter_out,
-    message_depth,
     posterior,
     propagate,
-    siso_backward,
-    siso_forward,
 )
 from .learning import (
     ALGORITHMS,
     BlockDataset,
-    EmptyRow,
     EpochRecord,
     TrainConfig,
     TrainReport,
@@ -89,10 +84,9 @@ __all__ = [
     "load_graph", "save_graph", "split_variable", "validate",
     # propagation
     "ContradictoryEvidence", "MessageState", "Propagator",
-    "aggregated_log_likelihood", "block_log_likelihood", "diverter_out",
-    "message_depth", "posterior", "propagate", "siso_backward", "siso_forward",
+    "aggregated_log_likelihood", "block_log_likelihood", "posterior", "propagate",
     # learning
-    "ALGORITHMS", "BlockDataset", "EmptyRow", "EpochRecord", "TrainConfig",
+    "ALGORITHMS", "BlockDataset", "EpochRecord", "TrainConfig",
     "TrainReport", "em_train", "generalized_divergence", "kkt_multipliers",
     "kl_update", "ml_update", "train_block", "var_update", "vit_update",
     # synthetic data

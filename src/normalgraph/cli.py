@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .graph import GraphError, graph_digest, load_graph, save_graph
-from .learning import ALGORITHMS, TrainConfig, em_train
+from .learning import ALGORITHMS
 from .propagation import ContradictoryEvidence, Propagator, aggregated_log_likelihood
 from .synthgen import ancestral_sample
 from . import experiments as exp
@@ -101,8 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_evidence(graph, data_path):
-    columns, meta = exp.load_samples(data_path)
+def _load_evidence(graph, data_path, split: float):
+    """Dataset columns checked against the graph, and the train-split mask."""
+    columns, _ = exp.load_samples(data_path)
     terminals = set(graph.terminals())
     unknown = sorted(set(columns) - terminals)
     if unknown:
@@ -117,7 +118,8 @@ def _load_evidence(graph, data_path):
                 f"{data_path}: column {name} holds symbol {int(values.max()) + 1} "
                 f"but the variable has {sizes[name]} states"
             )
-    return columns, meta
+    n = len(next(iter(columns.values())))
+    return columns, exp.split_mask(n, split)
 
 
 def cmd_generate(args) -> int:
@@ -130,74 +132,54 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     graph = load_graph(args.graph)
-    evidence, _ = _load_evidence(graph, args.data)
-    n = len(next(iter(evidence.values())))
-    mask = exp.split_mask(n, args.split)
-    out = Path(args.out)
-    stem = out.parent / out.stem
-    algorithms = args.algo if args.algo is not None else ALGORITHMS
-    epochs = args.epochs if args.epochs is not None else 60
-
-    reports = {}
-    for algorithm in algorithms:
-        cfg = TrainConfig(
-            algorithm=algorithm,
-            epochs=epochs,
-            nit=args.nit,
-            delta=args.delta,
-            seed=args.seed,
-            tol=args.tol,
-            record_coefficients=args.dump_coefficients,
-        )
-        try:
-            report = em_train(graph, evidence, cfg, mask)
-        except ContradictoryEvidence as error:
-            raise ContradictoryEvidence(
-                f"{error} (the {algorithm} rule can assign zero probability to "
-                f"symbols absent from the training split; use vit or var, or "
-                f"train on the full data)"
-            ) from None
-        reports[algorithm] = report
-        save_graph(report.graph, f"{stem}.{algorithm}.learned.json")
-
+    evidence, mask = _load_evidence(graph, args.data, args.split)
+    cfg = _graph_config(args, n_samples=len(mask), epochs_default=60)
+    reports = exp.train_rules(graph, evidence, cfg, mask)
     meta = {"seed": args.seed, "graph": graph_digest(graph), "split": args.split}
-    exp.write_training_rows(reports, out, include_test=args.split < 1.0, meta=meta)
+    _write_reports(args, reports, Path(args.out), meta, "training trajectory")
+    return 0
+
+
+def _write_reports(args, reports, results: Path, meta: dict, title: str) -> None:
+    """Write the results of ``train`` and ``experiment tree|deep``.
+
+    Next to the results CSV go ``{stem}.{algo}.learned.json`` per rule,
+    plus the coefficient dump and the gnuplot script when asked for; each
+    rule's final train log-likelihood is then printed.
+    """
+    stem = results.parent / results.stem
+    include_test = args.split < 1.0
+    exp.write_training_rows(reports, results, include_test=include_test, meta=meta)
+    for algorithm, report in reports.items():
+        save_graph(report.graph, f"{stem}.{algorithm}.learned.json")
     if args.dump_coefficients:
         exp.write_coefficient_rows(reports, f"{stem}.coefficients.csv", meta=meta)
     if args.emit_plot:
-        y_columns = ("train_loglik", "test_loglik") if args.split < 1.0 else ("train_loglik",)
-        exp.write_plot_script(f"{stem}.gp", out.name, "epoch", y_columns,
-                              title="training trajectory")
+        y_columns = ("train_loglik", "test_loglik") if include_test else ("train_loglik",)
+        exp.write_plot_script(f"{stem}.gp", results.name, "epoch", y_columns, title=title)
     for algorithm, report in reports.items():
         print(f"{algorithm}: final train loglik {report.final_train_loglik:.6f}")
-    return 0
 
 
 def cmd_eval(args) -> int:
     graph = load_graph(args.graph)
-    evidence, _ = _load_evidence(graph, args.data)
-    n = len(next(iter(evidence.values())))
-    mask = exp.split_mask(n, args.split)
-    state = Propagator(graph).run(evidence, n_samples=n)
+    evidence, mask = _load_evidence(graph, args.data, args.split)
+    state = Propagator(graph).run(evidence, n_samples=len(mask))
     terminals = tuple(evidence)
-    train = aggregated_log_likelihood(state, terminals, mask > 0)
-    line = f"train_loglik={exp.format_float(train)}"
-    test = None
+    header = ["train_loglik"]
+    values = [exp.format_float(aggregated_log_likelihood(state, terminals, mask > 0))]
     if args.split < 1.0:
-        test = aggregated_log_likelihood(state, terminals, mask <= 0)
-        line += f" test_loglik={exp.format_float(test)}"
-    print(line)
+        header.append("test_loglik")
+        values.append(exp.format_float(aggregated_log_likelihood(state, terminals, mask <= 0)))
+    print(" ".join(f"{name}={value}" for name, value in zip(header, values)))
     if args.out:
-        header = ["train_loglik"] + (["test_loglik"] if test is not None else [])
-        values = [exp.format_float(train)] + ([exp.format_float(test)] if test is not None else [])
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n" + ",".join(values) + "\n")
+        exp.write_csv(args.out, header, [values])
     return 0
 
 
-def _experiment_config(args, n_default: int, epochs_default: int) -> exp.GraphExperimentConfig:
+def _graph_config(args, n_samples: int, epochs_default: int) -> exp.GraphExperimentConfig:
     return exp.GraphExperimentConfig(
-        n_samples=args.n if args.n is not None else n_default,
+        n_samples=n_samples,
         epochs=args.epochs if args.epochs is not None else epochs_default,
         nit=args.nit,
         delta=args.delta,
@@ -212,10 +194,11 @@ def _experiment_config(args, n_default: int, epochs_default: int) -> exp.GraphEx
 def cmd_experiment(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    n_samples = args.n if args.n is not None else (100 if args.name == "deep" else 400)
 
     if args.name == "single-block":
         cfg = exp.SingleBlockConfig(
-            n_samples=args.n if args.n is not None else 400,
+            n_samples=n_samples,
             sharp_in=args.sharp_in,
             sharp_out=args.sharp_out,
             iterations=args.iterations,
@@ -234,45 +217,34 @@ def cmd_experiment(args) -> int:
         return 0
 
     if args.name == "nit-sweep":
-        cfg = _experiment_config(args, n_default=400, epochs_default=60)
+        cfg = _graph_config(args, n_samples, epochs_default=60)
         if args.algo is None:
             cfg = replace(cfg, algorithms=("ml",))
         if args.ms_override is not None:
             cfg = replace(cfg, m_latent=args.ms_override)
         rows = exp.run_nit_sweep(cfg)
         results = out_dir / "nit_sweep.csv"
-        with open(results, "w", encoding="utf-8") as fh:
-            fh.write(f"# seed: {cfg.seed}\n")
-            fh.write("nit,repetition,algorithm,final_train_loglik\n")
-            for nit, rep, algorithm, loglik in rows:
-                fh.write(f"{nit},{rep},{algorithm},{exp.format_float(loglik)}\n")
+        table = []
+        for nit, rep, algorithm, loglik in rows:
+            table.append([nit, rep, algorithm, exp.format_float(loglik)])
+        exp.write_csv(results, ["nit", "repetition", "algorithm", "final_train_loglik"],
+                      table, meta={"seed": cfg.seed})
         print(f"wrote {len(rows)} sweep rows to {results}")
         return 0
 
     if args.name == "tree":
-        cfg = _experiment_config(args, n_default=400, epochs_default=60)
+        cfg = _graph_config(args, n_samples, epochs_default=60)
         if args.ms_override is not None:
             cfg = replace(cfg, m_latent=args.ms_override)
         reports = exp.run_tree_experiment(cfg)
         results = out_dir / "tree.csv"
     else:
-        cfg = _experiment_config(args, n_default=100, epochs_default=600)
+        cfg = _graph_config(args, n_samples, epochs_default=600)
         reports = exp.run_deep_experiment(cfg)
         results = out_dir / "deep.csv"
 
     meta = {"seed": cfg.seed, "split": cfg.split, "m_latent": cfg.m_latent}
-    exp.write_training_rows(reports, results, include_test=cfg.split < 1.0, meta=meta)
-    for algorithm, report in reports.items():
-        save_graph(report.graph, out_dir / f"{results.stem}.{algorithm}.learned.json")
-    if args.dump_coefficients:
-        exp.write_coefficient_rows(reports, out_dir / f"{results.stem}.coefficients.csv",
-                                   meta=meta)
-    if args.emit_plot:
-        y_columns = ("train_loglik", "test_loglik") if cfg.split < 1.0 else ("train_loglik",)
-        exp.write_plot_script(out_dir / f"{results.stem}.gp", results.name,
-                              "epoch", y_columns, title=f"{args.name} training")
-    for algorithm, report in reports.items():
-        print(f"{algorithm}: final train loglik {report.final_train_loglik:.6f}")
+    _write_reports(args, reports, results, meta, f"{args.name} training")
     return 0
 
 

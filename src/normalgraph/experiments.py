@@ -43,6 +43,7 @@ from .learning import (
     var_update,
     vit_update,
 )
+from .propagation import ContradictoryEvidence
 from .synthgen import SampleSet, ancestral_sample, random_message_pairs, random_row_stochastic, substream
 
 __all__ = [
@@ -54,12 +55,14 @@ __all__ = [
     "SingleBlockConfig",
     "run_single_block",
     "GraphExperimentConfig",
+    "train_rules",
     "run_tree_experiment",
     "run_deep_experiment",
     "run_nit_sweep",
     "split_mask",
     "save_samples",
     "load_samples",
+    "write_csv",
     "write_block_rows",
     "write_training_rows",
     "write_coefficient_rows",
@@ -211,14 +214,11 @@ def run_single_block(cfg: SingleBlockConfig) -> list[tuple[str, int, float]]:
     rows: list[tuple[str, int, float]] = []
     uniform = np.full((cfg.m_in, cfg.m_out), 1.0 / cfg.m_out)
 
-    theta = uniform.copy()
-    for it in range(1, cfg.iterations + 1):
-        theta = ml_update(theta, data)
-        rows.append(("ml", it, block_log_likelihood(theta, data)))
-    theta = uniform.copy()
-    for it in range(1, cfg.iterations + 1):
-        theta = kl_update(theta, data)
-        rows.append(("kl", it, block_log_likelihood(theta, data)))
+    for algorithm, update in (("ml", ml_update), ("kl", kl_update)):
+        theta = uniform
+        for it in range(1, cfg.iterations + 1):
+            theta = update(theta, data)
+            rows.append((algorithm, it, block_log_likelihood(theta, data)))
     rows.append(("vit", 1, block_log_likelihood(vit_update(data, cfg.delta), data)))
     rows.append(("var", 1, block_log_likelihood(var_update(data, cfg.delta), data)))
     reference = random_row_stochastic(
@@ -246,8 +246,9 @@ class GraphExperimentConfig:
     record_coefficients: bool = False
 
 
-def _train_all(graph: GraphSpec, evidence, cfg: GraphExperimentConfig,
-               mask: np.ndarray) -> dict[str, TrainReport]:
+def train_rules(graph: GraphSpec, evidence, cfg: GraphExperimentConfig,
+                mask: np.ndarray) -> dict[str, TrainReport]:
+    """em_train once per rule in ``cfg.algorithms``, with shared settings."""
     reports: dict[str, TrainReport] = {}
     for algorithm in cfg.algorithms:
         train_cfg = TrainConfig(
@@ -259,7 +260,14 @@ def _train_all(graph: GraphSpec, evidence, cfg: GraphExperimentConfig,
             tol=cfg.tol,
             record_coefficients=cfg.record_coefficients,
         )
-        reports[algorithm] = em_train(graph, evidence, train_cfg, mask)
+        try:
+            reports[algorithm] = em_train(graph, evidence, train_cfg, mask)
+        except ContradictoryEvidence as error:
+            raise ContradictoryEvidence(
+                f"{error} (the {algorithm} rule can assign zero probability to "
+                f"symbols absent from the training split; use vit or var, or "
+                f"train on the full data)"
+            ) from None
     return reports
 
 
@@ -275,7 +283,7 @@ def run_tree_experiment(cfg: GraphExperimentConfig) -> dict[str, TrainReport]:
     evidence = data.terminal_evidence(("X1", "X2", "X3"))
     mask = split_mask(cfg.n_samples, cfg.split)
     learner = build_latent_star(m_latent=cfg.m_latent)
-    return _train_all(learner, evidence, cfg, mask)
+    return train_rules(learner, evidence, cfg, mask)
 
 
 def run_deep_experiment(cfg: GraphExperimentConfig) -> dict[str, TrainReport]:
@@ -285,7 +293,7 @@ def run_deep_experiment(cfg: GraphExperimentConfig) -> dict[str, TrainReport]:
     data = ancestral_sample(generative, cfg.n_samples, seed=cfg.seed)
     evidence = data.terminal_evidence(("X1", "X2", "X3"))
     mask = split_mask(cfg.n_samples, cfg.split)
-    return _train_all(structure, evidence, cfg, mask)
+    return train_rules(structure, evidence, cfg, mask)
 
 
 def run_nit_sweep(cfg: GraphExperimentConfig, nits=(1, 3, 5, 10, 20),
@@ -305,7 +313,7 @@ def run_nit_sweep(cfg: GraphExperimentConfig, nits=(1, 3, 5, 10, 20),
     for nit in nits:
         for rep in range(1, repetitions + 1):
             sweep_cfg = replace(cfg, nit=nit, seed=cfg.seed * 1000 + rep)
-            for algorithm, report in _train_all(learner, evidence, sweep_cfg, mask).items():
+            for algorithm, report in train_rules(learner, evidence, sweep_cfg, mask).items():
                 rows.append((nit, rep, algorithm, report.final_train_loglik))
     return rows
 
@@ -322,15 +330,13 @@ def save_samples(samples: SampleSet, path, graph: GraphSpec | None = None,
                  columns: tuple[str, ...] | None = None) -> None:
     """Dataset CSV: comment header with provenance, 1-based symbol rows."""
     names = columns if columns is not None else tuple(samples.columns)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# seed: {samples.seed}\n")
-        if graph is not None:
-            fh.write(f"# graph: {graph_digest(graph)}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        stacked = np.stack([samples.columns[v] for v in names], axis=1)
-        for row in stacked:
-            writer.writerow([int(x) + 1 for x in row])
+    meta = {"seed": samples.seed}
+    if graph is not None:
+        meta["graph"] = graph_digest(graph)
+    table = []
+    for row in np.stack([samples.columns[v] for v in names], axis=1):
+        table.append([int(x) + 1 for x in row])
+    write_csv(path, names, table, meta)
 
 
 def load_samples(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
@@ -366,15 +372,22 @@ def load_samples(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     return columns, meta
 
 
-def write_block_rows(rows, path, meta: dict | None = None) -> None:
-    """Single-block results CSV: (algorithm, iteration, loglik)."""
+def write_csv(path, header, rows, meta: dict | None = None) -> None:
+    """Results CSV: ``# key: value`` provenance lines, the header, the rows."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key, value in (meta or {}).items():
             fh.write(f"# {key}: {value}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["algorithm", "iteration", "loglik"])
-        for algorithm, iteration, loglik in rows:
-            writer.writerow([algorithm, iteration, format_float(loglik)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_block_rows(rows, path, meta: dict | None = None) -> None:
+    """Single-block results CSV: (algorithm, iteration, loglik)."""
+    table = []
+    for algorithm, iteration, loglik in rows:
+        table.append([algorithm, iteration, format_float(loglik)])
+    write_csv(path, ["algorithm", "iteration", "loglik"], table, meta)
 
 
 def write_training_rows(reports: dict[str, TrainReport], path,
@@ -384,43 +397,35 @@ def write_training_rows(reports: dict[str, TrainReport], path,
     The wall-clock column comes last so that everything before it is
     reproducible byte for byte.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key, value in (meta or {}).items():
-            fh.write(f"# {key}: {value}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["algorithm", "epoch", "train_loglik"]
-        if include_test:
-            header.append("test_loglik")
-        header.append("wall_ms")
-        writer.writerow(header)
-        for algorithm in reports:
-            for record in reports[algorithm].records:
-                row = [algorithm, record.epoch, format_float(record.train_loglik)]
-                if include_test:
-                    row.append(format_float(record.test_loglik))
-                row.append(format_float(record.wall_ms))
-                writer.writerow(row)
+    header = ["algorithm", "epoch", "train_loglik"]
+    if include_test:
+        header.append("test_loglik")
+    header.append("wall_ms")
+    table = []
+    for algorithm, report in reports.items():
+        for record in report.records:
+            row = [algorithm, record.epoch, format_float(record.train_loglik)]
+            if include_test:
+                row.append(format_float(record.test_loglik))
+            row.append(format_float(record.wall_ms))
+            table.append(row)
+    write_csv(path, header, table, meta)
 
 
 def write_coefficient_rows(reports: dict[str, TrainReport], path,
                            meta: dict | None = None) -> None:
     """Coefficient dump CSV: (algorithm, epoch, block, row, col, value)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key, value in (meta or {}).items():
-            fh.write(f"# {key}: {value}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["algorithm", "epoch", "block", "row", "col", "value"])
-        for algorithm, report in reports.items():
-            if not report.snapshots:
-                continue
-            for epoch in sorted(report.snapshots):
-                for name, matrix in report.snapshots[epoch].items():
-                    matrix = np.atleast_2d(matrix)
-                    for r in range(matrix.shape[0]):
-                        for c in range(matrix.shape[1]):
-                            writer.writerow(
-                                [algorithm, epoch, name, r, c, format_float(matrix[r, c])]
-                            )
+    table = []
+    for algorithm, report in reports.items():
+        if not report.snapshots:
+            continue
+        for epoch in sorted(report.snapshots):
+            for name, matrix in report.snapshots[epoch].items():
+                matrix = np.atleast_2d(matrix)
+                for r in range(matrix.shape[0]):
+                    for c in range(matrix.shape[1]):
+                        table.append([algorithm, epoch, name, r, c, format_float(matrix[r, c])])
+    write_csv(path, ["algorithm", "epoch", "block", "row", "col", "value"], table, meta)
 
 
 def write_plot_script(path, results_csv: str, x_column: str, y_columns: tuple[str, ...],

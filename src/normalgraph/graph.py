@@ -458,18 +458,35 @@ def _matrix_from_format(entry, rows: int, cols: int, owner: str) -> tuple[np.nda
     return np.array(entry, dtype=np.float64), False
 
 
+def _section(data: Mapping, key: str, required: tuple[str, ...]) -> list:
+    """One top-level section: a list of objects that carry the ``required`` keys."""
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise GraphError(f"section {key!r} must be a list")
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, Mapping):
+            raise GraphError(f"{key}[{index}] must be an object")
+        missing = [k for k in required if k not in entry]
+        if missing:
+            raise GraphError(f"{key}[{index}] lacks {missing}")
+    return entries
+
+
 def graph_from_dict(data: Mapping) -> GraphSpec:
     """Build a GraphSpec from the JSON file structure."""
+    if not isinstance(data, Mapping):
+        raise GraphError("a graph file must hold one JSON object")
+    entries = _section(data, "variables", ("name", "size"))
     try:
-        variables = tuple((v["name"], int(v["size"])) for v in data.get("variables", []))
-    except (KeyError, TypeError) as exc:
+        variables = tuple((v["name"], int(v["size"])) for v in entries)
+    except (TypeError, ValueError) as exc:
         raise GraphError(f"malformed variables section: {exc}") from exc
     sizes = dict(variables)
 
     sources = []
-    for entry in data.get("sources", []):
+    for entry in _section(data, "sources", ("name", "variable")):
         var = entry["variable"]
-        if var not in sizes:
+        if not isinstance(var, str) or var not in sizes:
             raise UnknownVariable(f"source {entry.get('name')!r} references unknown variable {var!r}")
         prior = entry.get("prior", "uniform")
         prior_arr = uniform(sizes[var]) if prior == "uniform" else np.array(prior, dtype=np.float64)
@@ -483,10 +500,10 @@ def graph_from_dict(data: Mapping) -> GraphSpec:
         )
 
     blocks = []
-    for entry in data.get("blocks", []):
+    for entry in _section(data, "blocks", ("name", "from", "to")):
         frm, to = entry["from"], entry["to"]
         for var in (frm, to):
-            if var not in sizes:
+            if not isinstance(var, str) or var not in sizes:
                 raise UnknownVariable(f"block {entry.get('name')!r} references unknown variable {var!r}")
         theta, from_builder = _matrix_from_format(
             entry.get("matrix", "uniform"), sizes[frm], sizes[to], f"block {entry.get('name')!r}"
@@ -510,10 +527,13 @@ def graph_from_dict(data: Mapping) -> GraphSpec:
         )
 
     diverters = []
-    for entry in data.get("diverters", []):
+    for entry in _section(data, "diverters", ("variable", "taps")):
         inbound = entry["variable"]
         if isinstance(inbound, str):
-            inbound = (inbound,)
+            inbound = [inbound]
+        for names in (inbound, entry["taps"]):
+            if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+                raise GraphError(f"diverter {inbound!r}: 'variable' and 'taps' must name variables")
         diverters.append(DiverterNode(inbound=tuple(inbound), taps=tuple(entry["taps"])))
 
     return GraphSpec(

@@ -23,12 +23,12 @@ frozen message state, update every trainable block, repeat.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .graph import GraphSpec, SisoBlock, SourceBlock
+from .graph import GraphSpec, SourceBlock
 from .messages import max_indicator, normalize
 from .propagation import (
     MessageState,
@@ -38,7 +38,6 @@ from .propagation import (
 )
 
 __all__ = [
-    "EmptyRow",
     "BlockDataset",
     "TrainConfig",
     "EpochRecord",
@@ -60,10 +59,6 @@ ALGORITHMS = ("ml", "kl", "vit", "var")
 # Message entries are floored here before the multiplicative updates so
 # that ratios of vanishing messages stay finite.
 MESSAGE_FLOOR = 1e-300
-
-
-class EmptyRow(ValueError):
-    """A row received no forward mass, leaving its update undefined."""
 
 
 @dataclass
@@ -104,27 +99,41 @@ def _floored(data: BlockDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return f, b, data.mask
 
 
-def _finish_rows(raw: np.ndarray, previous: np.ndarray | None, on_empty: str) -> np.ndarray:
-    """Row-normalize, resolving empty rows by policy.
+def _finish_rows(raw: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Row-normalize; a row without mass takes the same row of ``fallback``.
 
-    ``previous`` keeps the old row where available (the iterative rules);
-    otherwise empty rows fall back to uniform (the batch counting rules).
+    The iterative rules fall back to the previous matrix, so an empty row
+    keeps its old value; the batch counting rules fall back to all ones,
+    so an empty row becomes uniform.
     """
     sums = raw.sum(axis=1, keepdims=True)
     empty = sums[:, 0] <= 0.0
     if np.any(empty):
-        if on_empty == "raise":
-            rows = np.where(empty)[0].tolist()
-            raise EmptyRow(f"row(s) {rows} received no mass")
-        if previous is not None:
-            raw = np.where(empty[:, None], previous, raw)
-        else:
-            raw = np.where(empty[:, None], 1.0, raw)
+        raw = np.where(empty[:, None], fallback, raw)
         sums = raw.sum(axis=1, keepdims=True)
     return raw / sums
 
 
-def ml_update(theta: np.ndarray, data: BlockDataset, on_empty: str = "keep") -> np.ndarray:
+def _likelihood_masses(theta: np.ndarray, data: BlockDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Pair mass, sum over masked samples of f(l) b(m) / (f' theta b), and
+    row mass, sum over masked samples of f(l), of the block likelihood."""
+    f, b, mask = _floored(data)
+    scores = np.einsum("nl,lm,nm->n", f, theta, b)
+    weights = np.divide(mask, scores, out=np.zeros_like(scores), where=mask > 0)
+    pair_mass = (f * weights[:, None]).T @ b
+    row_mass = mask @ f
+    return pair_mass, row_mass
+
+
+def _rescaled(theta: np.ndarray, pair_mass: np.ndarray, row_mass: np.ndarray) -> np.ndarray:
+    """theta scaled by pair_mass / row_mass and renormalized; a row with no
+    forward mass keeps its previous value."""
+    raw = np.divide(theta * pair_mass, row_mass[:, None],
+                    out=np.zeros_like(theta), where=row_mass[:, None] > 0)
+    return _finish_rows(raw, theta)
+
+
+def ml_update(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
     """One multiplicative likelihood-ascent step.
 
     theta[l, m] is scaled by the mask-weighted sum over samples of
@@ -133,17 +142,11 @@ def ml_update(theta: np.ndarray, data: BlockDataset, on_empty: str = "keep") -> 
     block-local likelihood, so repeated application climbs monotonically.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    f, b, mask = _floored(data)
-    scores = np.einsum("nl,lm,nm->n", f, theta, b)
-    weights = np.divide(mask, scores, out=np.zeros_like(scores), where=mask > 0)
-    pair_mass = (f * weights[:, None]).T @ b
-    row_mass = mask @ f
-    raw = np.divide(theta * pair_mass, row_mass[:, None],
-                    out=np.zeros_like(theta), where=row_mass[:, None] > 0)
-    return _finish_rows(raw, theta, on_empty)
+    pair_mass, row_mass = _likelihood_masses(theta, data)
+    return _rescaled(theta, pair_mass, row_mass)
 
 
-def kl_update(theta: np.ndarray, data: BlockDataset, on_empty: str = "keep") -> np.ndarray:
+def kl_update(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
     """One multiplicative divergence-descent step.
 
     Differs from ml_update in the per-sample denominator: each output
@@ -157,9 +160,7 @@ def kl_update(theta: np.ndarray, data: BlockDataset, on_empty: str = "keep") -> 
     ratio = np.divide(b, predicted, out=np.zeros_like(b), where=predicted > 0)
     pair_mass = (mask[:, None] * f).T @ ratio
     row_mass = mask @ f
-    raw = np.divide(theta * pair_mass, row_mass[:, None],
-                    out=np.zeros_like(theta), where=row_mass[:, None] > 0)
-    return _finish_rows(raw, theta, on_empty)
+    return _rescaled(theta, pair_mass, row_mass)
 
 
 def vit_update(data: BlockDataset, delta: float = 1e-6) -> np.ndarray:
@@ -172,7 +173,7 @@ def vit_update(data: BlockDataset, delta: float = 1e-6) -> np.ndarray:
     e_in = max_indicator(data.forward, delta)
     e_out = max_indicator(data.backward, delta)
     raw = (data.mask[:, None] * e_in).T @ e_out
-    return _finish_rows(raw, None, "uniform")
+    return _finish_rows(raw, np.ones_like(raw))
 
 
 def var_update(data: BlockDataset, delta: float = 1e-6,
@@ -183,11 +184,13 @@ def var_update(data: BlockDataset, delta: float = 1e-6,
     samples, adds ``delta`` everywhere plus optional pseudo-counts
     ``alpha``, and row-normalizes.
     """
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
     raw = (data.mask[:, None] * data.forward).T @ data.backward
     raw = raw + delta
     if alpha is not None:
         raw = raw + np.asarray(alpha, dtype=np.float64)
-    return _finish_rows(raw, None, "uniform")
+    return _finish_rows(raw, np.ones_like(raw))
 
 
 def generalized_divergence(theta: np.ndarray, data: BlockDataset) -> float:
@@ -215,33 +218,18 @@ def kkt_multipliers(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
     slackness), which is what the stationarity tests check.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    f, b, mask = _floored(data)
-    scores = np.einsum("nl,lm,nm->n", f, theta, b)
-    weights = np.divide(mask, scores, out=np.zeros_like(scores), where=mask > 0)
-    pair_mass = (f * weights[:, None]).T @ b
-    row_mass = mask @ f
+    pair_mass, row_mass = _likelihood_masses(theta, data)
     return row_mass[:, None] - pair_mass
 
 
-def train_block(block, data: BlockDataset, cfg: "TrainConfig") -> np.ndarray:
+def train_block(theta: np.ndarray, data: BlockDataset, cfg: "TrainConfig") -> np.ndarray:
     """Train one block on its dataset and return the new matrix.
 
-    ``block`` may be a SisoBlock, a SourceBlock (treated as a one-row block
-    with constant unit input), or a bare matrix.  The iterative rules (ml,
-    kl) start from the block's current parameters and apply ``cfg.nit``
-    steps; the counting rules (vit, var) ignore them.
+    ``theta`` is the block's current matrix; a source prior enters as a
+    1 x M row with constant unit input.  The iterative rules (ml, kl)
+    start from it and apply ``cfg.nit`` steps; the counting rules (vit,
+    var) ignore it.
     """
-    if isinstance(block, SisoBlock):
-        theta = np.asarray(block.theta, dtype=np.float64)
-        name = block.name
-    elif isinstance(block, SourceBlock):
-        theta = np.asarray(block.prior, dtype=np.float64).reshape(1, -1)
-        name = block.name
-    else:
-        theta = np.asarray(block, dtype=np.float64)
-        name = None
-    if cfg.algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
     if cfg.algorithm == "ml":
         for _ in range(cfg.nit):
             theta = ml_update(theta, data)
@@ -251,25 +239,31 @@ def train_block(block, data: BlockDataset, cfg: "TrainConfig") -> np.ndarray:
     elif cfg.algorithm == "vit":
         theta = vit_update(data, cfg.delta)
     else:
-        alpha = None
-        if cfg.alpha is not None and name is not None:
-            alpha = cfg.alpha.get(name)
-        theta = var_update(data, cfg.delta, alpha)
+        theta = var_update(data, cfg.delta)
     return theta
 
 
 @dataclass
 class TrainConfig:
-    """Knobs for em_train and train_block."""
+    """Knobs for em_train and train_block, checked on construction."""
 
     algorithm: str = "ml"
     epochs: int = 60
     nit: int = 3
     delta: float = 1e-6
-    alpha: Mapping[str, np.ndarray] | None = None
     seed: int = 1
     tol: float | None = None
     record_coefficients: bool = False
+
+    def __post_init__(self):
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
+        if self.nit < 1:
+            raise ValueError(f"nit must be at least 1, got {self.nit}")
+        if not self.delta >= 0:
+            raise ValueError(f"delta must be nonnegative, got {self.delta}")
 
 
 @dataclass
@@ -380,11 +374,10 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
         for unit in units:
             data = _harvest(state, unit, mask)
             if isinstance(unit, SourceBlock):
-                refreshed = replace(unit, prior=parameters[unit.name])
-                updates[unit.name] = train_block(refreshed, data, cfg).reshape(-1)
+                row = parameters[unit.name].reshape(1, -1)
+                updates[unit.name] = train_block(row, data, cfg).reshape(-1)
             else:
-                refreshed = replace(unit, theta=parameters[unit.name])
-                updates[unit.name] = train_block(refreshed, data, cfg)
+                updates[unit.name] = train_block(parameters[unit.name], data, cfg)
         parameters.update(updates)
         state = propagator.run(samples, n_samples=n, parameters=parameters)
         train_ll = aggregated_log_likelihood(state, terminals, mask > 0)

@@ -14,8 +14,9 @@ rules are local:
 On a cycle-free graph each message is fully determined, so the engine
 compiles a dependency-ordered schedule and computes every message exactly
 once.  A flooding mode (Jacobi sweeps from an arbitrary initial state) is
-kept for demonstration; after as many rounds as the longest dependency
-chain it reproduces the exact result.
+kept as a cross-check of that schedule: after as many rounds as the
+longest dependency chain (``Propagator.depth``) it reproduces the exact
+result.
 
 Message arrays are (n_samples, alphabet) so a whole dataset propagates in
 one vectorized pass.
@@ -45,64 +46,13 @@ __all__ = [
     "Propagator",
     "propagate",
     "posterior",
-    "siso_forward",
-    "siso_backward",
-    "diverter_out",
     "aggregated_log_likelihood",
     "block_log_likelihood",
-    "message_depth",
 ]
 
 
 class ContradictoryEvidence(ValueError):
     """Injected evidence has no support under the current parameters."""
-
-
-def siso_forward(theta: np.ndarray, forward_in: np.ndarray) -> np.ndarray:
-    """Forward message through a block: normalize(theta' f)."""
-    theta = np.asarray(theta, dtype=np.float64)
-    return normalize(np.asarray(forward_in, dtype=np.float64) @ theta)
-
-
-def siso_backward(theta: np.ndarray, backward_out: np.ndarray) -> np.ndarray:
-    """Backward message through a block: normalize(theta b)."""
-    theta = np.asarray(theta, dtype=np.float64)
-    return normalize(np.asarray(backward_out, dtype=np.float64) @ theta.T)
-
-
-def diverter_out(forward_in: np.ndarray, backwards: Sequence[np.ndarray]):
-    """Messages leaving an equality node with one inbound replica.
-
-    Given the forward message on the inbound edge and the backward messages
-    on the D taps, returns ``(backward_in, forwards)``: the backward message
-    sent up the inbound edge and the forward message sent down each tap.
-    """
-    entering = [np.asarray(forward_in, dtype=np.float64)]
-    entering += [np.asarray(b, dtype=np.float64) for b in backwards]
-    leaving = _equality_leaving(entering)
-    return leaving[0], leaving[1:]
-
-
-def _equality_leaving(entering: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Per edge, the normalized product of the other entering messages."""
-    out = []
-    for k in range(len(entering)):
-        prod = None
-        for j, msg in enumerate(entering):
-            if j == k:
-                continue
-            prod = msg.copy() if prod is None else prod * msg
-        if prod is None:
-            raise GraphError("equality node needs at least two edges")
-        try:
-            out.append(normalize(prod))
-        except AllZeroVector as exc:
-            raise AllZeroVector(f"contradictory replica messages at edge {k}") from exc
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Compiled propagation
 
 
 @dataclass(frozen=True)
@@ -141,7 +91,8 @@ class Propagator:
         self._heads = graph.heads()
         self._compile()
 
-    # Slots are ("F"|"B", variable); rules are small tagged tuples.
+    # Slots are ("F"|"B", variable); rules are small tagged tuples.  A SISO
+    # rule holds its parameter name and the slot of its input message.
     def _compile(self) -> None:
         rules: dict[tuple[str, str], tuple] = {}
         deps: dict[tuple[str, str], list] = {}
@@ -153,8 +104,8 @@ class Propagator:
             elif isinstance(tail, SourceBlock):
                 rules[slot], deps[slot] = ("prior", tail.name), []
             elif isinstance(tail, SisoBlock):
-                rules[slot] = ("siso_f", tail.name)
-                deps[slot] = [("F", tail.from_var)]
+                rules[slot] = ("siso_f", tail.name, ("F", tail.from_var))
+                deps[slot] = [rules[slot][2]]
             else:
                 rules[slot] = ("product", self._other_entering(tail, var))
                 deps[slot] = rules[slot][1]
@@ -164,8 +115,8 @@ class Propagator:
             if head is None:
                 rules[slot], deps[slot] = ("evidence",), []
             elif isinstance(head, SisoBlock):
-                rules[slot] = ("siso_b", head.name)
-                deps[slot] = [("B", head.to_var)]
+                rules[slot] = ("siso_b", head.name, ("B", head.to_var))
+                deps[slot] = [rules[slot][2]]
             else:
                 rules[slot] = ("product", self._other_entering(head, var))
                 deps[slot] = rules[slot][1]
@@ -194,12 +145,12 @@ class Propagator:
 
     # -- evidence handling --------------------------------------------------
 
-    def _canonical_evidence(self, evidence: Mapping | None, n_samples: int | None):
-        evidence = dict(evidence or {})
+    def _evidence_factors(self, evidence: Mapping | None, n_samples: int | None):
+        """The factor of every open-endpoint slot, and the sample count."""
         terminals = set(self.graph.terminals())
         n = n_samples
         canon: dict[str, np.ndarray] = {}
-        for var, value in evidence.items():
+        for var, value in (evidence or {}).items():
             if var not in self.sizes:
                 raise UnknownVariable(f"evidence for unknown variable {var!r}")
             if var not in terminals:
@@ -207,14 +158,13 @@ class Propagator:
                     f"evidence at non-terminal variable {var!r}; split it first"
                 )
             arr = np.asarray(value)
-            if arr.ndim == 0 or (arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer)):
-                rows = 1 if arr.ndim == 0 else arr.shape[0]
-            elif arr.ndim == 1:
-                rows = 1
-            elif arr.ndim == 2:
-                rows = arr.shape[0]
-            else:
+            if arr.ndim > 2:
                 raise ValueError(f"evidence for {var!r} has too many dimensions")
+            # An integer vector holds one symbol per sample; a float vector
+            # is one soft factor shared by all samples.
+            rows = 1
+            if arr.ndim == 2 or (arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer)):
+                rows = arr.shape[0]
             if rows > 1:
                 if n is None:
                     n = rows
@@ -223,7 +173,12 @@ class Propagator:
                         f"evidence for {var!r} has {rows} samples, expected {n}"
                     )
             canon[var] = arr
-        return canon, (1 if n is None else n)
+        n = 1 if n is None else n
+        factors = {}
+        for slot, rule in self._rules.items():
+            if rule[0] == "evidence":
+                factors[slot] = self._evidence_factor(slot[1], canon.get(slot[1]), n)
+        return factors, n
 
     def _evidence_factor(self, var: str, value, n: int) -> np.ndarray:
         size = self.sizes[var]
@@ -266,11 +221,9 @@ class Propagator:
         if kind == "prior":
             return np.tile(params[rule[1]], (n, 1))
         if kind == "siso_f":
-            blk = self.graph.block(rule[1])
-            raw = msgs[("F", blk.from_var)] @ params[blk.name]
+            raw = msgs[rule[2]] @ params[rule[1]]
         elif kind == "siso_b":
-            blk = self.graph.block(rule[1])
-            raw = msgs[("B", blk.to_var)] @ params[blk.name].T
+            raw = msgs[rule[2]] @ params[rule[1]].T
         else:
             raw = None
             for dep in rule[1]:
@@ -301,45 +254,38 @@ class Propagator:
 
         ``parameters`` overrides block matrices or source priors by node
         name without rebuilding the schedule.  ``flooding_rounds`` switches
-        to Jacobi flooding from ``init`` (or uniform) instead of the exact
-        one-pass sweep.
+        to Jacobi flooding from ``init`` (or ``initial_state``) instead of
+        the exact one-pass sweep.
         """
-        canon, n = self._canonical_evidence(evidence, n_samples)
+        factors, n = self._evidence_factors(evidence, n_samples)
         params = self._parameters(parameters)
-        factors = {}
-        for slot, rule in self._rules.items():
-            if rule[0] == "evidence":
-                factors[slot] = self._evidence_factor(slot[1], canon.get(slot[1]), n)
-
+        msgs: dict[tuple[str, str], np.ndarray] = {}
         if flooding_rounds is None:
-            msgs: dict[tuple[str, str], np.ndarray] = {}
             for slot in self._order:
                 msgs[slot] = self._apply(slot, self._rules[slot], msgs, factors, params, n)
-        else:
-            msgs = {}
-            for slot in self._order:
-                if init is not None:
-                    store = init.forward if slot[0] == "F" else init.backward
-                    msgs[slot] = np.array(store[slot[1]], dtype=np.float64)
-                else:
-                    size = self.sizes[slot[1]]
-                    msgs[slot] = np.full((n, size), 1.0 / size)
-            for _ in range(flooding_rounds):
-                msgs = {
-                    slot: self._apply(slot, self._rules[slot], msgs, factors, params, n)
-                    for slot in self._order
-                }
+            return self._to_state(msgs, n)
+
+        if init is None:
+            init = self.initial_state(evidence, n_samples)
+        for slot in self._order:
+            store = init.forward if slot[0] == "F" else init.backward
+            msgs[slot] = np.array(store[slot[1]], dtype=np.float64)
+        for _ in range(flooding_rounds):
+            msgs = {
+                slot: self._apply(slot, self._rules[slot], msgs, factors, params, n)
+                for slot in self._order
+            }
         return self._to_state(msgs, n)
 
     def initial_state(self, evidence: Mapping | None = None, n_samples: int | None = None,
                       rng: np.random.Generator | None = None) -> MessageState:
         """Unpropagated state: evidence factors in place, everything else
         uniform, or independent uniform-random draws when ``rng`` is given."""
-        canon, n = self._canonical_evidence(evidence, n_samples)
+        factors, n = self._evidence_factors(evidence, n_samples)
         msgs = {}
-        for slot, rule in self._rules.items():
-            if rule[0] == "evidence":
-                msgs[slot] = self._evidence_factor(slot[1], canon.get(slot[1]), n)
+        for slot in self._rules:
+            if slot in factors:
+                msgs[slot] = factors[slot]
             else:
                 size = self.sizes[slot[1]]
                 if rng is None:
@@ -363,11 +309,6 @@ def propagate(graph: GraphSpec, evidence: Mapping | None = None,
               n_samples: int | None = None, **kwargs) -> MessageState:
     """One-shot propagation; see Propagator.run for the knobs."""
     return Propagator(graph).run(evidence, n_samples=n_samples, **kwargs)
-
-
-def message_depth(graph: GraphSpec) -> int:
-    """Longest dependency chain; flooding needs this many rounds to settle."""
-    return Propagator(graph).depth
 
 
 def aggregated_log_likelihood(state: MessageState, terminals: Sequence[str],
@@ -406,7 +347,4 @@ def block_log_likelihood(theta: np.ndarray, data) -> float:
     sel = mask > 0
     if np.any(scores[sel] <= 0.0):
         return float("-inf")
-    out = 0.0
-    if np.any(sel):
-        out = float(np.sum(np.log(scores[sel])))
-    return out
+    return float(np.sum(np.log(scores[sel])))

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end."""
 
 import importlib
+import json
 import os
 import re
 import shutil
@@ -14,7 +15,7 @@ import pytest
 import normalgraph
 from normalgraph.cli import main
 from normalgraph.experiments import build_latent_star, load_samples
-from normalgraph.graph import load_graph, save_graph
+from normalgraph.graph import graph_to_dict, load_graph, save_graph
 
 
 @pytest.fixture
@@ -197,6 +198,46 @@ class TestErrorReporting:
         rc = main(["eval", "--graph", str(bad), "--data", str(data)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: graph:")
+
+    @pytest.mark.parametrize("case", [
+        "block without to", "top-level list", "diverter taps not a list", "source without variable",
+        "block to not a name", "diverter tap not a name",
+    ])
+    def test_malformed_graph_json_is_graph(self, star_files, tmp_path, capsys, case):
+        _, _, data = star_files
+        document = graph_to_dict(build_latent_star(generative=True))
+        if case == "block without to":
+            del document["blocks"][0]["to"]
+        elif case == "top-level list":
+            document = [document]
+        elif case == "diverter taps not a list":
+            document["diverters"][0]["taps"] = 5
+        elif case == "source without variable":
+            del document["sources"][0]["variable"]
+        elif case == "block to not a name":
+            document["blocks"][0]["to"] = ["X1"]
+        else:
+            document["diverters"][0]["taps"][0] = ["S1"]
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(document))
+        rc = main(["eval", "--graph", str(bad), "--data", str(data)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: graph:"), err
+
+    @pytest.mark.parametrize("algo, flag, value", [
+        ("var", "--delta", "-2"), ("ml", "--epochs", "-3"), ("ml", "--nit", "0"),
+    ])
+    def test_bad_training_setting_is_data(self, star_files, tmp_path, capsys, algo, flag, value):
+        _, learner, data = star_files
+        out = tmp_path / "r.csv"
+        rc = main(["train", "--graph", str(learner), "--data", str(data),
+                   "--algo", algo, flag, value, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: data:"), err
+        assert flag[2:] in err[0]
+        assert not out.exists()
 
     def test_contradiction_is_evidence(self, star_files, tmp_path, capsys):
         _, _, data = star_files

@@ -1,0 +1,26 @@
+"""Smoke test: every demo script runs to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import normalgraph
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(script, tmp_path):
+    package_root = Path(normalgraph.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_demos_are_found():
+    assert DEMOS, "no demo scripts under demos/"

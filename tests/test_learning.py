@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import cooccurrence_table
 from normalgraph.graph import (
@@ -14,7 +16,6 @@ from normalgraph.graph import (
 from normalgraph.learning import (
     ALGORITHMS,
     BlockDataset,
-    EmptyRow,
     TrainConfig,
     em_train,
     generalized_divergence,
@@ -210,17 +211,6 @@ class TestEmptyRowHandling:
         np.testing.assert_allclose(ml_update(theta, data), theta, atol=0)
         np.testing.assert_allclose(kl_update(theta, data), theta, atol=0)
 
-    def test_iterative_rules_can_raise(self):
-        data = BlockDataset(
-            forward=np.array([[0.5, 0.5]]),
-            backward=np.array([[0.8, 0.2]]),
-            mask=np.array([0.0]),
-        )
-        with pytest.raises(EmptyRow):
-            ml_update(np.full((2, 2), 0.5), data, on_empty="raise")
-        with pytest.raises(EmptyRow):
-            kl_update(np.full((2, 2), 0.5), data, on_empty="raise")
-
     def test_counting_rules_fall_back_to_uniform(self):
         data = BlockDataset(
             forward=np.array([[0.5, 0.5]]),
@@ -271,43 +261,101 @@ class TestTrainBlock:
     def test_nit_controls_iterative_rules(self):
         rng = np.random.default_rng(42)
         data = smooth_dataset(rng, 3, 2, 25)
-        block = SisoBlock("b", "A", "B", np.full((3, 2), 0.5))
+        theta = np.full((3, 2), 0.5)
         cfg = TrainConfig(algorithm="ml", nit=2)
-        manual = ml_update(ml_update(np.asarray(block.theta), data), data)
-        np.testing.assert_allclose(train_block(block, data, cfg), manual, atol=0)
+        manual = ml_update(ml_update(theta, data), data)
+        np.testing.assert_allclose(train_block(theta, data, cfg), manual, atol=0)
 
     def test_counting_rules_ignore_start(self):
         rng = np.random.default_rng(42)
         data = smooth_dataset(rng, 3, 2, 25)
-        block = SisoBlock("b", "A", "B", normalize(rng.uniform(size=(3, 2))))
-        out = train_block(block, data, TrainConfig(algorithm="vit", nit=7, delta=1e-6))
+        theta = normalize(rng.uniform(size=(3, 2)))
+        out = train_block(theta, data, TrainConfig(algorithm="vit", nit=7, delta=1e-6))
         np.testing.assert_allclose(out, vit_update(data, 1e-6), atol=0)
 
     def test_source_block_one_row_reduction(self):
         rng = np.random.default_rng(42)
         backward = normalize(rng.uniform(size=(30, 4)))
         data = BlockDataset(forward=np.ones((30, 1)), backward=backward)
-        source = SourceBlock("prior", "S", np.full(4, 0.25))
-        out = train_block(source, data, TrainConfig(algorithm="var", delta=1e-6))
+        prior_row = np.full((1, 4), 0.25)
+        out = train_block(prior_row, data, TrainConfig(algorithm="var", delta=1e-6))
         assert out.shape == (1, 4)
         np.testing.assert_allclose(out, var_update(data, 1e-6), atol=0)
 
-    def test_alpha_is_looked_up_by_name(self):
-        rng = np.random.default_rng(42)
-        data = smooth_dataset(rng, 2, 2, 10)
-        alpha = {"b": np.array([[5.0, 0.0], [0.0, 5.0]])}
-        block = SisoBlock("b", "A", "B", np.full((2, 2), 0.5))
-        cfg = TrainConfig(algorithm="var", delta=1e-6, alpha=alpha)
-        withprior = train_block(block, data, cfg)
-        np.testing.assert_allclose(withprior, var_update(data, 1e-6, alpha["b"]), atol=0)
-
     def test_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            train_block(
-                np.full((2, 2), 0.5),
-                BlockDataset(forward=np.ones((1, 2)) / 2, backward=np.ones((1, 2)) / 2),
-                TrainConfig(algorithm="adam"),
-            )
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            TrainConfig(algorithm="adam")
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", -1), ("nit", 0), ("delta", -1e-9), ("delta", float("nan")),
+    ])
+    def test_rejects_bad_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_epochs_and_zero_delta_are_valid(self):
+        cfg = TrainConfig(epochs=0, delta=0.0)
+        assert (cfg.epochs, cfg.delta) == (0, 0.0)
+
+    def test_var_rejects_negative_delta(self):
+        with pytest.raises(ValueError, match="delta"):
+            var_update(ONE_PAIR, delta=-2.0)
+
+
+# Message entries with exact zeros and the smallest subnormal among them.
+MESSAGE_ENTRIES = st.sampled_from([0.0, 5e-324, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def rule_inputs(draw):
+    """A row-stochastic start matrix and a dataset of nonnegative message
+    batches with zeros, one-hots and subnormals, under a 0/1 mask that may
+    select nothing."""
+    m_in = draw(st.integers(1, 4))
+    m_out = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+
+    def batch(width):
+        rows = []
+        for _ in range(n):
+            row = draw(st.lists(MESSAGE_ENTRIES, min_size=width, max_size=width))
+            if sum(row) == 0.0:
+                # A message needs some mass: make this row a one-hot.
+                row[draw(st.integers(0, width - 1))] = 1.0
+            rows.append(row)
+        return np.array(rows)
+
+    data = BlockDataset(
+        forward=batch(m_in),
+        backward=batch(m_out),
+        mask=draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)),
+    )
+    theta_entries = st.just(0.0) | st.floats(0.01, 1.0)
+    theta = np.array(draw(st.lists(
+        st.lists(theta_entries, min_size=m_out, max_size=m_out), min_size=m_in, max_size=m_in
+    )))
+    theta[theta.sum(axis=1) == 0.0] = 1.0
+    delta = draw(st.sampled_from([0.0, 1e-6, 1.0]))
+    return normalize(theta), data, delta
+
+
+class TestRuleOutputsProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(rule_inputs())
+    def test_every_rule_returns_row_stochastic(self, inputs):
+        theta, data, delta = inputs
+        outputs = {
+            "ml": ml_update(theta, data),
+            "kl": kl_update(theta, data),
+            "vit": vit_update(data, delta),
+            "var": var_update(data, delta),
+        }
+        for name, out in outputs.items():
+            assert out.shape == theta.shape, name
+            assert np.all(np.isfinite(out)) and np.all(out >= 0.0), name
+            np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12, err_msg=name)
 
 
 def observed_chain():

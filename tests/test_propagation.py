@@ -17,18 +17,14 @@ from normalgraph.graph import (
     split_variable,
 )
 from normalgraph.learning import BlockDataset
-from normalgraph.messages import AllZeroVector, one_hot
+from normalgraph.messages import one_hot
 from normalgraph.propagation import (
     ContradictoryEvidence,
     Propagator,
     aggregated_log_likelihood,
     block_log_likelihood,
-    diverter_out,
-    message_depth,
     posterior,
     propagate,
-    siso_backward,
-    siso_forward,
 )
 
 
@@ -66,51 +62,82 @@ def mini_join_graph(seed=42):
     )
 
 
+def one_block(theta):
+    """A single block between the open terminals A (input) and B (output)."""
+    theta = np.asarray(theta, dtype=float)
+    return ensure_valid(
+        GraphSpec(
+            variables=(("A", theta.shape[0]), ("B", theta.shape[1])),
+            blocks=(SisoBlock("P", "A", "B", theta),),
+        )
+    )
+
+
+def one_diverter(n_taps, size=2):
+    """A single diverter from the open terminal E0 to the open taps E1..En."""
+    taps = tuple(f"E{k}" for k in range(1, n_taps + 1))
+    return ensure_valid(
+        GraphSpec(
+            variables=tuple((v, size) for v in ("E0", *taps)),
+            diverters=(DiverterNode(inbound=("E0",), taps=taps),),
+        )
+    )
+
+
 class TestLocalRules:
+    """The block and diverter rules, read off one-node graphs whose open
+    ends carry the entering messages as soft evidence."""
+
     def test_siso_forward_hand_value(self):
         """Uniform four-state input through the first reference conditional
         lands on the marginal [0.35, 0.65]."""
         theta = TREE_LEAF_CONDITIONALS[0]
-        out = siso_forward(theta, np.full(4, 0.25))
+        out = propagate(one_block(theta), {"A": np.full(4, 0.25)}).forward["B"][0]
         np.testing.assert_allclose(out, [0.35, 0.65], atol=1e-15)
 
     def test_siso_forward_identity_and_uniform(self):
         f = np.array([0.2, 0.8])
-        np.testing.assert_allclose(siso_forward(np.eye(2), f), f, atol=1e-15)
+        out = propagate(one_block(np.eye(2)), {"A": f}).forward["B"][0]
+        np.testing.assert_allclose(out, f, atol=1e-15)
         rows_equal = np.full((3, 2), 0.5)
-        np.testing.assert_allclose(
-            siso_forward(rows_equal, np.array([0.1, 0.3, 0.6])), [0.5, 0.5], atol=1e-15
-        )
+        out = propagate(one_block(rows_equal), {"A": np.array([0.1, 0.3, 0.6])}).forward["B"][0]
+        np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
 
     def test_siso_backward_hand_value(self):
         theta = np.array([[0.1, 0.9], [0.9, 0.1]])
-        out = siso_backward(theta, np.array([1.0, 0.0]))
+        out = propagate(one_block(theta), {"B": np.array([1.0, 0.0])}).backward["A"][0]
         np.testing.assert_allclose(out, [0.1, 0.9], atol=1e-15)
 
     def test_siso_backward_uniform_passthrough(self):
         theta = np.array([[0.3, 0.7], [0.6, 0.4], [0.5, 0.5]])
-        out = siso_backward(theta, np.array([0.5, 0.5]))
+        out = propagate(one_block(theta), {"B": np.array([0.5, 0.5])}).backward["A"][0]
         np.testing.assert_allclose(out, 1.0 / 3.0, atol=1e-15)
 
     def test_diverter_out_hand_values(self):
-        b0, fwds = diverter_out(
-            np.array([0.5, 0.5]), [np.array([0.9, 0.1]), np.array([0.5, 0.5])]
-        )
-        np.testing.assert_allclose(b0, [0.9, 0.1], atol=1e-15)
-        np.testing.assert_allclose(fwds[0], [0.5, 0.5], atol=1e-15)
-        np.testing.assert_allclose(fwds[1], [0.9, 0.1], atol=1e-15)
+        state = propagate(one_diverter(2), {
+            "E0": np.array([0.5, 0.5]),
+            "E1": np.array([0.9, 0.1]),
+            "E2": np.array([0.5, 0.5]),
+        })
+        np.testing.assert_allclose(state.backward["E0"][0], [0.9, 0.1], atol=1e-15)
+        np.testing.assert_allclose(state.forward["E1"][0], [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(state.forward["E2"][0], [0.9, 0.1], atol=1e-15)
 
     def test_diverter_single_tap_passthrough(self):
-        b0, fwds = diverter_out(np.array([0.2, 0.8]), [np.array([0.7, 0.3])])
-        np.testing.assert_allclose(b0, [0.7, 0.3], atol=1e-15)
-        np.testing.assert_allclose(fwds[0], [0.2, 0.8], atol=1e-15)
+        state = propagate(one_diverter(1), {
+            "E0": np.array([0.2, 0.8]),
+            "E1": np.array([0.7, 0.3]),
+        })
+        np.testing.assert_allclose(state.backward["E0"][0], [0.7, 0.3], atol=1e-15)
+        np.testing.assert_allclose(state.forward["E1"][0], [0.2, 0.8], atol=1e-15)
 
     def test_diverter_contradiction(self):
-        with pytest.raises(AllZeroVector):
-            diverter_out(
-                np.array([1.0, 0.0]),
-                [np.array([0.0, 1.0]), np.array([0.5, 0.5])],
-            )
+        with pytest.raises(ContradictoryEvidence):
+            propagate(one_diverter(2), {
+                "E0": np.array([1.0, 0.0]),
+                "E1": np.array([0.0, 1.0]),
+                "E2": np.array([0.5, 0.5]),
+            })
 
 
 class TestPropagateExactness:
@@ -198,7 +225,7 @@ class TestBatchingAndSchedules:
         prop = Propagator(graph)
         evidence = {"X1": 1, "X2": 0, "X3": 2}
         exact = prop.run(evidence)
-        depth = message_depth(graph)
+        depth = prop.depth
         flooded = prop.run(evidence, flooding_rounds=depth)
         rng = np.random.default_rng(42)
         random_start = prop.initial_state(evidence, rng=rng)
