@@ -361,7 +361,13 @@ def load_samples(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             rows.append([int(c) for c in cells])
     if header is None:
         raise ValueError(f"{path}: no header row")
-    data = np.asarray(rows, dtype=np.int64)
+    duplicates = sorted({name for name in header if header.count(name) > 1})
+    if duplicates:
+        raise ValueError(f"{path}: duplicate columns {duplicates}")
+    try:
+        data = np.asarray(rows, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"{path}: symbol index out of range ({exc})") from exc
     if not rows:
         data = data.reshape(0, len(header))
     if data.ndim != 2 or data.shape[1] != len(header):

@@ -133,7 +133,7 @@ class DiverterNode:
 
     @property
     def name(self) -> str:
-        return "=" + self.inbound[0]
+        return "=" + (self.inbound[0] if self.inbound else "")
 
 
 @dataclass(frozen=True)
@@ -451,24 +451,38 @@ def _matrix_from_format(entry, rows: int, cols: int, owner: str) -> tuple[np.nda
             raise GraphError(f"{owner}: unknown builder {builder!r}")
         sizes = entry.get("sizes")
         j = entry.get("j")
-        if not isinstance(sizes, (list, tuple)) or not isinstance(j, int):
+        if (not isinstance(sizes, (list, tuple)) or type(j) is not int
+                or not all(type(size) is int for size in sizes)):
             raise GraphError(f"{owner}: builder needs integer list 'sizes' and integer 'j'")
         fn = build_expander if builder == "expander" else build_projector
         return fn(sizes, j), True
-    return np.array(entry, dtype=np.float64), False
+    return _numeric(entry, owner), False
 
 
-def _section(data: Mapping, key: str, required: tuple[str, ...]) -> list:
-    """One top-level section: a list of objects that carry the ``required`` keys."""
+def _numeric(entry, owner: str) -> np.ndarray:
+    """A matrix or prior given as nested lists of numbers."""
+    try:
+        return np.array(entry, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"{owner}: expected nested lists of numbers ({exc})") from exc
+
+
+def _section(data: Mapping, key: str, names: tuple[str, ...],
+             required: tuple[str, ...] = ()) -> list:
+    """One top-level section: a list of objects that carry the ``names``
+    keys, each holding a string, and the other ``required`` keys."""
     entries = data.get(key, [])
     if not isinstance(entries, list):
         raise GraphError(f"section {key!r} must be a list")
     for index, entry in enumerate(entries):
         if not isinstance(entry, Mapping):
             raise GraphError(f"{key}[{index}] must be an object")
-        missing = [k for k in required if k not in entry]
+        missing = [k for k in names + required if k not in entry]
         if missing:
             raise GraphError(f"{key}[{index}] lacks {missing}")
+        not_names = [k for k in names if not isinstance(entry[k], str)]
+        if not_names:
+            raise GraphError(f"{key}[{index}]: {not_names} must hold a name")
     return entries
 
 
@@ -476,20 +490,21 @@ def graph_from_dict(data: Mapping) -> GraphSpec:
     """Build a GraphSpec from the JSON file structure."""
     if not isinstance(data, Mapping):
         raise GraphError("a graph file must hold one JSON object")
-    entries = _section(data, "variables", ("name", "size"))
-    try:
-        variables = tuple((v["name"], int(v["size"])) for v in entries)
-    except (TypeError, ValueError) as exc:
-        raise GraphError(f"malformed variables section: {exc}") from exc
+    entries = _section(data, "variables", ("name",), ("size",))
+    variables = tuple((v["name"], v["size"]) for v in entries)
+    not_sizes = [name for name, size in variables if type(size) is not int or size < 1]
+    if not_sizes:
+        raise GraphError(f"variables {not_sizes} need a positive integer size")
     sizes = dict(variables)
 
     sources = []
     for entry in _section(data, "sources", ("name", "variable")):
         var = entry["variable"]
-        if not isinstance(var, str) or var not in sizes:
-            raise UnknownVariable(f"source {entry.get('name')!r} references unknown variable {var!r}")
+        if var not in sizes:
+            raise UnknownVariable(f"source {entry['name']!r} references unknown variable {var!r}")
         prior = entry.get("prior", "uniform")
-        prior_arr = uniform(sizes[var]) if prior == "uniform" else np.array(prior, dtype=np.float64)
+        owner = f"source {entry['name']!r}"
+        prior_arr = uniform(sizes[var]) if prior == "uniform" else _numeric(prior, owner)
         sources.append(
             SourceBlock(
                 name=entry["name"],
@@ -503,10 +518,10 @@ def graph_from_dict(data: Mapping) -> GraphSpec:
     for entry in _section(data, "blocks", ("name", "from", "to")):
         frm, to = entry["from"], entry["to"]
         for var in (frm, to):
-            if not isinstance(var, str) or var not in sizes:
-                raise UnknownVariable(f"block {entry.get('name')!r} references unknown variable {var!r}")
+            if var not in sizes:
+                raise UnknownVariable(f"block {entry['name']!r} references unknown variable {var!r}")
         theta, from_builder = _matrix_from_format(
-            entry.get("matrix", "uniform"), sizes[frm], sizes[to], f"block {entry.get('name')!r}"
+            entry.get("matrix", "uniform"), sizes[frm], sizes[to], f"block {entry['name']!r}"
         )
         trainable = entry.get("trainable")
         if from_builder:
@@ -527,7 +542,7 @@ def graph_from_dict(data: Mapping) -> GraphSpec:
         )
 
     diverters = []
-    for entry in _section(data, "diverters", ("variable", "taps")):
+    for entry in _section(data, "diverters", (), ("variable", "taps")):
         inbound = entry["variable"]
         if isinstance(inbound, str):
             inbound = [inbound]

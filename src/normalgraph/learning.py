@@ -156,8 +156,7 @@ def kl_update(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
     """
     theta = np.asarray(theta, dtype=np.float64)
     f, b, mask = _floored(data)
-    predicted = f @ theta
-    ratio = np.divide(b, predicted, out=np.zeros_like(b), where=predicted > 0)
+    ratio = b / np.maximum(f @ theta, MESSAGE_FLOOR)
     pair_mass = (mask[:, None] * f).T @ ratio
     row_mass = mask @ f
     return _rescaled(theta, pair_mass, row_mass)
@@ -316,14 +315,14 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
         uniform rows before the first epoch, so their stored values only
         provide shapes.
     samples:
-        Mapping from terminal variable name to an (N,) array of observed
-        symbol indices, injected as hard backward evidence.
+        Mapping from terminal variable name to its evidence: any evidence
+        ``Propagator.run`` accepts, which fixes the sample count N.
     cfg:
         Algorithm and schedule.  ``cfg.seed`` drives the random initial
         messages that break the label symmetry of the latent variables.
     mask:
-        Optional 0/1 array selecting the training samples.  Unselected
-        samples still propagate and are scored as the test set.
+        Optional 0/1 array of length N selecting the training samples.
+        Unselected samples still propagate and are scored as the test set.
 
     The first M-step consumes the randomly initialized message state; each
     subsequent epoch consumes the exact propagation of the previous
@@ -332,36 +331,25 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
     message snapshot.
     """
     terminals = tuple(samples.keys())
-    n = None
-    for var, values in samples.items():
-        values = np.asarray(values)
-        if n is None:
-            n = values.shape[0]
-        elif values.shape[0] != n:
-            raise ValueError(f"sample column {var!r} has inconsistent length")
-    if n is None:
+    if not terminals:
         raise ValueError("no terminal samples given")
-    if mask is None:
-        mask = np.ones(n, dtype=np.float64)
-    else:
-        mask = np.asarray(mask, dtype=np.float64).reshape(-1)
-        if mask.shape[0] != n:
-            raise ValueError("mask length does not match sample count")
-    holdout = mask <= 0
-    has_split = bool(np.any(holdout))
 
     propagator = Propagator(graph)
     units = graph.trainable_units()
     parameters: dict[str, np.ndarray] = {}
     for unit in units:
-        if isinstance(unit, SourceBlock):
-            parameters[unit.name] = np.full(unit.prior.shape, 1.0 / unit.prior.shape[0])
-        else:
-            rows, cols = unit.theta.shape
-            parameters[unit.name] = np.full((rows, cols), 1.0 / cols)
+        shape = (unit.prior if isinstance(unit, SourceBlock) else unit.theta).shape
+        parameters[unit.name] = np.full(shape, 1.0 / shape[-1])
 
     rng = np.random.default_rng(cfg.seed)
-    state = propagator.initial_state(samples, n_samples=n, rng=rng)
+    if mask is None:
+        state = propagator.initial_state(samples, rng=rng)
+        mask = np.ones(state.n_samples, dtype=np.float64)
+    else:
+        mask = np.asarray(mask, dtype=np.float64).reshape(-1)
+        state = propagator.initial_state(samples, n_samples=len(mask), rng=rng)
+    holdout = mask <= 0
+    has_split = bool(np.any(holdout))
 
     records: list[EpochRecord] = []
     snapshots: dict[int, dict[str, np.ndarray]] | None = (
@@ -379,7 +367,7 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
             else:
                 updates[unit.name] = train_block(parameters[unit.name], data, cfg)
         parameters.update(updates)
-        state = propagator.run(samples, n_samples=n, parameters=parameters)
+        state = propagator.run(samples, n_samples=len(mask), parameters=parameters)
         train_ll = aggregated_log_likelihood(state, terminals, mask > 0)
         test_ll = (
             aggregated_log_likelihood(state, terminals, holdout)

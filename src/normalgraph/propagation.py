@@ -38,7 +38,7 @@ from .graph import (
     UnknownVariable,
     ensure_valid,
 )
-from .messages import AllZeroVector, hadamard_posterior, normalize, one_hot
+from .messages import AllZeroVector, hadamard_posterior, normalize, one_hot, uniform
 
 __all__ = [
     "ContradictoryEvidence",
@@ -80,7 +80,9 @@ class Propagator:
 
     Compiling the schedule validates the graph once; ``run`` may then be
     called many times with different evidence or parameter overrides, which
-    is what the training loop does every epoch.
+    is what the training loop does every epoch.  ``forward_order`` lists
+    every variable after the inputs of its producer, and ``depth`` is the
+    longest chain of message dependencies.
     """
 
     def __init__(self, graph: GraphSpec):
@@ -135,7 +137,10 @@ class Propagator:
                 del remaining[slot]
         self._rules = rules
         self._order = order
+        self.forward_order = tuple(var for direction, var in order if direction == "F")
         self.depth = max(depth.values(), default=0)
+        # The one open endpoint of each terminal, where its evidence enters.
+        self._evidence_slots = {s[1]: s for s, rule in rules.items() if rule[0] == "evidence"}
 
     @staticmethod
     def _other_entering(div: DiverterNode, edge: str) -> list[tuple[str, str]]:
@@ -146,57 +151,47 @@ class Propagator:
     # -- evidence handling --------------------------------------------------
 
     def _evidence_factors(self, evidence: Mapping | None, n_samples: int | None):
-        """The factor of every open-endpoint slot, and the sample count."""
-        terminals = set(self.graph.terminals())
-        n = n_samples
-        canon: dict[str, np.ndarray] = {}
-        for var, value in (evidence or {}).items():
-            if var not in self.sizes:
-                raise UnknownVariable(f"evidence for unknown variable {var!r}")
-            if var not in terminals:
-                raise GraphError(
-                    f"evidence at non-terminal variable {var!r}; split it first"
-                )
-            arr = np.asarray(value)
-            if arr.ndim > 2:
-                raise ValueError(f"evidence for {var!r} has too many dimensions")
-            # An integer vector holds one symbol per sample; a float vector
-            # is one soft factor shared by all samples.
-            rows = 1
-            if arr.ndim == 2 or (arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer)):
-                rows = arr.shape[0]
-            if rows > 1:
-                if n is None:
-                    n = rows
-                elif n != rows:
-                    raise ValueError(
-                        f"evidence for {var!r} has {rows} samples, expected {n}"
-                    )
-            canon[var] = arr
-        n = 1 if n is None else n
+        """The factor of every evidence slot, and the sample count N.
+
+        Every per-sample factor must have N rows: ``n_samples`` when given,
+        else the row count of the first per-sample factor, else 1.
+        """
+        encoded = {var: self._encode(var, value) for var, value in (evidence or {}).items()}
+        rows = {var: f.shape[0] for var, f in encoded.items() if f.ndim == 2}
+        n = next(iter(rows.values()), 1) if n_samples is None else n_samples
+        for var, count in rows.items():
+            if count != n:
+                raise ValueError(f"evidence for {var!r} has {count} samples, expected {n}")
         factors = {}
-        for slot, rule in self._rules.items():
-            if rule[0] == "evidence":
-                factors[slot] = self._evidence_factor(slot[1], canon.get(slot[1]), n)
+        for var, slot in self._evidence_slots.items():
+            factor = encoded[var] if var in encoded else uniform(self.sizes[var])
+            factors[slot] = np.tile(factor, (n, 1)) if factor.ndim == 1 else factor
         return factors, n
 
-    def _evidence_factor(self, var: str, value, n: int) -> np.ndarray:
+    def _encode(self, var: str, value) -> np.ndarray:
+        """One terminal's evidence as a factor.
+
+        An integer vector (one symbol per sample) or a 2-d float array (one
+        soft factor per sample) gives an (N, size) factor; an integer
+        scalar or a 1-d float vector gives one (size,) factor shared by all
+        samples.
+        """
+        if var not in self.sizes:
+            raise UnknownVariable(f"evidence for unknown variable {var!r}")
+        if var not in self._evidence_slots:
+            raise GraphError(f"evidence at non-terminal variable {var!r}; split it first")
         size = self.sizes[var]
-        if value is None:
-            return np.full((n, size), 1.0 / size)
         arr = np.asarray(value)
         if arr.ndim == 0 or (arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer)):
-            idx = np.broadcast_to(arr.astype(np.int64).reshape(-1), (n,))
+            idx = arr.astype(np.int64)
             if np.any(idx < 0) or np.any(idx >= size):
                 raise ValueError(f"evidence symbol out of range for variable {var!r}")
             return one_hot(idx, size)
-        soft = np.asarray(arr, dtype=np.float64)
-        if soft.ndim == 1:
-            soft = np.broadcast_to(soft, (n, size))
-        if soft.shape != (n, size):
-            raise ValueError(f"evidence for {var!r} has shape {soft.shape}, expected {(n, size)}")
+        if arr.ndim > 2 or arr.shape[-1] != size:
+            raise ValueError(f"evidence for {var!r} has shape {arr.shape}, "
+                             f"expected (N, {size}) or ({size},)")
         try:
-            return normalize(soft)
+            return normalize(np.asarray(arr, dtype=np.float64))
         except AllZeroVector as exc:
             raise ContradictoryEvidence(f"all-zero soft evidence at {var!r}") from exc
 

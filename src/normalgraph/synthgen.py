@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DiverterNode, GraphSpec, GraphError, SisoBlock, SourceBlock, ensure_valid
+from .graph import DiverterNode, GraphSpec, GraphError, SisoBlock, SourceBlock
 from .learning import BlockDataset
-from .messages import normalize, sharpen
+from .messages import normalize, one_hot, sharpen
+from .propagation import Propagator
 
 __all__ = [
     "SampleSet",
@@ -65,66 +66,49 @@ def ancestral_sample(graph: GraphSpec, n_samples: int, seed: int = 1,
     """Draw ``n_samples`` joint outcomes from a fully driven graph.
 
     Every variable must be reachable from the sources (no open tails).
-    Returns the terminal columns, or every variable's column with
+    Variables are drawn in ``Propagator.forward_order``; a diverter is
+    drawn when its first tap comes up, and all its replicas take that
+    draw.  Returns the terminal columns, or every variable's column with
     ``keep_all`` for diagnostics.
     """
-    ensure_valid(graph)
+    order = Propagator(graph).forward_order
     tails = graph.tails()
+    heads = graph.heads()
     sizes = graph.sizes
     open_tails = [v for v in sizes if v not in tails]
     if open_tails:
         raise GraphError(f"cannot sample: open input variables {open_tails}")
 
     symbols: dict[str, np.ndarray] = {}
-    diverters = list(graph.diverters)
-    pending = set(sizes)
 
-    def producing_rows(variable: str) -> np.ndarray | None:
+    def producing_rows(variable: str) -> np.ndarray:
         """Distribution rows for a variable, given its tail's sampled input."""
         node = tails[variable]
         if isinstance(node, SourceBlock):
             return np.tile(node.prior, (n_samples, 1))
         if isinstance(node, SisoBlock):
-            if node.from_var not in symbols:
-                return None
             return np.asarray(node.theta)[symbols[node.from_var]]
-        if variable in symbols:  # replica already fixed by its equality node
-            rows = np.zeros((n_samples, sizes[variable]))
-            rows[np.arange(n_samples), symbols[variable]] = 1.0
-            return rows
-        return None
+        # A tap of an upstream diverter, already fixed by its draw.
+        return one_hot(symbols[variable], sizes[variable])
 
-    while pending:
-        progressed = False
-        for div in diverters:
-            if not any(v in pending for v in div.edges):
-                continue
-            rows_list = [producing_rows(v) for v in div.inbound]
-            if any(r is None for r in rows_list):
-                continue
+    for variable in order:
+        if variable in symbols:
+            continue
+        node = tails[variable]
+        if isinstance(node, DiverterNode):
+            rows_list = [producing_rows(v) for v in node.inbound]
             joint = rows_list[0]
             for rows in rows_list[1:]:
                 joint = joint * rows
             joint = normalize(joint)
-            u = substream(seed, "draw", div.name).uniform(size=n_samples)
+            u = substream(seed, "draw", node.name).uniform(size=n_samples)
             common = _draw(joint, u)
-            for v in div.edges:
+            for v in node.edges:
                 symbols[v] = common
-                pending.discard(v)
-            progressed = True
-        for variable in sorted(pending):
-            node = tails[variable]
-            if isinstance(node, DiverterNode):
-                continue
-            rows = producing_rows(variable)
-            if rows is None:
-                continue
+        elif not isinstance(heads.get(variable), DiverterNode):
+            # A replica entering a diverter is left to the diverter's draw.
             u = substream(seed, "draw", variable).uniform(size=n_samples)
-            symbols[variable] = _draw(rows, u)
-            pending.discard(variable)
-            progressed = True
-        if not progressed:
-            raise GraphError(f"sampling stalled; unreachable variables {sorted(pending)}")
+            symbols[variable] = _draw(producing_rows(variable), u)
 
     keep = set(sizes) if keep_all else set(graph.terminals())
     columns = {v: symbols[v] for v in sizes if v in keep}

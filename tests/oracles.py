@@ -131,3 +131,22 @@ def class_posteriors(graph: GraphSpec, evidence: dict[str, int]) -> dict[str, np
         for name, _ in graph.variables:
             posteriors[name][config[cls(name)]] += weight
     return {name: p / p.sum() for name, p in posteriors.items()}
+
+
+def deep_terminal_joint(params: dict[str, np.ndarray]) -> np.ndarray:
+    """P(X1, X2, X3) of the deep study graph by enumerating its 5 184 states.
+
+    ``params`` holds the three priors and five conditionals by block name.
+    The sum runs over S1, S2, S3, Y1, Y2 and the three terminals; the
+    product-space symbols are the row-major pair codes PS12 = 2 S1 + S2 and
+    PS23 = 3 Y2 + S3, so the fixed expander blocks never enter it.
+    """
+    joint = np.zeros((3, 2, 3))
+    for s1, s2, s3, y1, y2 in itertools.product(range(4), range(2), range(3), range(3), range(4)):
+        weight = (params["prior_S1"][s1] * params["prior_S2"][s2] * params["prior_S3"][s3]
+                  * params["P_Y1"][2 * s1 + s2, y1] * params["P_Y2"][y1, y2])
+        x1 = params["P_X1"][s1]
+        x2 = params["P_X2"][y1]
+        x3 = params["P_X3"][3 * y2 + s3]
+        joint += weight * x1[:, None, None] * x2[None, :, None] * x3[None, None, :]
+    return joint

@@ -1,21 +1,27 @@
 """End-to-end tests for the command-line front end."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import normalgraph
 from normalgraph.cli import main
-from normalgraph.experiments import build_latent_star, load_samples
+from normalgraph.experiments import build_latent_star, load_samples, save_samples
 from normalgraph.graph import graph_to_dict, load_graph, save_graph
+from normalgraph.synthgen import ancestral_sample
 
 
 @pytest.fixture
@@ -164,6 +170,51 @@ class TestEval:
         assert abs(scored - float(last[2])) <= 1e-9
 
 
+def _set(path, value):
+    """Mutation of a graph document: the entry at ``path`` becomes ``value``."""
+    def mutate(document):
+        *parents, last = path
+        for key in parents:
+            document = document[key]
+        document[last] = value
+    return mutate
+
+
+def _drop(section, key):
+    def mutate(document):
+        del document[section][0][key]
+    return mutate
+
+
+# One malformed field per case, applied to the generative star's document.
+MALFORMED_GRAPHS = {
+    "block without to": _drop("blocks", "to"),
+    "top-level list": lambda document: [document],
+    "diverter taps not a list": _set(("diverters", 0, "taps"), 5),
+    "source without variable": _drop("sources", "variable"),
+    "block to not a name": _set(("blocks", 0, "to"), ["X1"]),
+    "diverter tap not a name": _set(("diverters", 0, "taps", 0), ["S1"]),
+    "variable name a list": _set(("variables", 0, "name"), ["S0"]),
+    "source name an object": _set(("sources", 0, "name"), {"name": "prior_S"}),
+    "block name a list": _set(("blocks", 0, "name"), ["P_X1"]),
+    "object in matrix": _set(("blocks", 0, "matrix", 0, 0), {}),
+    "object in prior": _set(("sources", 0, "prior", 0), {}),
+    "empty diverter variable": _set(("diverters", 0, "variable"), []),
+    "size 1e400": _set(("variables", 0, "size"), float("inf")),
+    "non-numeric matrix": _set(("blocks", 0, "matrix"), "abc"),
+    "ragged prior": _set(("sources", 0, "prior"), [0.25, [0.25], 0.25, 0.25]),
+    "builder sizes not integers": _set(
+        ("blocks", 0), {"name": "P_X1", "from": "S1", "to": "X1", "trainable": False,
+                        "matrix": {"builder": "projector", "sizes": ["two", 2], "j": 1}}
+    ),
+}
+
+BAD_DATASETS = {
+    "duplicate column": "X1,X1,X3\n1,2,1\n2,1,3\n",
+    "symbol beyond int64": "X1,X2,X3\n1,99999999999999999999999,1\n",
+}
+
+
 class TestErrorReporting:
     def test_missing_file_is_io(self, star_files, tmp_path, capsys):
         _, learner, _ = star_files
@@ -199,31 +250,32 @@ class TestErrorReporting:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: graph:")
 
-    @pytest.mark.parametrize("case", [
-        "block without to", "top-level list", "diverter taps not a list", "source without variable",
-        "block to not a name", "diverter tap not a name",
-    ])
+    @pytest.mark.parametrize("case", list(MALFORMED_GRAPHS))
     def test_malformed_graph_json_is_graph(self, star_files, tmp_path, capsys, case):
         _, _, data = star_files
         document = graph_to_dict(build_latent_star(generative=True))
-        if case == "block without to":
-            del document["blocks"][0]["to"]
-        elif case == "top-level list":
-            document = [document]
-        elif case == "diverter taps not a list":
-            document["diverters"][0]["taps"] = 5
-        elif case == "source without variable":
-            del document["sources"][0]["variable"]
-        elif case == "block to not a name":
-            document["blocks"][0]["to"] = ["X1"]
-        else:
-            document["diverters"][0]["taps"][0] = ["S1"]
+        document = MALFORMED_GRAPHS[case](document) or document
         bad = tmp_path / "malformed.json"
-        bad.write_text(json.dumps(document))
+        # json.dumps writes an infinite size as Infinity; keep the file's 1e400.
+        bad.write_text(json.dumps(document).replace("Infinity", "1e400"))
         rc = main(["eval", "--graph", str(bad), "--data", str(data)])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: graph:"), err
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize("defect", list(BAD_DATASETS))
+    def test_bad_dataset_csv_is_data(self, star_files, tmp_path, capsys, command, defect):
+        _, learner, _ = star_files
+        bad = tmp_path / "bad.csv"
+        bad.write_text(BAD_DATASETS[defect])
+        out = tmp_path / "r.csv"
+        argv = [command, "--graph", str(learner), "--data", str(bad), "--out", str(out)]
+        rc = main(argv + (["--epochs", "1"] if command == "train" else []))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: data:"), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("algo, flag, value", [
         ("var", "--delta", "-2"), ("ml", "--epochs", "-3"), ("ml", "--nit", "0"),
@@ -249,6 +301,64 @@ class TestErrorReporting:
         rc = main(["eval", "--graph", str(graph_path), "--data", str(data)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: evidence:")
+
+
+def _key_paths(node, path=()):
+    """The key path of every field in a JSON document, containers included."""
+    paths = [path] if path else []
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            paths += _key_paths(child, path + (key,))
+    return paths
+
+
+FUZZ_VALUES = (None, True, -1, 0, 2, 2.5, float("inf"), 99999999999999999999999, "", "uniform",
+               "X1", "S0", [], ["X1"], [[0.5, 0.5]], {},
+               {"builder": "expander", "sizes": [2, 2], "j": 1})
+FUZZ_TOKENS = ("", " ", "#", "0", "1", "3", "-1", "1.5", "x", "99999999999999999999999", "X1", "S0")
+ERROR_LINE = re.compile(r"error: (evidence|graph|io|data): ")
+
+
+class TestFuzzedFiles:
+    """The error contract under one mutated graph field or dataset token:
+    exit 0, or exit 1 with exactly one categorized line, never a traceback."""
+
+    document = graph_to_dict(build_latent_star(generative=True))
+    graph_paths = _key_paths(document)
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_one_mutation_keeps_the_contract(self, data):
+        document = json.loads(json.dumps(self.document))
+        with tempfile.TemporaryDirectory() as tmp:
+            graph, dataset = Path(tmp, "g.json"), Path(tmp, "d.csv")
+            save_samples(ancestral_sample(build_latent_star(generative=True), 12, seed=5),
+                         dataset)
+            if data.draw(st.booleans(), label="mutate graph"):
+                path = data.draw(st.sampled_from(self.graph_paths), label="field")
+                _set(path, data.draw(st.sampled_from(FUZZ_VALUES), label="value"))(document)
+            else:
+                lines = dataset.read_text().splitlines()
+                cells = [(i, j) for i, line in enumerate(lines) if not line.startswith("#")
+                         for j in range(len(line.split(",")))]
+                i, j = data.draw(st.sampled_from(cells), label="token")
+                row = lines[i].split(",")
+                row[j] = data.draw(st.sampled_from(FUZZ_TOKENS), label="replacement")
+                lines[i] = ",".join(row)
+                dataset.write_text("\n".join(lines) + "\n")
+            graph.write_text(json.dumps(document))
+            argv = data.draw(st.sampled_from([
+                ["eval", "--split", "0.75"],
+                ["train", "--algo", "ml", "--epochs", "2", "--out", str(Path(tmp, "r.csv"))],
+            ]), label="command")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv + ["--graph", str(graph), "--data", str(dataset)])
+        lines = err.getvalue().splitlines()
+        if rc == 0:
+            assert lines == []
+        else:
+            assert rc == 1 and len(lines) == 1 and ERROR_LINE.match(lines[0]), lines
 
 
 class TestExperimentCommand:

@@ -231,6 +231,11 @@ class TestValidate:
         problems = validate(looped)
         assert problems
 
+    def test_reports_diverter_without_inbound_edge(self):
+        chain = chain_graph()
+        graph = replace(chain, diverters=(DiverterNode(inbound=(), taps=("X",)),))
+        assert any("at least one inbound" in p for p in validate(graph))
+
     def test_rejects_nonpositive_size(self):
         graph = GraphSpec(
             variables=(("A", 0),),

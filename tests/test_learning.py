@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cooccurrence_table
+from oracles import cooccurrence_table, deep_terminal_joint
+from normalgraph.experiments import (
+    build_deep_graph,
+    build_latent_star,
+    deep_generative_parameters,
+)
 from normalgraph.graph import (
     GraphSpec,
     SisoBlock,
@@ -27,7 +32,7 @@ from normalgraph.learning import (
     vit_update,
 )
 from normalgraph.messages import normalize, one_hot
-from normalgraph.propagation import block_log_likelihood
+from normalgraph.propagation import Propagator, aggregated_log_likelihood, block_log_likelihood
 from normalgraph.synthgen import ancestral_sample, random_message_pairs
 
 
@@ -332,9 +337,8 @@ def rule_inputs(draw):
         backward=batch(m_out),
         mask=draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)),
     )
-    theta_entries = st.just(0.0) | st.floats(0.01, 1.0)
     theta = np.array(draw(st.lists(
-        st.lists(theta_entries, min_size=m_out, max_size=m_out), min_size=m_in, max_size=m_in
+        st.lists(MESSAGE_ENTRIES, min_size=m_out, max_size=m_out), min_size=m_in, max_size=m_in
     )))
     theta[theta.sum(axis=1) == 0.0] = 1.0
     delta = draw(st.sampled_from([0.0, 1e-6, 1.0]))
@@ -482,6 +486,11 @@ class TestEmTrain:
         with pytest.raises(ValueError):
             em_train(graph, {}, TrainConfig(algorithm="ml", epochs=1))
 
+    def test_mask_length_must_match_samples(self):
+        evidence = {"S_tap": np.array([0, 1, 1]), "X": np.array([0, 1, 0])}
+        with pytest.raises(ValueError, match="expected 2"):
+            em_train(observed_chain(), evidence, TrainConfig(epochs=1), mask=np.ones(2))
+
     def test_second_epoch_harvests_propagated_messages(self):
         """The first update consumes the random starting messages; from the
         second epoch on, the fully observed chain hands the block exact
@@ -502,3 +511,93 @@ class TestEmTrain:
         b = random_message_pairs(4, 3, 10, seed=7)
         assert np.array_equal(a.forward, b.forward)
         assert np.array_equal(a.backward, b.backward)
+
+
+# What Propagator.run makes of each evidence form on the latent star: the
+# sample count N, or None where the row counts disagree.
+EVIDENCE_FORMS = {
+    "hard scalars": ({"X1": 1, "X2": 0, "X3": 2}, 1),
+    "shared soft beside columns": (
+        {"X1": np.array([0.3, 0.7]), "X2": np.array([0, 1, 1, 0]), "X3": np.array([2, 0, 1, 1])},
+        4,
+    ),
+    "shared soft alone": ({"X1": np.array([0.2, 0.8])}, 1),
+    "one-row column": ({"X1": np.array([0, 1, 1]), "X2": np.array([1])}, None),
+}
+
+
+@pytest.mark.parametrize("form", list(EVIDENCE_FORMS))
+def test_em_train_reads_evidence_like_the_propagator(form):
+    """em_train takes N from the Propagator: its final score equals a fresh
+    propagation of the same evidence under the learned graph."""
+    evidence, n = EVIDENCE_FORMS[form]
+    graph = build_latent_star()
+    cfg = TrainConfig(algorithm="ml", epochs=2, seed=1)
+    if n is None:
+        with pytest.raises(ValueError, match="samples, expected"):
+            Propagator(graph).run(evidence)
+        with pytest.raises(ValueError, match="samples, expected"):
+            em_train(graph, evidence, cfg)
+        return
+    assert Propagator(graph).run(evidence).n_samples == n
+    report = em_train(graph, evidence, cfg)
+    rescored = Propagator(report.graph).run(evidence)
+    assert rescored.n_samples == n
+    np.testing.assert_allclose(
+        report.final_train_loglik,
+        aggregated_log_likelihood(rescored, tuple(evidence)),
+        rtol=1e-12,
+    )
+
+
+def star_joint_loglik(params, evidence) -> float:
+    """Sum over samples of log sum_s pi(s) prod_i theta_i[s, x_i]."""
+    mass = params["prior_S"][None, :]
+    for i in (1, 2, 3):
+        mass = mass * params[f"P_X{i}"][:, evidence[f"X{i}"]].T
+    return float(np.sum(np.log(mass.sum(axis=1))))
+
+
+def deep_joint_loglik(params, evidence) -> float:
+    joint = deep_terminal_joint(params)
+    return float(np.sum(np.log(joint[evidence["X1"], evidence["X2"], evidence["X3"]])))
+
+
+def falls(values) -> list[tuple[int, float]]:
+    """(epoch, relative fall) wherever the series drops from one epoch to the next."""
+    return [(epoch, (before - after) / abs(before))
+            for epoch, (before, after) in enumerate(zip(values, values[1:]), start=2)
+            if after < before]
+
+
+class TestJointAscent:
+    """Every ml epoch is an EM step, so the joint log-likelihood of the
+    training samples never falls.  The recorded ``train_loglik`` is a sum
+    of conditionals, log P(x_i | other terminals), which EM does not
+    promise to raise; its falls are printed, not asserted."""
+
+    @pytest.mark.parametrize("graph_name, seed, nit, n, epochs", [
+        *(("star", seed, nit, 400, 150) for seed in (1, 2, 3) for nit in (1, 3)),
+        ("deep", 1, 1, 100, 100),
+        ("deep", 3, 3, 100, 200),  # train_loglik falls here from epoch 67 on
+    ])
+    def test_ml_never_lowers_the_joint(self, graph_name, seed, nit, n, epochs):
+        if graph_name == "star":
+            generative, learner = build_latent_star(generative=True), build_latent_star()
+            joint_loglik = star_joint_loglik
+        else:
+            learner = build_deep_graph()
+            generative = learner.with_parameters(deep_generative_parameters(seed))
+            joint_loglik = deep_joint_loglik
+        evidence = ancestral_sample(generative, n, seed=seed).terminal_evidence(("X1", "X2", "X3"))
+        cfg = TrainConfig(algorithm="ml", epochs=epochs, nit=nit, seed=seed,
+                          record_coefficients=True)
+        report = em_train(learner, evidence, cfg)
+        joint = [joint_loglik(report.snapshots[e], evidence) for e in sorted(report.snapshots)]
+        assert len(joint) == epochs and all(np.isfinite(joint))
+        worst = max((fall for _, fall in falls(joint)), default=0.0)
+        assert worst <= 1e-11, f"joint log-likelihood fell by {worst:.3g} relative"
+        conditional = falls([r.train_loglik for r in report.records])
+        print(f"{graph_name} seed {seed} nit {nit}: train_loglik fell at {len(conditional)} "
+              f"epochs, first at {conditional[0][0] if conditional else None}, largest "
+              f"{max((f for _, f in conditional), default=0.0):.2g} relative")

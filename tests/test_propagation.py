@@ -264,6 +264,23 @@ class TestBatchingAndSchedules:
         with pytest.raises(GraphError):
             prop.run({}, parameters={"P_X1": np.eye(3)})
 
+    def test_forward_order_follows_producers(self):
+        """Every variable comes after the inputs of its producing node."""
+        from normalgraph.experiments import build_deep_graph
+
+        graph = build_deep_graph()
+        order = Propagator(graph).forward_order
+        assert isinstance(order, tuple) and sorted(order) == sorted(graph.sizes)
+        position = {var: k for k, var in enumerate(order)}
+        for var, node in graph.tails().items():
+            if isinstance(node, DiverterNode):
+                inputs = node.inbound
+            elif isinstance(node, SisoBlock):
+                inputs = (node.from_var,)
+            else:
+                inputs = ()
+            assert all(position[v] < position[var] for v in inputs), var
+
     def test_state_arrays_are_frozen(self):
         state = propagate(identity_chain())
         with pytest.raises(ValueError):

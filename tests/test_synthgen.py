@@ -12,6 +12,7 @@ from normalgraph.graph import (
 )
 from normalgraph.experiments import (
     TREE_LEAF_CONDITIONALS,
+    TREE_PRIOR,
     build_deep_graph,
     build_latent_star,
     deep_generative_parameters,
@@ -98,6 +99,26 @@ class TestAncestralSampling:
         data = ancestral_sample(star, 200, seed=2, keep_all=True)
         for v, size in star.sizes.items():
             assert data[v].min() >= 0 and data[v].max() < size
+
+    def test_star_columns_recomputed_from_draw_sites(self):
+        """Each draw is an inverse-CDF lookup of one uniform from the site's
+        own substream: the diverter's site fixes every replica of S, each
+        leaf's site its X column given S."""
+        star = build_latent_star(generative=True)
+        n, seed = 300, 9
+        data = ancestral_sample(star, n, seed=seed, keep_all=True)
+
+        def inverse_cdf(rows, uniforms):
+            return np.array([min(np.searchsorted(np.cumsum(row), u), len(row) - 1)
+                             for row, u in zip(rows, uniforms)])
+
+        latent = inverse_cdf(np.tile(TREE_PRIOR, (n, 1)),
+                             substream(seed, "draw", "=S0").uniform(size=n))
+        for v in ("S0", "S1", "S2", "S3"):
+            assert np.array_equal(data[v], latent)
+        for i, theta in enumerate(TREE_LEAF_CONDITIONALS, start=1):
+            leaf = inverse_cdf(theta[latent], substream(seed, "draw", f"X{i}").uniform(size=n))
+            assert np.array_equal(data[f"X{i}"], leaf)
 
     def test_replicas_share_one_draw(self):
         star = build_latent_star(generative=True)
