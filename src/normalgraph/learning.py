@@ -31,6 +31,7 @@ import numpy as np
 from .graph import GraphSpec, SourceBlock
 from .messages import max_indicator, normalize
 from .propagation import (
+    ContradictoryEvidence,
     MessageState,
     Propagator,
     aggregated_log_likelihood,
@@ -328,7 +329,10 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
     subsequent epoch consumes the exact propagation of the previous
     epoch's parameters, and the per-epoch log-likelihoods are measured
     after the update.  All blocks within an epoch see the same frozen
-    message snapshot.
+    message snapshot.  Samples with the same hard evidence get the same
+    messages, so every propagation runs once per distinct evidence row
+    (``Propagator.distinct_rows``), and the updates and scores weight each
+    row by its count of samples.
     """
     terminals = tuple(samples.keys())
     if not terminals:
@@ -348,29 +352,43 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
     else:
         mask = np.asarray(mask, dtype=np.float64).reshape(-1)
         state = propagator.initial_state(samples, n_samples=len(mask), rng=rng)
-    holdout = mask <= 0
-    has_split = bool(np.any(holdout))
+    rows, n_rows, inverse = propagator.distinct_rows(samples, len(mask))
+    row_weights = np.bincount(inverse, weights=mask, minlength=n_rows)
+    train_weights = np.bincount(inverse, weights=mask > 0, minlength=n_rows)
+    test_weights = np.bincount(inverse, weights=mask <= 0, minlength=n_rows)
+    has_split = bool(np.any(mask <= 0))
+
+    def propagate(parameters):
+        try:
+            return propagator.run(rows, n_samples=n_rows, parameters=parameters)
+        except ContradictoryEvidence:
+            if n_rows < len(mask):
+                # Name the samples, not the merged rows, in the error.
+                propagator.run(samples, n_samples=len(mask), parameters=parameters)
+            raise
 
     records: list[EpochRecord] = []
     snapshots: dict[int, dict[str, np.ndarray]] | None = (
         {} if cfg.record_coefficients else None
     )
     previous_ll = None
+    weights = mask  # the random start state is per sample
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
         updates: dict[str, np.ndarray] = {}
         for unit in units:
-            data = _harvest(state, unit, mask)
+            data = _harvest(state, unit, weights)
             if isinstance(unit, SourceBlock):
                 row = parameters[unit.name].reshape(1, -1)
                 updates[unit.name] = train_block(row, data, cfg).reshape(-1)
             else:
                 updates[unit.name] = train_block(parameters[unit.name], data, cfg)
         parameters.update(updates)
-        state = propagator.run(samples, n_samples=len(mask), parameters=parameters)
-        train_ll = aggregated_log_likelihood(state, terminals, mask > 0)
+        state = propagate(parameters)
+        weights = row_weights
+        train_ll = aggregated_log_likelihood(state, terminals, train_weights)
         test_ll = (
-            aggregated_log_likelihood(state, terminals, holdout)
+            aggregated_log_likelihood(state, terminals, test_weights)
             if has_split else train_ll
         )
         wall_ms = (time.perf_counter() - started) * 1e3

@@ -28,6 +28,9 @@ __all__ = [
 # makes normalize exactly idempotent while keeping sums within 1e-12.
 _SUM_SLACK = 1e-13
 
+# max_indicator treats entries this close to the row maximum as ties.
+TIE_RTOL = 1e-12
+
 
 class AllZeroVector(ValueError):
     """A message with no support cannot be normalized."""
@@ -100,14 +103,18 @@ def sharpen(values: np.ndarray, exponent: float) -> np.ndarray:
 def max_indicator(values: np.ndarray, delta: float = 0.0) -> np.ndarray:
     """One-hot indicator of each row's argmax, plus ``delta`` everywhere.
 
-    Ties resolve to the lowest index.  The result is intentionally left
-    unnormalized; callers that need a distribution normalize afterwards.
+    Entries within ``TIE_RTOL`` (relative) of the row maximum count as
+    tied, and ties resolve to the lowest index, so the choice does not
+    depend on how the last bits of a message were rounded.  The result is
+    intentionally left unnormalized; callers that need a distribution
+    normalize afterwards.
     """
     values = np.asarray(values, dtype=np.float64)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     out = np.full(values.shape, delta, dtype=np.float64)
-    best = np.argmax(values, axis=-1)
+    peak = np.max(values, axis=-1, keepdims=True)
+    best = np.argmax(values >= peak - TIE_RTOL * np.abs(peak), axis=-1)
     np.put_along_axis(out, np.expand_dims(best, axis=-1), delta + 1.0, axis=-1)
     return out
 

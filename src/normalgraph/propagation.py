@@ -182,7 +182,7 @@ class Propagator:
             raise GraphError(f"evidence at non-terminal variable {var!r}; split it first")
         size = self.sizes[var]
         arr = np.asarray(value)
-        if arr.ndim == 0 or (arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer)):
+        if arr.ndim == 0 or _is_symbol_column(arr):
             idx = arr.astype(np.int64)
             if np.any(idx < 0) or np.any(idx >= size):
                 raise ValueError(f"evidence symbol out of range for variable {var!r}")
@@ -194,6 +194,40 @@ class Propagator:
             return normalize(np.asarray(arr, dtype=np.float64))
         except AllZeroVector as exc:
             raise ContradictoryEvidence(f"all-zero soft evidence at {var!r}") from exc
+
+    def distinct_rows(self, evidence: Mapping, n_samples: int):
+        """Merge the samples whose hard evidence is the same.
+
+        Returns ``(rows, n_rows, inverse)``: evidence for the distinct rows,
+        their count, and for each sample the index of its row, so that the
+        messages of sample n are row ``inverse[n]`` of ``run(rows,
+        n_samples=n_rows)``.  Integer columns are keyed in mixed radix and
+        shared values stay as they are.  Evidence with a per-sample soft
+        factor, keys that would pass 2**62, or no repeated row comes back
+        unmerged, one row per sample.  Pass only evidence that ``run`` or
+        ``initial_state`` has accepted for ``n_samples`` samples.
+        """
+        unmerged = evidence, n_samples, np.arange(n_samples)
+        columns = {}
+        radix = 1
+        for var, value in evidence.items():
+            arr = np.asarray(value)
+            if arr.ndim == 2:
+                return unmerged
+            if _is_symbol_column(arr):
+                columns[var] = arr.astype(np.int64)
+                radix *= self.sizes[var]
+        if radix > 2**62:
+            return unmerged
+        keys = np.zeros(n_samples, dtype=np.int64)
+        for var, column in columns.items():
+            keys = keys * self.sizes[var] + column
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        if len(first) == n_samples:
+            return unmerged
+        rows = dict(evidence)
+        rows.update((var, column[first]) for var, column in columns.items())
+        return rows, len(first), inverse
 
     # -- execution -----------------------------------------------------------
 
@@ -300,6 +334,11 @@ class Propagator:
         return MessageState(forward=forward, backward=backward, n_samples=n)
 
 
+def _is_symbol_column(arr: np.ndarray) -> bool:
+    """An integer vector: one hard symbol per sample."""
+    return arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer)
+
+
 def propagate(graph: GraphSpec, evidence: Mapping | None = None,
               n_samples: int | None = None, **kwargs) -> MessageState:
     """One-shot propagation; see Propagator.run for the knobs."""
@@ -311,11 +350,15 @@ def aggregated_log_likelihood(state: MessageState, terminals: Sequence[str],
     """Sum over terminals and samples of log of the message pair overlap.
 
     Hard evidence makes each term the log-probability the rest of the
-    graph assigns to the observed symbol.  Returns -inf when any selected
-    sample has an impossible evidence combination.
+    graph assigns to the observed symbol.  ``mask`` holds nonnegative
+    per-sample weights (a 0/1 or boolean mask, or counts of merged rows):
+    samples with weight > 0 count, each term multiplied by its weight.
+    Returns -inf when any counted sample has an impossible evidence
+    combination.
     """
     total = 0.0
-    sel = None if mask is None else np.asarray(mask, dtype=bool)
+    weights = None if mask is None else np.asarray(mask, dtype=np.float64)
+    sel = None if weights is None else weights > 0
     for var in terminals:
         if var not in state.forward:
             raise UnknownVariable(f"unknown terminal {var!r}")
@@ -324,7 +367,8 @@ def aggregated_log_likelihood(state: MessageState, terminals: Sequence[str],
             overlap = overlap[sel]
         if np.any(overlap <= 0.0):
             return float("-inf")
-        total += float(np.sum(np.log(overlap)))
+        logs = np.log(overlap)
+        total += float(np.sum(logs if sel is None else logs * weights[sel]))
     return total
 
 

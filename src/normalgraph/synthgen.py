@@ -2,9 +2,10 @@
 
 Ancestral sampling walks a generative graph from its sources toward the
 terminals, drawing each variable from the row of its producing block.
-Replicas joined by an equality node share one draw from the normalized
-product of their producing rows, which for product-space joins built from
-expander blocks is exactly the deterministic tuple combination.
+Replicas joined by equality nodes, directly or through a chain of them,
+share one draw from the normalized product of their producing rows,
+which for product-space joins built from expander blocks is exactly the
+deterministic tuple combination.
 
 Every draw site gets its own deterministic random substream keyed by the
 controlling seed and the site's name, so adding an unrelated block to a
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DiverterNode, GraphSpec, GraphError, SisoBlock, SourceBlock
+from .graph import DiverterNode, GraphSpec, GraphError, SourceBlock
 from .learning import BlockDataset
-from .messages import normalize, one_hot, sharpen
+from .messages import normalize, sharpen
 from .propagation import Propagator
 
 __all__ = [
@@ -61,14 +62,31 @@ def _draw(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.sum(uniforms[:, None] > cdf, axis=1).astype(np.int64)
 
 
+def _equality_clusters(graph: GraphSpec) -> dict[str, tuple[DiverterNode, ...]]:
+    """For every diverter edge, the diverters chained to it through shared
+    edges, in graph order.  All edges of such a cluster carry one symbol."""
+    groups: dict[str, set[int]] = {}
+    for i, div in enumerate(graph.diverters):
+        members = {i}.union(*(groups.get(v, ()) for v in div.edges))
+        for j in members:
+            for v in graph.diverters[j].edges:
+                groups[v] = members
+    return {v: tuple(graph.diverters[j] for j in sorted(m)) for v, m in groups.items()}
+
+
 def ancestral_sample(graph: GraphSpec, n_samples: int, seed: int = 1,
                      keep_all: bool = False) -> SampleSet:
     """Draw ``n_samples`` joint outcomes from a fully driven graph.
 
     Every variable must be reachable from the sources (no open tails).
-    Variables are drawn in ``Propagator.forward_order``; a diverter is
-    drawn when its first tap comes up, and all its replicas take that
-    draw.  Returns the terminal columns, or every variable's column with
+    Variables are drawn in ``Propagator.forward_order``.  Diverters chained
+    through an edge form one equality cluster, drawn once, when its first
+    tap that leaves the cluster comes up, from the product of the rows
+    producing the cluster's other inbound edges; every edge of the cluster
+    takes that draw.  The draw site is named after the cluster's first
+    diverter whose inbound edges all come from blocks or sources, so
+    splitting an inbound edge of a join keeps the unsplit graph's draws.
+    Returns the terminal columns, or every variable's column with
     ``keep_all`` for diagnostics.
     """
     order = Propagator(graph).forward_order
@@ -78,6 +96,7 @@ def ancestral_sample(graph: GraphSpec, n_samples: int, seed: int = 1,
     open_tails = [v for v in sizes if v not in tails]
     if open_tails:
         raise GraphError(f"cannot sample: open input variables {open_tails}")
+    clusters = _equality_clusters(graph)
 
     symbols: dict[str, np.ndarray] = {}
 
@@ -86,27 +105,26 @@ def ancestral_sample(graph: GraphSpec, n_samples: int, seed: int = 1,
         node = tails[variable]
         if isinstance(node, SourceBlock):
             return np.tile(node.prior, (n_samples, 1))
-        if isinstance(node, SisoBlock):
-            return np.asarray(node.theta)[symbols[node.from_var]]
-        # A tap of an upstream diverter, already fixed by its draw.
-        return one_hot(symbols[variable], sizes[variable])
+        return np.asarray(node.theta)[symbols[node.from_var]]
 
     for variable in order:
-        if variable in symbols:
+        if variable in symbols or isinstance(heads.get(variable), DiverterNode):
+            # A replica entering a diverter is left to its cluster's draw.
             continue
-        node = tails[variable]
-        if isinstance(node, DiverterNode):
-            rows_list = [producing_rows(v) for v in node.inbound]
-            joint = rows_list[0]
-            for rows in rows_list[1:]:
-                joint = joint * rows
-            joint = normalize(joint)
-            u = substream(seed, "draw", node.name).uniform(size=n_samples)
-            common = _draw(joint, u)
-            for v in node.edges:
-                symbols[v] = common
-        elif not isinstance(heads.get(variable), DiverterNode):
-            # A replica entering a diverter is left to the diverter's draw.
+        if isinstance(tails[variable], DiverterNode):
+            cluster = clusters[variable]
+            inbound = [v for div in cluster for v in div.inbound
+                       if not isinstance(tails[v], DiverterNode)]
+            root = next(div for div in cluster if set(div.inbound) <= set(inbound))
+            joint = producing_rows(inbound[0])
+            for v in inbound[1:]:
+                joint = joint * producing_rows(v)
+            u = substream(seed, "draw", root.name).uniform(size=n_samples)
+            common = _draw(normalize(joint), u)
+            for div in cluster:
+                for v in div.edges:
+                    symbols[v] = common
+        else:
             u = substream(seed, "draw", variable).uniform(size=n_samples)
             symbols[variable] = _draw(producing_rows(variable), u)
 

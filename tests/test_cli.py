@@ -427,21 +427,31 @@ def declared_script(name: str) -> str:
     raise LookupError(f"no [project.scripts] entry named {name!r}")
 
 
+def package_env() -> dict[str, str]:
+    """The environment with the imported package's parent on PYTHONPATH."""
+    package_root = Path(normalgraph.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    return env
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self):
         # Checks the entry point pyproject.toml declares, run the way the
         # installed wrapper runs it, so no pip install is needed.
         module, attr = declared_script("normalgraph").split(":")
         assert callable(getattr(importlib.import_module(module), attr))
-        package_root = Path(normalgraph.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(package_root), env.get("PYTHONPATH")])
-        )
         wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
         proc = subprocess.run([sys.executable, "-c", wrapper, "--help"],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=package_env())
         assert proc.returncode == 0, proc.stderr
+        assert "generate" in proc.stdout and "experiment" in proc.stdout
+
+    def test_python_dash_m(self):
+        proc = subprocess.run([sys.executable, "-m", "normalgraph", "--help"],
+                              capture_output=True, text=True, env=package_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: normalgraph ")
         assert "generate" in proc.stdout and "experiment" in proc.stdout
 
     @pytest.mark.skipif(shutil.which("normalgraph") is None,

@@ -10,6 +10,7 @@ from normalgraph.experiments import (
     build_deep_graph,
     build_latent_star,
     deep_generative_parameters,
+    split_mask,
 )
 from normalgraph.graph import (
     GraphSpec,
@@ -32,7 +33,12 @@ from normalgraph.learning import (
     vit_update,
 )
 from normalgraph.messages import normalize, one_hot
-from normalgraph.propagation import Propagator, aggregated_log_likelihood, block_log_likelihood
+from normalgraph.propagation import (
+    ContradictoryEvidence,
+    Propagator,
+    aggregated_log_likelihood,
+    block_log_likelihood,
+)
 from normalgraph.synthgen import ancestral_sample, random_message_pairs
 
 
@@ -550,6 +556,64 @@ def test_em_train_reads_evidence_like_the_propagator(form):
     )
 
 
+def study_graphs(name: str, seed: int):
+    """(learner, generative) for the latent star or the deep graph."""
+    if name == "star":
+        return build_latent_star(), build_latent_star(generative=True)
+    learner = build_deep_graph()
+    return learner, learner.with_parameters(deep_generative_parameters(seed))
+
+
+class TestCountedRows:
+    """Integer columns train on their distinct rows weighted by count; the
+    same evidence as one-hot soft factors cannot be merged and trains per
+    sample.  Only the order of the sums over samples differs."""
+
+    @pytest.mark.parametrize("split", [1.0, 0.8])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("graph_name, n", [("star", 400), ("deep", 300)])
+    def test_counted_rows_train_like_samples(self, graph_name, n, algorithm, split):
+        learner, generative = study_graphs(graph_name, seed=2)
+        evidence = ancestral_sample(generative, n, seed=2).terminal_evidence(("X1", "X2", "X3"))
+        soft = {v: one_hot(column, learner.sizes[v]) for v, column in evidence.items()}
+        propagator = Propagator(learner)
+        assert propagator.distinct_rows(evidence, n)[1] < n
+        assert propagator.distinct_rows(soft, n)[1] == n
+        mask = split_mask(n, split)
+        cfg = TrainConfig(algorithm, epochs=200, seed=2, record_coefficients=True)
+        counted = em_train(learner, evidence, cfg, mask)
+        per_sample = em_train(learner, soft, cfg, mask)
+        assert len(counted.records) == len(per_sample.records) == 200
+        for a, b in zip(counted.records, per_sample.records):
+            np.testing.assert_allclose(a.train_loglik, b.train_loglik, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(a.test_loglik, b.test_loglik, rtol=1e-12, atol=0)
+        for epoch, params in counted.snapshots.items():
+            for name, value in params.items():
+                np.testing.assert_allclose(value, per_sample.snapshots[epoch][name],
+                                           rtol=0, atol=1e-10, err_msg=f"{name} epoch {epoch}")
+
+    def test_contradiction_names_samples(self):
+        """A merged run that meets contradictory evidence reports the
+        sample indices, not the merged row indices."""
+        generative = build_latent_star(generative=True)
+        evidence = ancestral_sample(generative, 60, seed=1).terminal_evidence(("X1", "X2", "X3"))
+        x1 = evidence["X1"].copy()
+        x1[:40][x1[:40] == 1] = 0  # X1 = 1 only among the held-out samples
+        evidence["X1"] = x1
+        assert Propagator(build_latent_star()).distinct_rows(evidence, 60)[1] < 60
+        with pytest.raises(ContradictoryEvidence) as caught:
+            em_train(build_latent_star(), evidence, TrainConfig("ml", epochs=3),
+                     split_mask(60, 40 / 60))
+        assert str(caught.value) == (
+            "no consistent backward message at variable 'S1' for sample(s) [40, 46, 47, 50, 54]"
+        )
+
+    def test_out_of_range_symbol_is_reported_before_merging(self):
+        evidence = {"X1": np.array([0, 1, 1, 2]), "X2": np.array([0, 0, 0, 0])}
+        with pytest.raises(ValueError, match="evidence symbol out of range for variable 'X1'"):
+            em_train(build_latent_star(), evidence, TrainConfig(epochs=1))
+
+
 def star_joint_loglik(params, evidence) -> float:
     """Sum over samples of log sum_s pi(s) prod_i theta_i[s, x_i]."""
     mass = params["prior_S"][None, :]
@@ -582,13 +646,8 @@ class TestJointAscent:
         ("deep", 3, 3, 100, 200),  # train_loglik falls here from epoch 67 on
     ])
     def test_ml_never_lowers_the_joint(self, graph_name, seed, nit, n, epochs):
-        if graph_name == "star":
-            generative, learner = build_latent_star(generative=True), build_latent_star()
-            joint_loglik = star_joint_loglik
-        else:
-            learner = build_deep_graph()
-            generative = learner.with_parameters(deep_generative_parameters(seed))
-            joint_loglik = deep_joint_loglik
+        learner, generative = study_graphs(graph_name, seed)
+        joint_loglik = star_joint_loglik if graph_name == "star" else deep_joint_loglik
         evidence = ancestral_sample(generative, n, seed=seed).terminal_evidence(("X1", "X2", "X3"))
         cfg = TrainConfig(algorithm="ml", epochs=epochs, nit=nit, seed=seed,
                           record_coefficients=True)

@@ -152,6 +152,12 @@ class TestMaxIndicator:
         out = max_indicator(np.array([0.4, 0.4, 0.2]))
         np.testing.assert_array_equal(out, [1.0, 0.0, 0.0])
 
+    def test_rounding_level_ties_break_to_lowest_index(self):
+        """A maximum ahead by one ulp is a tie; one ahead by more than
+        1e-12 relative still wins."""
+        near = np.array([[0.25, np.nextafter(0.25, 1.0)], [0.25, 0.25 * (1 + 1e-11)]])
+        np.testing.assert_array_equal(max_indicator(near), [[1.0, 0.0], [0.0, 1.0]])
+
     def test_zero_delta_is_one_hot(self):
         out = max_indicator(np.array([[0.1, 0.7, 0.2]]))
         np.testing.assert_array_equal(out, [[0.0, 1.0, 0.0]])

@@ -355,6 +355,48 @@ class TestEvidenceHandling:
         )
 
 
+class TestDistinctRows:
+    """Which evidence ``Propagator.distinct_rows`` merges, and that the
+    merged rows carry every sample's messages."""
+
+    def test_rows_carry_the_samples_messages(self):
+        prop = Propagator(build_latent_star(generative=True))
+        evidence = {"X1": np.array([1, 0, 1, 1, 0, 1]), "X2": 1,
+                    "X3": np.array([2, 0, 2, 2, 0, 1])}
+        rows, n_rows, inverse = prop.distinct_rows(evidence, 6)
+        assert n_rows == 3 and rows["X2"] == 1
+        np.testing.assert_array_equal(rows["X1"][inverse], evidence["X1"])
+        np.testing.assert_array_equal(rows["X3"][inverse], evidence["X3"])
+        merged, full = prop.run(rows, n_samples=n_rows), prop.run(evidence)
+        for var in full.forward:
+            np.testing.assert_allclose(merged.forward[var][inverse], full.forward[var], atol=1e-15)
+            np.testing.assert_allclose(merged.backward[var][inverse], full.backward[var], atol=1e-15)
+
+    def test_shared_values_alone_make_one_row(self):
+        prop = Propagator(build_latent_star())
+        rows, n_rows, inverse = prop.distinct_rows({"X1": np.array([0.3, 0.7]), "X2": 0}, 5)
+        assert n_rows == 1 and np.array_equal(inverse, np.zeros(5))
+        np.testing.assert_array_equal(rows["X1"], [0.3, 0.7])
+
+    @pytest.mark.parametrize("evidence", [
+        {"X1": np.array([0, 0, 1]), "X2": one_hot(np.array([0, 0, 1]), 2)},  # soft rows
+        {"X1": np.array([0, 1, 1]), "X2": np.array([0, 0, 1])},  # all rows distinct
+        {"X1": np.zeros(0, dtype=int)},  # no samples
+    ])
+    def test_unmergeable_evidence_is_returned_as_is(self, evidence):
+        n = len(evidence["X1"])
+        rows, n_rows, inverse = Propagator(build_latent_star()).distinct_rows(evidence, n)
+        assert rows is evidence and n_rows == n
+        np.testing.assert_array_equal(inverse, np.arange(n))
+
+    @pytest.mark.parametrize("n_taps, n_rows", [(61, 1), (62, 2)])
+    def test_keys_past_2_pow_62_are_not_merged(self, n_taps, n_rows):
+        """62 binary terminals key into 2**62 values and merge; 63 do not."""
+        graph = one_diverter(n_taps)
+        evidence = {var: np.zeros(2, dtype=int) for var in graph.sizes}
+        assert Propagator(graph).distinct_rows(evidence, 2)[1] == n_rows
+
+
 class TestLikelihoods:
     def test_aggregated_trivial_values(self):
         graph = identity_chain(prior=(0.25, 0.75))
@@ -373,6 +415,30 @@ class TestLikelihoods:
         graph = identity_chain()
         state = propagate(graph, {"X": np.array([0, 1, 1])})
         assert aggregated_log_likelihood(state, ("X",), np.zeros(3, dtype=bool)) == 0.0
+
+    def test_aggregated_counts_equal_repeated_rows(self):
+        graph = build_latent_star(generative=True)
+        rows = {"X1": np.array([0, 1, 1, 0]), "X2": np.array([0, 0, 1, 1]),
+                "X3": np.array([2, 0, 1, 2])}
+        counts = np.array([3.0, 0.0, 1.0, 5.0])
+        counted = aggregated_log_likelihood(propagate(graph, rows), tuple(rows), counts)
+        repeat = np.repeat(np.arange(4), counts.astype(int))
+        samples = {v: column[repeat] for v, column in rows.items()}
+        repeated = aggregated_log_likelihood(propagate(graph, samples), tuple(rows))
+        np.testing.assert_allclose(counted, repeated, rtol=1e-14)
+
+    def test_aggregated_boolean_mask_sums_selected_logs(self):
+        """A 0/1 mask scores exactly the selected samples' log terms."""
+        graph = build_latent_star(generative=True)
+        evidence = {"X1": np.array([0, 1, 1, 0, 1]), "X3": np.array([2, 0, 1, 2, 2])}
+        state = propagate(graph, evidence)
+        mask = np.array([True, False, True, True, False])
+        expected = 0.0
+        for var in evidence:
+            overlap = np.sum(state.forward[var] * state.backward[var], axis=-1)
+            expected += float(np.sum(np.log(overlap[mask])))
+        assert aggregated_log_likelihood(state, tuple(evidence), mask) == expected
+        assert aggregated_log_likelihood(state, tuple(evidence), mask * 1.0) == expected
 
     def test_aggregated_minus_inf_sentinel(self):
         graph = ensure_valid(

@@ -9,6 +9,7 @@ from normalgraph.graph import (
     SisoBlock,
     SourceBlock,
     ensure_valid,
+    split_variable,
 )
 from normalgraph.experiments import (
     TREE_LEAF_CONDITIONALS,
@@ -156,6 +157,26 @@ class TestAncestralSampling:
         assert np.array_equal(data["PS23_0"], data["Y2"] * 3 + data["S3"])
         assert np.array_equal(data["PS12_1"], data["PS12_0"])
         assert np.array_equal(data["PS23_2"], data["PS23_0"])
+
+    @pytest.mark.parametrize("splits", [("PS12_1",), ("PS12_1", "PS12_2"), ("PS23_2",)])
+    def test_split_join_is_one_cluster(self, splits):
+        """Splitting an inbound edge of a join chains two diverters; they
+        are drawn as one cluster from the same site, so every product symbol
+        is still the pair code and the unsplit graph's columns are unchanged."""
+        unsplit = build_deep_graph().with_parameters(deep_generative_parameters(seed=1))
+        graph = unsplit
+        for variable in splits:
+            graph = ensure_valid(split_variable(graph, variable))
+        data = ancestral_sample(graph, 500, seed=8, keep_all=True)
+        assert np.array_equal(data["PS12_0"], data["S1_0"] * 2 + data["S2"])
+        assert np.array_equal(data["PS23_0"], data["Y2"] * 3 + data["S3"])
+        product_edges = [v for v in data.columns if v.startswith("PS")]
+        assert len(product_edges) == 6 + 2 * len(splits)
+        for variable in product_edges:
+            assert np.array_equal(data[variable], data[variable[:4] + "_0"]), variable
+        reference = ancestral_sample(unsplit, 500, seed=8, keep_all=True)
+        for variable, column in reference.columns.items():
+            assert np.array_equal(data[variable], column), variable
 
     def test_zero_samples(self):
         data = ancestral_sample(identity_chain(), 0, seed=1)
