@@ -13,11 +13,11 @@ the training samples into a BlockDataset.  Four update rules are provided:
   each message pair is collapsed to its argmax before co-occurrence
   counting.
 * ``var_update``: soft co-occurrence counting (a variational one-shot
-  estimate), optionally with prior pseudo-counts.
+  estimate).
 
-``em_train`` wires these into the expectation-maximization loop over a
-whole graph: propagate all samples, harvest per-block datasets from the
-frozen message state, update every trainable block, repeat.
+``em_train`` wires their kernels into the expectation-maximization loop
+over a whole graph: propagate all samples, read each block's incident
+messages from the frozen message state, update every block, repeat.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .graph import GraphSpec, SourceBlock
 from .messages import max_indicator, normalize
 from .propagation import (
     ContradictoryEvidence,
-    MessageState,
     Propagator,
     aggregated_log_likelihood,
     block_log_likelihood,
@@ -94,12 +93,6 @@ class BlockDataset:
         return self.forward.shape[0]
 
 
-def _floored(data: BlockDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    f = np.maximum(data.forward, MESSAGE_FLOOR)
-    b = np.maximum(data.backward, MESSAGE_FLOOR)
-    return f, b, data.mask
-
-
 def _finish_rows(raw: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     """Row-normalize; a row without mass takes the same row of ``fallback``.
 
@@ -115,15 +108,12 @@ def _finish_rows(raw: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return raw / sums
 
 
-def _likelihood_masses(theta: np.ndarray, data: BlockDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Pair mass, sum over masked samples of f(l) b(m) / (f' theta b), and
-    row mass, sum over masked samples of f(l), of the block likelihood."""
-    f, b, mask = _floored(data)
+def _pair_mass(theta: np.ndarray, f: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum over weighted samples of f(l) b(m) / (f' theta b), on floored
+    messages: the pair mass of the block likelihood."""
     scores = np.einsum("nl,lm,nm->n", f, theta, b)
-    weights = np.divide(mask, scores, out=np.zeros_like(scores), where=mask > 0)
-    pair_mass = (f * weights[:, None]).T @ b
-    row_mass = mask @ f
-    return pair_mass, row_mass
+    weights = np.divide(w, scores, out=np.zeros_like(scores), where=w > 0)
+    return (f * weights[:, None]).T @ b
 
 
 def _rescaled(theta: np.ndarray, pair_mass: np.ndarray, row_mass: np.ndarray) -> np.ndarray:
@@ -134,6 +124,42 @@ def _rescaled(theta: np.ndarray, pair_mass: np.ndarray, row_mass: np.ndarray) ->
     return _finish_rows(raw, theta)
 
 
+# One kernel per rule, on (n, M_in) forward and (n, M_out) backward messages and n weights.
+
+def _ml(theta, f, b, w, nit: int) -> np.ndarray:
+    f, b = np.maximum(f, MESSAGE_FLOOR), np.maximum(b, MESSAGE_FLOOR)
+    row_mass = w @ f
+    for _ in range(nit):
+        theta = _rescaled(theta, _pair_mass(theta, f, b, w), row_mass)
+    return theta
+
+
+def _kl(theta, f, b, w, nit: int) -> np.ndarray:
+    f, b = np.maximum(f, MESSAGE_FLOOR), np.maximum(b, MESSAGE_FLOOR)
+    row_mass = w @ f
+    weighted = (w[:, None] * f).T
+    for _ in range(nit):
+        theta = _rescaled(theta, weighted @ (b / np.maximum(f @ theta, MESSAGE_FLOOR)), row_mass)
+    return theta
+
+
+def _vit(f, b, w, delta: float) -> np.ndarray:
+    raw = (w[:, None] * max_indicator(f, delta)).T @ max_indicator(b, delta)
+    return _finish_rows(raw, np.ones_like(raw))
+
+
+def _var(f, b, w, delta: float) -> np.ndarray:
+    raw = (w[:, None] * f).T @ b + delta
+    return _finish_rows(raw, np.ones_like(raw))
+
+
+def _fit(theta, f, b, w, cfg: "TrainConfig") -> np.ndarray:
+    """``train_block`` on raw arrays."""
+    if cfg.algorithm in ("ml", "kl"):
+        return (_ml if cfg.algorithm == "ml" else _kl)(theta, f, b, w, cfg.nit)
+    return (_vit if cfg.algorithm == "vit" else _var)(f, b, w, cfg.delta)
+
+
 def ml_update(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
     """One multiplicative likelihood-ascent step.
 
@@ -142,9 +168,7 @@ def ml_update(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
     the rows are then renormalized.  Equivalent to one EM step on the
     block-local likelihood, so repeated application climbs monotonically.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    pair_mass, row_mass = _likelihood_masses(theta, data)
-    return _rescaled(theta, pair_mass, row_mass)
+    return _ml(np.asarray(theta, dtype=np.float64), data.forward, data.backward, data.mask, 1)
 
 
 def kl_update(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
@@ -155,12 +179,7 @@ def kl_update(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
     f(i) instead of the full bilinear score.  Monotonically decreases the
     generalized divergence of the backward messages from the prediction.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    f, b, mask = _floored(data)
-    ratio = b / np.maximum(f @ theta, MESSAGE_FLOOR)
-    pair_mass = (mask[:, None] * f).T @ ratio
-    row_mass = mask @ f
-    return _rescaled(theta, pair_mass, row_mass)
+    return _kl(np.asarray(theta, dtype=np.float64), data.forward, data.backward, data.mask, 1)
 
 
 def vit_update(data: BlockDataset, delta: float = 1e-6) -> np.ndarray:
@@ -170,27 +189,18 @@ def vit_update(data: BlockDataset, delta: float = 1e-6) -> np.ndarray:
     lowest index) padded by ``delta``, and the indicator outer products are
     accumulated over the masked samples and row-normalized.
     """
-    e_in = max_indicator(data.forward, delta)
-    e_out = max_indicator(data.backward, delta)
-    raw = (data.mask[:, None] * e_in).T @ e_out
-    return _finish_rows(raw, np.ones_like(raw))
+    return _vit(data.forward, data.backward, data.mask, delta)
 
 
-def var_update(data: BlockDataset, delta: float = 1e-6,
-               alpha: np.ndarray | None = None) -> np.ndarray:
+def var_update(data: BlockDataset, delta: float = 1e-6) -> np.ndarray:
     """Soft co-occurrence estimate.
 
     Accumulates the outer products of the raw message pairs over the masked
-    samples, adds ``delta`` everywhere plus optional pseudo-counts
-    ``alpha``, and row-normalizes.
+    samples, adds ``delta`` everywhere, and row-normalizes.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    raw = (data.mask[:, None] * data.forward).T @ data.backward
-    raw = raw + delta
-    if alpha is not None:
-        raw = raw + np.asarray(alpha, dtype=np.float64)
-    return _finish_rows(raw, np.ones_like(raw))
+    return _var(data.forward, data.backward, data.mask, delta)
 
 
 def generalized_divergence(theta: np.ndarray, data: BlockDataset) -> float:
@@ -201,13 +211,13 @@ def generalized_divergence(theta: np.ndarray, data: BlockDataset) -> float:
     kl_update descends; on row-stochastic theta the regularizer is constant.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    f, b, mask = _floored(data)
+    f, b = np.maximum(data.forward, MESSAGE_FLOOR), np.maximum(data.backward, MESSAGE_FLOOR)
     predicted = f @ theta
-    if np.any((b > 0) & (predicted == 0.0) & (mask[:, None] > 0)):
+    if np.any((b > 0) & (predicted == 0.0) & (data.mask[:, None] > 0)):
         return float("inf")
     ratio = np.divide(b, predicted, out=np.ones_like(b), where=(b > 0) & (predicted > 0))
     entropy_terms = np.sum(np.where(b > 0, b * np.log(ratio), 0.0), axis=1)
-    return float(mask @ (entropy_terms + predicted.sum(axis=1)))
+    return float(data.mask @ (entropy_terms + predicted.sum(axis=1)))
 
 
 def kkt_multipliers(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
@@ -218,8 +228,8 @@ def kkt_multipliers(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
     slackness), which is what the stationarity tests check.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    pair_mass, row_mass = _likelihood_masses(theta, data)
-    return row_mass[:, None] - pair_mass
+    f, b = np.maximum(data.forward, MESSAGE_FLOOR), np.maximum(data.backward, MESSAGE_FLOOR)
+    return (data.mask @ f)[:, None] - _pair_mass(theta, f, b, data.mask)
 
 
 def train_block(theta: np.ndarray, data: BlockDataset, cfg: "TrainConfig") -> np.ndarray:
@@ -230,17 +240,7 @@ def train_block(theta: np.ndarray, data: BlockDataset, cfg: "TrainConfig") -> np
     start from it and apply ``cfg.nit`` steps; the counting rules (vit,
     var) ignore it.
     """
-    if cfg.algorithm == "ml":
-        for _ in range(cfg.nit):
-            theta = ml_update(theta, data)
-    elif cfg.algorithm == "kl":
-        for _ in range(cfg.nit):
-            theta = kl_update(theta, data)
-    elif cfg.algorithm == "vit":
-        theta = vit_update(data, cfg.delta)
-    else:
-        theta = var_update(data, cfg.delta)
-    return theta
+    return _fit(np.asarray(theta, dtype=np.float64), data.forward, data.backward, data.mask, cfg)
 
 
 @dataclass
@@ -293,18 +293,6 @@ class TrainReport:
         return self.records[-1].test_loglik if self.records else float("nan")
 
 
-def _harvest(state: MessageState, unit, mask: np.ndarray) -> BlockDataset:
-    if isinstance(unit, SourceBlock):
-        backward = state.backward[unit.variable]
-        forward = np.ones((backward.shape[0], 1))
-        return BlockDataset(forward=forward, backward=backward, mask=mask)
-    return BlockDataset(
-        forward=state.forward[unit.from_var],
-        backward=state.backward[unit.to_var],
-        mask=mask,
-    )
-
-
 def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
              cfg: TrainConfig, mask: np.ndarray | None = None) -> TrainReport:
     """Expectation-maximization over all trainable blocks of a graph.
@@ -325,7 +313,9 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
         Optional 0/1 array of length N selecting the training samples.
         Unselected samples still propagate and are scored as the test set.
 
-    The first M-step consumes the randomly initialized message state; each
+    The first M-step consumes the random start of ``Propagator.initial_state``
+    with ``rng=np.random.default_rng(cfg.seed)``, of which only the slots it
+    reads are drawn: the other slots' draws are skipped in the stream.  Each
     subsequent epoch consumes the exact propagation of the previous
     epoch's parameters, and the per-epoch log-likelihoods are measured
     after the update.  All blocks within an epoch see the same frozen
@@ -345,13 +335,15 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
         shape = (unit.prior if isinstance(unit, SourceBlock) else unit.theta).shape
         parameters[unit.name] = np.full(shape, 1.0 / shape[-1])
 
+    # The first M-step reads only the messages at the blocks' ports.
+    ports = {("F", u.from_var) for u in units if not isinstance(u, SourceBlock)}
+    ports |= {("B", u.variable if isinstance(u, SourceBlock) else u.to_var) for u in units}
     rng = np.random.default_rng(cfg.seed)
-    if mask is None:
-        state = propagator.initial_state(samples, rng=rng)
-        mask = np.ones(state.n_samples, dtype=np.float64)
-    else:
+    if mask is not None:
         mask = np.asarray(mask, dtype=np.float64).reshape(-1)
-        state = propagator.initial_state(samples, n_samples=len(mask), rng=rng)
+    state = propagator._start(samples, None if mask is None else len(mask), rng, ports)
+    if mask is None:
+        mask = np.ones(state.n_samples, dtype=np.float64)
     rows, n_rows, inverse = propagator.distinct_rows(samples, len(mask))
     row_weights = np.bincount(inverse, weights=mask, minlength=n_rows)
     train_weights = np.bincount(inverse, weights=mask > 0, minlength=n_rows)
@@ -377,12 +369,13 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
         started = time.perf_counter()
         updates: dict[str, np.ndarray] = {}
         for unit in units:
-            data = _harvest(state, unit, weights)
             if isinstance(unit, SourceBlock):
+                b = state.backward[unit.variable]
                 row = parameters[unit.name].reshape(1, -1)
-                updates[unit.name] = train_block(row, data, cfg).reshape(-1)
+                updates[unit.name] = _fit(row, np.ones((len(b), 1)), b, weights, cfg).reshape(-1)
             else:
-                updates[unit.name] = train_block(parameters[unit.name], data, cfg)
+                updates[unit.name] = _fit(parameters[unit.name], state.forward[unit.from_var],
+                                          state.backward[unit.to_var], weights, cfg)
         parameters.update(updates)
         state = propagate(parameters)
         weights = row_weights

@@ -40,10 +40,6 @@ class SupportMismatch(ValueError):
     """The reference distribution has a zero where the subject has mass."""
 
 
-def _last_axis_sum(values: np.ndarray) -> np.ndarray:
-    return np.sum(values, axis=-1, keepdims=True)
-
-
 def normalize(values: np.ndarray) -> np.ndarray:
     """Scale each row to unit sum.
 
@@ -54,13 +50,16 @@ def normalize(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if np.any(values < 0.0):
         raise ValueError("messages must be nonnegative")
-    sums = _last_axis_sum(values)
+    return _normalize_in_place(values.copy())
+
+
+def _normalize_in_place(values: np.ndarray) -> np.ndarray:
+    """``normalize`` for a float64 array already known to be nonnegative,
+    such as fresh uniform draws: the rows are scaled in ``values`` itself."""
+    sums = np.sum(values, axis=-1, keepdims=True)
     if np.any(sums == 0.0):
         raise AllZeroVector("cannot normalize a vector with zero total mass")
-    needs = np.abs(sums - 1.0) > _SUM_SLACK
-    if not np.any(needs):
-        return values.copy()
-    return np.where(needs, values / sums, values)
+    return np.divide(values, sums, out=values, where=np.abs(sums - 1.0) > _SUM_SLACK)
 
 
 def hadamard_posterior(forward: np.ndarray, backward: np.ndarray) -> np.ndarray:

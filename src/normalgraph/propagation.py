@@ -38,7 +38,8 @@ from .graph import (
     UnknownVariable,
     ensure_valid,
 )
-from .messages import AllZeroVector, hadamard_posterior, normalize, one_hot, uniform
+from .messages import (AllZeroVector, _normalize_in_place, hadamard_posterior, normalize,
+                       one_hot, uniform)
 
 __all__ = [
     "ContradictoryEvidence",
@@ -309,26 +310,33 @@ class Propagator:
     def initial_state(self, evidence: Mapping | None = None, n_samples: int | None = None,
                       rng: np.random.Generator | None = None) -> MessageState:
         """Unpropagated state: evidence factors in place, everything else
-        uniform, or independent uniform-random draws when ``rng`` is given."""
+        uniform, or one (N, size) uniform draw per slot (schedule order,
+        rows scaled to unit sum) when ``rng`` is given.  ``em_train`` draws
+        only the slots it reads and skips the others in the stream."""
+        return self._start(evidence, n_samples, rng, self._rules)
+
+    def _start(self, evidence, n_samples, rng, slots) -> MessageState:
+        """``initial_state`` with only ``slots``; PCG64 spends one 64-bit
+        output per double, so skipping N * size outputs skips a slot."""
         factors, n = self._evidence_factors(evidence, n_samples)
         msgs = {}
         for slot in self._rules:
-            if slot in factors:
+            size = self.sizes[slot[1]]
+            if slot not in slots:
+                if rng is not None and slot not in factors:
+                    rng.bit_generator.advance(n * size)
+            elif slot in factors:
                 msgs[slot] = factors[slot]
+            elif rng is None:
+                msgs[slot] = np.full((n, size), 1.0 / size)
             else:
-                size = self.sizes[slot[1]]
-                if rng is None:
-                    msgs[slot] = np.full((n, size), 1.0 / size)
-                else:
-                    msgs[slot] = normalize(rng.uniform(size=(n, size)))
+                msgs[slot] = _normalize_in_place(rng.uniform(size=(n, size)))
         return self._to_state(msgs, n)
 
     @staticmethod
     def _to_state(msgs, n) -> MessageState:
-        forward = {}
-        backward = {}
+        forward, backward = {}, {}
         for (direction, var), arr in msgs.items():
-            arr = np.asarray(arr)
             arr.setflags(write=False)
             (forward if direction == "F" else backward)[var] = arr
         return MessageState(forward=forward, backward=backward, n_samples=n)

@@ -1,5 +1,7 @@
 """Unit tests for the four block-update rules and the EM driver."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from normalgraph.graph import (
     ensure_valid,
     split_variable,
 )
+from normalgraph import learning
 from normalgraph.learning import (
     ALGORITHMS,
     BlockDataset,
@@ -90,12 +93,6 @@ class TestFrozenUpdates:
     def test_var_single_pair(self):
         theta = var_update(ONE_PAIR, delta=0.1)
         expected = np.array([[5.0, 2.0], [5.0, 2.0]]) / 7.0
-        np.testing.assert_allclose(theta, expected, atol=1e-14)
-
-    def test_var_with_pseudo_counts(self):
-        alpha = np.array([[0.1, 0.3], [0.0, 0.0]])
-        theta = var_update(ONE_PAIR, delta=0.1, alpha=alpha)
-        expected = np.array([[6.0 / 11.0, 5.0 / 11.0], [5.0 / 7.0, 2.0 / 7.0]])
         np.testing.assert_allclose(theta, expected, atol=1e-14)
 
 
@@ -660,3 +657,124 @@ class TestJointAscent:
         print(f"{graph_name} seed {seed} nit {nit}: train_loglik fell at {len(conditional)} "
               f"epochs, first at {conditional[0][0] if conditional else None}, largest "
               f"{max((f for _, f in conditional), default=0.0):.2g} relative")
+
+
+def recorded_fit_inputs(monkeypatch) -> list:
+    """Patch the learning kernel dispatch so each call's (f, b, w) is kept."""
+    seen = []
+    fit = learning._fit
+
+    def recording(theta, f, b, w, cfg):
+        seen.append((f, b, w))
+        return fit(theta, f, b, w, cfg)
+
+    monkeypatch.setattr(learning, "_fit", recording)
+    return seen
+
+
+class TestRandomStart:
+    """em_train draws only the random-start slots its first M-step reads and
+    skips the draws of the others in the generator's stream.  What the
+    first M-step reads must still equal, bit for bit, the same slots of the
+    full ``initial_state``; this pins the skip arithmetic to numpy's
+    generator."""
+
+    @pytest.mark.parametrize("split", [None, 0.8])
+    @pytest.mark.parametrize("n", [1, 400])
+    @pytest.mark.parametrize("graph_name", ["star", "deep"])
+    def test_first_m_step_reads_the_full_random_start(self, monkeypatch, graph_name, n, split):
+        learner, generative = study_graphs(graph_name, seed=3)
+        evidence = ancestral_sample(generative, n, seed=3).terminal_evidence(("X1", "X2", "X3"))
+        mask = None if split is None else split_mask(n, split)
+        seen = recorded_fit_inputs(monkeypatch)
+        em_train(learner, evidence, TrainConfig("ml", epochs=1, seed=5), mask)
+        full = Propagator(learner).initial_state(evidence, rng=np.random.default_rng(5))
+        units = learner.trainable_units()
+        assert len(seen) == len(units)
+        for unit, (f, b, w) in zip(units, seen):
+            if isinstance(unit, SourceBlock):
+                assert np.array_equal(f, np.ones((n, 1)))
+                assert np.array_equal(b, full.backward[unit.variable])
+            else:
+                assert np.array_equal(f, full.forward[unit.from_var])
+                assert np.array_equal(b, full.backward[unit.to_var])
+            assert np.array_equal(w, np.ones(n) if mask is None else mask)
+
+
+class TestEpochLoopChecksNothing:
+    """Hard evidence is checked where it enters; the epochs of em_train then
+    build no BlockDataset and normalize nothing."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_no_dataset_and_no_normalize(self, monkeypatch, algorithm):
+        learner, generative = study_graphs("deep", seed=1)
+        evidence = ancestral_sample(generative, 300, seed=1).terminal_evidence(("X1", "X2", "X3"))
+        counts = {"datasets": 0, "normalize": 0}
+        post_init = BlockDataset.__post_init__
+
+        def counting_post_init(self):
+            counts["datasets"] += 1
+            post_init(self)
+
+        def counting_normalize(values):
+            counts["normalize"] += 1
+            return normalize(values)
+
+        monkeypatch.setattr(BlockDataset, "__post_init__", counting_post_init)
+        for name, module in list(sys.modules.items()):
+            if name == "normalgraph" or name.startswith("normalgraph."):
+                for key, value in list(vars(module).items()):
+                    if value is normalize:
+                        monkeypatch.setattr(module, key, counting_normalize)
+        cfg = TrainConfig(algorithm, epochs=5, seed=1)
+        em_train(learner, evidence, cfg, split_mask(300, 0.8))
+        assert counts == {"datasets": 0, "normalize": 0}
+        # The counters are live: soft evidence goes through normalize.
+        soft = {v: one_hot(column, learner.sizes[v]) for v, column in evidence.items()}
+        em_train(learner, soft, cfg)
+        assert counts["normalize"] > 0
+        BlockDataset(forward=[[1.0]], backward=[[1.0]])
+        assert counts["datasets"] == 1
+
+
+def latent_row_spread(theta: np.ndarray) -> float:
+    return float(np.max(theta.max(axis=0) - theta.min(axis=0)))
+
+
+class TestVarEqualLatentRows:
+    """With a uniform prior and equal latent rows, the backward message into
+    S0 is uniform, so each leaf's forward message is the prior, and
+    sum f b' + delta has rows proportional to prior_l * sum b + delta: one
+    var EM step keeps the latent rows equal, exactly."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_var_step_keeps_equal_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        star = build_latent_star()
+        rows = {f"P_X{i}": np.tile(normalize(rng.uniform(0.1, 1.0, star.sizes[f"X{i}"])), (4, 1))
+                for i in (1, 2, 3)}
+        graph = star.with_parameters(rows)
+        evidence = ancestral_sample(build_latent_star(generative=True), 400, seed=seed
+                                    ).terminal_evidence(("X1", "X2", "X3"))
+        state = Propagator(graph).run(evidence)
+        cfg = TrainConfig("var")
+        for unit in graph.trainable_units():
+            if isinstance(unit, SourceBlock):
+                data = BlockDataset(forward=np.ones((400, 1)), backward=state.backward["S0"])
+                prior = train_block(unit.prior.reshape(1, -1), data, cfg)[0]
+                assert np.all(prior == prior[0]), prior
+            else:
+                data = BlockDataset(forward=state.forward[unit.from_var],
+                                    backward=state.backward[unit.to_var])
+                theta = train_block(unit.theta, data, cfg)
+                assert np.all(theta == theta[0]), theta
+
+    def test_contraction_from_the_random_start_is_printed(self):
+        evidence = ancestral_sample(build_latent_star(generative=True), 400, seed=1
+                                    ).terminal_evidence(("X1", "X2", "X3"))
+        report = em_train(build_latent_star(), evidence,
+                          TrainConfig("var", epochs=60, seed=1, record_coefficients=True))
+        spreads = {e: latent_row_spread(report.snapshots[e]["P_X1"]) for e in (1, 5, 10, 20, 60)}
+        assert all(np.isfinite(list(spreads.values())))
+        print("var P_X1 latent row spread by epoch:",
+              ", ".join(f"{e}: {s:.2g}" for e, s in spreads.items()))
