@@ -17,7 +17,7 @@ the training samples into a BlockDataset.  Four update rules are provided:
 
 ``em_train`` wires their kernels into the expectation-maximization loop
 over a whole graph: propagate all samples, read each block's incident
-messages from the frozen message state, update every block, repeat.
+messages from the epoch's message snapshot, update every block, repeat.
 """
 
 from __future__ import annotations
@@ -30,12 +30,7 @@ import numpy as np
 
 from .graph import GraphSpec, SourceBlock
 from .messages import max_indicator, normalize
-from .propagation import (
-    ContradictoryEvidence,
-    Propagator,
-    aggregated_log_likelihood,
-    block_log_likelihood,
-)
+from .propagation import Propagator, block_log_likelihood
 
 __all__ = [
     "BlockDataset",
@@ -139,7 +134,9 @@ def _kl(theta, f, b, w, nit: int) -> np.ndarray:
     row_mass = w @ f
     weighted = (w[:, None] * f).T
     for _ in range(nit):
-        theta = _rescaled(theta, weighted @ (b / np.maximum(f @ theta, MESSAGE_FLOOR)), row_mass)
+        ratio = f @ theta
+        np.maximum(ratio, MESSAGE_FLOOR, out=ratio)
+        theta = _rescaled(theta, weighted @ np.divide(b, ratio, out=ratio), row_mass)
     return theta
 
 
@@ -335,29 +332,20 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
         shape = (unit.prior if isinstance(unit, SourceBlock) else unit.theta).shape
         parameters[unit.name] = np.full(shape, 1.0 / shape[-1])
 
-    # The first M-step reads only the messages at the blocks' ports.
-    ports = {("F", u.from_var) for u in units if not isinstance(u, SourceBlock)}
-    ports |= {("B", u.variable if isinstance(u, SourceBlock) else u.to_var) for u in units}
+    # Each unit's message pair; a source's input is the constant 1.
+    ports = [(None, u.variable) if isinstance(u, SourceBlock) else (u.from_var, u.to_var)
+             for u in units]
     rng = np.random.default_rng(cfg.seed)
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64).reshape(-1)
-    state = propagator._start(samples, None if mask is None else len(mask), rng, ports)
+    messages, inverse, propagate = propagator._epochs(
+        samples, None if mask is None else len(mask), rng, ports, terminals, parameters)
     if mask is None:
-        mask = np.ones(state.n_samples, dtype=np.float64)
-    rows, n_rows, inverse = propagator.distinct_rows(samples, len(mask))
-    row_weights = np.bincount(inverse, weights=mask, minlength=n_rows)
-    train_weights = np.bincount(inverse, weights=mask > 0, minlength=n_rows)
-    test_weights = np.bincount(inverse, weights=mask <= 0, minlength=n_rows)
+        mask = np.ones(len(inverse), dtype=np.float64)
+    row_weights = np.bincount(inverse, weights=mask)
+    train_weights = np.bincount(inverse, weights=mask > 0)
+    test_weights = np.bincount(inverse, weights=mask <= 0)
     has_split = bool(np.any(mask <= 0))
-
-    def propagate(parameters):
-        try:
-            return propagator.run(rows, n_samples=n_rows, parameters=parameters)
-        except ContradictoryEvidence:
-            if n_rows < len(mask):
-                # Name the samples, not the merged rows, in the error.
-                propagator.run(samples, n_samples=len(mask), parameters=parameters)
-            raise
 
     records: list[EpochRecord] = []
     snapshots: dict[int, dict[str, np.ndarray]] | None = (
@@ -368,22 +356,17 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
         updates: dict[str, np.ndarray] = {}
-        for unit in units:
-            if isinstance(unit, SourceBlock):
-                b = state.backward[unit.variable]
+        for unit, (f, b) in zip(units, messages):
+            if f is None:
                 row = parameters[unit.name].reshape(1, -1)
                 updates[unit.name] = _fit(row, np.ones((len(b), 1)), b, weights, cfg).reshape(-1)
             else:
-                updates[unit.name] = _fit(parameters[unit.name], state.forward[unit.from_var],
-                                          state.backward[unit.to_var], weights, cfg)
+                updates[unit.name] = _fit(parameters[unit.name], f, b, weights, cfg)
         parameters.update(updates)
-        state = propagate(parameters)
+        messages, score = propagate(updates)
         weights = row_weights
-        train_ll = aggregated_log_likelihood(state, terminals, train_weights)
-        test_ll = (
-            aggregated_log_likelihood(state, terminals, test_weights)
-            if has_split else train_ll
-        )
+        train_ll = score(train_weights)
+        test_ll = score(test_weights) if has_split else train_ll
         wall_ms = (time.perf_counter() - started) * 1e3
         records.append(EpochRecord(epoch, train_ll, test_ll, wall_ms))
         if snapshots is not None:

@@ -9,6 +9,8 @@ to unit sum throughout.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -57,9 +59,10 @@ def _normalize_in_place(values: np.ndarray) -> np.ndarray:
     """``normalize`` for a float64 array already known to be nonnegative,
     such as fresh uniform draws: the rows are scaled in ``values`` itself."""
     sums = np.sum(values, axis=-1, keepdims=True)
-    if np.any(sums == 0.0):
+    if not sums.all():
         raise AllZeroVector("cannot normalize a vector with zero total mass")
-    return np.divide(values, sums, out=values, where=np.abs(sums - 1.0) > _SUM_SLACK)
+    sums[~(np.abs(sums - 1.0) > _SUM_SLACK)] = 1.0  # x / 1.0 is x, bit for bit
+    return np.divide(values, sums, out=values)
 
 
 def hadamard_posterior(forward: np.ndarray, backward: np.ndarray) -> np.ndarray:
@@ -111,10 +114,11 @@ def max_indicator(values: np.ndarray, delta: float = 0.0) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    out = np.full(values.shape, delta, dtype=np.float64)
-    peak = np.max(values, axis=-1, keepdims=True)
+    # The row peak column by column: a reduction over a short last axis costs per row.
+    peak = functools.reduce(np.maximum, np.moveaxis(values, -1, 0))[..., None]
     best = np.argmax(values >= peak - TIE_RTOL * np.abs(peak), axis=-1)
-    np.put_along_axis(out, np.expand_dims(best, axis=-1), delta + 1.0, axis=-1)
+    out = np.full(values.shape, delta, dtype=np.float64)
+    np.put_along_axis(out, best[..., None], delta + 1.0, axis=-1)
     return out
 
 

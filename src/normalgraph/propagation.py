@@ -12,11 +12,9 @@ rules are local:
   none.
 
 On a cycle-free graph each message is fully determined, so the engine
-compiles a dependency-ordered schedule and computes every message exactly
-once.  A flooding mode (Jacobi sweeps from an arbitrary initial state) is
-kept as a cross-check of that schedule: after as many rounds as the
-longest dependency chain (``Propagator.depth``) it reproduces the exact
-result.
+compiles a dependency-ordered schedule of integer-indexed steps and
+computes every message exactly once, in one pass over evidence factors
+encoded beforehand.
 
 Message arrays are (n_samples, alphabet) so a whole dataset propagates in
 one vectorized pass.
@@ -80,10 +78,10 @@ class Propagator:
     """Reusable schedule for one graph structure.
 
     Compiling the schedule validates the graph once; ``run`` may then be
-    called many times with different evidence or parameter overrides, which
-    is what the training loop does every epoch.  ``forward_order`` lists
-    every variable after the inputs of its producer, and ``depth`` is the
-    longest chain of message dependencies.
+    called many times with different evidence or parameter overrides.
+    Messages ("F"|"B", variable) are numbered in declaration order;
+    ``forward_order`` lists every variable after the inputs of its
+    producer.
     """
 
     def __init__(self, graph: GraphSpec):
@@ -94,65 +92,60 @@ class Propagator:
         self._heads = graph.heads()
         self._compile()
 
-    # Slots are ("F"|"B", variable); rules are small tagged tuples.  A SISO
-    # rule holds its parameter name and the slot of its input message.
+    # A rule is (kind, parameter name, input slots); a step is the same with
+    # the output slot in front and slot numbers in place of slots.
     def _compile(self) -> None:
         rules: dict[tuple[str, str], tuple] = {}
-        deps: dict[tuple[str, str], list] = {}
         for var, _ in self.graph.variables:
             tail = self._tails.get(var)
-            slot = ("F", var)
             if tail is None:
-                rules[slot], deps[slot] = ("evidence",), []
+                rules[("F", var)] = ("evidence", None, ())
             elif isinstance(tail, SourceBlock):
-                rules[slot], deps[slot] = ("prior", tail.name), []
+                rules[("F", var)] = ("prior", tail.name, ())
             elif isinstance(tail, SisoBlock):
-                rules[slot] = ("siso_f", tail.name, ("F", tail.from_var))
-                deps[slot] = [rules[slot][2]]
+                rules[("F", var)] = ("siso_f", tail.name, (("F", tail.from_var),))
             else:
-                rules[slot] = ("product", self._other_entering(tail, var))
-                deps[slot] = rules[slot][1]
+                rules[("F", var)] = ("product", None, self._other_entering(tail, var))
 
             head = self._heads.get(var)
-            slot = ("B", var)
             if head is None:
-                rules[slot], deps[slot] = ("evidence",), []
+                rules[("B", var)] = ("evidence", None, ())
             elif isinstance(head, SisoBlock):
-                rules[slot] = ("siso_b", head.name, ("B", head.to_var))
-                deps[slot] = [rules[slot][2]]
+                rules[("B", var)] = ("siso_b", head.name, (("B", head.to_var),))
             else:
-                rules[slot] = ("product", self._other_entering(head, var))
-                deps[slot] = rules[slot][1]
+                rules[("B", var)] = ("product", None, self._other_entering(head, var))
 
         # Deterministic topological order over message slots.
-        remaining = dict(deps)
+        remaining = {slot: rule[2] for slot, rule in rules.items()}
         order: list[tuple[str, str]] = []
-        depth: dict[tuple[str, str], int] = {}
         while remaining:
             ready = sorted(s for s, d in remaining.items() if all(x not in remaining for x in d))
             if not ready:
                 raise GraphError("message schedule has a dependency cycle")
             for slot in ready:
-                depth[slot] = 1 + max((depth[d] for d in deps[slot]), default=0)
                 order.append(slot)
                 del remaining[slot]
-        self._rules = rules
-        self._order = order
+        self._slots = tuple(rules)
+        self._slot = {slot: k for k, slot in enumerate(self._slots)}
+        self._steps = tuple((self._slot[slot], kind, name, tuple(self._slot[d] for d in inputs))
+                            for slot in order for kind, name, inputs in [rules[slot]]
+                            if kind != "evidence")
         self.forward_order = tuple(var for direction, var in order if direction == "F")
-        self.depth = max(depth.values(), default=0)
         # The one open endpoint of each terminal, where its evidence enters.
-        self._evidence_slots = {s[1]: s for s, rule in rules.items() if rule[0] == "evidence"}
+        self._evidence_slots = {s[1]: self._slot[s] for s, rule in rules.items()
+                                if rule[0] == "evidence"}
 
     @staticmethod
-    def _other_entering(div: DiverterNode, edge: str) -> list[tuple[str, str]]:
+    def _other_entering(div: DiverterNode, edge: str) -> tuple[tuple[str, str], ...]:
         slots = [("F", v) for v in div.inbound if v != edge]
         slots += [("B", v) for v in div.taps if v != edge]
-        return slots
+        return tuple(slots)
 
     # -- evidence handling --------------------------------------------------
 
     def _evidence_factors(self, evidence: Mapping | None, n_samples: int | None):
-        """The factor of every evidence slot, and the sample count N.
+        """The (N, size) factor at every evidence slot number (None at the
+        other slots), and the sample count N.
 
         Every per-sample factor must have N rows: ``n_samples`` when given,
         else the row count of the first per-sample factor, else 1.
@@ -163,10 +156,10 @@ class Propagator:
         for var, count in rows.items():
             if count != n:
                 raise ValueError(f"evidence for {var!r} has {count} samples, expected {n}")
-        factors = {}
-        for var, slot in self._evidence_slots.items():
+        factors = [None] * len(self._slots)
+        for var, k in self._evidence_slots.items():
             factor = encoded[var] if var in encoded else uniform(self.sizes[var])
-            factors[slot] = np.tile(factor, (n, 1)) if factor.ndim == 1 else factor
+            factors[k] = np.tile(factor, (n, 1)) if factor.ndim == 1 else factor
         return factors, n
 
     def _encode(self, var: str, value) -> np.ndarray:
@@ -244,99 +237,111 @@ class Propagator:
             params[name] = value
         return params
 
-    def _apply(self, slot, rule, msgs, factors, params, n) -> np.ndarray:
-        kind = rule[0]
-        if kind == "evidence":
-            return factors[slot]
-        if kind == "prior":
-            return np.tile(params[rule[1]], (n, 1))
-        if kind == "siso_f":
-            raw = msgs[rule[2]] @ params[rule[1]]
-        elif kind == "siso_b":
-            raw = msgs[rule[2]] @ params[rule[1]].T
-        else:
-            raw = None
-            for dep in rule[1]:
-                raw = msgs[dep].copy() if raw is None else raw * msgs[dep]
-        return self._checked(raw, slot)
-
-    @staticmethod
-    def _checked(raw: np.ndarray, slot) -> np.ndarray:
-        sums = raw.sum(axis=-1, keepdims=True)
-        bad = np.where(sums[:, 0] == 0.0)[0]
-        if bad.size:
-            direction = "forward" if slot[0] == "F" else "backward"
-            raise ContradictoryEvidence(
-                f"no consistent {direction} message at variable {slot[1]!r} "
-                f"for sample(s) {bad[:5].tolist()}"
-            )
-        return raw / sums
+    def _pass(self, factors: list, params: Mapping[str, np.ndarray], n: int) -> list:
+        """Every message by slot number, from ``_evidence_factors`` and the
+        parameter of every node: the one-pass sweep of ``run``."""
+        msgs = list(factors)
+        for out, kind, name, inputs in self._steps:
+            if kind == "prior":
+                msgs[out] = np.tile(params[name], (n, 1))
+                continue
+            if kind == "siso_f":
+                raw = msgs[inputs[0]] @ params[name]
+            elif kind == "siso_b":
+                raw = msgs[inputs[0]] @ params[name].T
+            else:
+                raw = msgs[inputs[0]].copy()
+                for k in inputs[1:]:
+                    raw *= msgs[k]
+            sums = raw.sum(axis=1, keepdims=True)
+            if not sums.all():
+                direction, var = self._slots[out]
+                bad = np.flatnonzero(sums[:, 0] == 0.0)[:5].tolist()
+                raise ContradictoryEvidence(
+                    f"no consistent {'forward' if direction == 'F' else 'backward'} message "
+                    f"at variable {var!r} for sample(s) {bad}")
+            raw /= sums
+            msgs[out] = raw
+        return msgs
 
     def run(
         self,
         evidence: Mapping | None = None,
         n_samples: int | None = None,
         parameters: Mapping[str, np.ndarray] | None = None,
-        flooding_rounds: int | None = None,
-        init: MessageState | None = None,
     ) -> MessageState:
         """Propagate evidence and return the complete message state.
 
         ``parameters`` overrides block matrices or source priors by node
-        name without rebuilding the schedule.  ``flooding_rounds`` switches
-        to Jacobi flooding from ``init`` (or ``initial_state``) instead of
-        the exact one-pass sweep.
+        name without rebuilding the schedule.
         """
         factors, n = self._evidence_factors(evidence, n_samples)
-        params = self._parameters(parameters)
-        msgs: dict[tuple[str, str], np.ndarray] = {}
-        if flooding_rounds is None:
-            for slot in self._order:
-                msgs[slot] = self._apply(slot, self._rules[slot], msgs, factors, params, n)
-            return self._to_state(msgs, n)
-
-        if init is None:
-            init = self.initial_state(evidence, n_samples)
-        for slot in self._order:
-            store = init.forward if slot[0] == "F" else init.backward
-            msgs[slot] = np.array(store[slot[1]], dtype=np.float64)
-        for _ in range(flooding_rounds):
-            msgs = {
-                slot: self._apply(slot, self._rules[slot], msgs, factors, params, n)
-                for slot in self._order
-            }
-        return self._to_state(msgs, n)
+        return self._to_state(self._pass(factors, self._parameters(parameters), n), n)
 
     def initial_state(self, evidence: Mapping | None = None, n_samples: int | None = None,
                       rng: np.random.Generator | None = None) -> MessageState:
         """Unpropagated state: evidence factors in place, everything else
-        uniform, or one (N, size) uniform draw per slot (schedule order,
-        rows scaled to unit sum) when ``rng`` is given.  ``em_train`` draws
-        only the slots it reads and skips the others in the stream."""
-        return self._start(evidence, n_samples, rng, self._rules)
-
-    def _start(self, evidence, n_samples, rng, slots) -> MessageState:
-        """``initial_state`` with only ``slots``; PCG64 spends one 64-bit
-        output per double, so skipping N * size outputs skips a slot."""
+        uniform, or one (N, size) uniform draw per slot when ``rng`` is
+        given, rows scaled to unit sum.  Slots are drawn in declaration
+        order, ("F", v) then ("B", v) for each variable v in turn."""
         factors, n = self._evidence_factors(evidence, n_samples)
-        msgs = {}
-        for slot in self._rules:
-            size = self.sizes[slot[1]]
-            if slot not in slots:
-                if rng is not None and slot not in factors:
-                    rng.bit_generator.advance(n * size)
-            elif slot in factors:
-                msgs[slot] = factors[slot]
-            elif rng is None:
-                msgs[slot] = np.full((n, size), 1.0 / size)
-            else:
-                msgs[slot] = _normalize_in_place(rng.uniform(size=(n, size)))
-        return self._to_state(msgs, n)
+        return self._to_state(self._start(factors, n, rng, range(len(self._slots))), n)
 
-    @staticmethod
-    def _to_state(msgs, n) -> MessageState:
+    def _start(self, factors: list, n: int, rng, slots) -> list:
+        """``initial_state`` by slot number, drawn at the slot numbers in
+        ``slots`` only (None at the others); PCG64 spends one 64-bit output
+        per double, so skipping n * size outputs skips a slot."""
+        msgs = list(factors)
+        for k, (_, var) in enumerate(self._slots):
+            if factors[k] is not None:
+                continue
+            size = self.sizes[var]
+            if k not in slots:
+                if rng is not None:
+                    rng.bit_generator.advance(n * size)
+            elif rng is None:
+                msgs[k] = np.full((n, size), 1.0 / size)
+            else:
+                msgs[k] = _normalize_in_place(rng.random((n, size)))
+        return msgs
+
+    def _epochs(self, evidence: Mapping, n_samples: int | None, rng, ports, terminals, parameters):
+        """``em_train``'s propagation, with the evidence encoded once.
+
+        ``ports`` holds (forward variable or None, backward variable) pairs.
+        Returns the message pairs at the ports in the random start of
+        ``initial_state`` (drawn at those slots only), each sample's row in
+        ``distinct_rows``, and ``epoch(updates)``: it overrides parameters,
+        propagates the distinct rows and returns their pairs at the ports
+        and ``score(weights)``, the terminals' ``aggregated_log_likelihood``.
+        """
+        factors, n = self._evidence_factors(evidence, n_samples)
+        numbered = lambda pairs: [(self._slot.get(("F", f)), self._slot[("B", b)]) for f, b in pairs]
+        slots, scored = numbered(ports), numbered((v, v) for v in terminals)
+        msgs = self._start(factors, n, rng, {k for pair in slots for k in pair})
+        rows, n_rows, inverse = self.distinct_rows(evidence, n)
+        if n_rows < n:
+            factors = self._evidence_factors(rows, n_rows)[0]
+        params = self._parameters(parameters)
+
+        def pick(msgs, slots):
+            return [tuple(None if k is None else msgs[k] for k in pair) for pair in slots]
+
+        def epoch(updates):
+            params.update(updates)
+            try:
+                msgs = self._pass(factors, params, n_rows)
+            except ContradictoryEvidence:
+                if n_rows < n:  # name the samples, not the merged rows
+                    self._pass(self._evidence_factors(evidence, n)[0], params, n)
+                raise
+            return pick(msgs, slots), lambda w: _log_overlap(pick(msgs, scored), w)
+
+        return pick(msgs, slots), inverse, epoch
+
+    def _to_state(self, msgs: list, n: int) -> MessageState:
         forward, backward = {}, {}
-        for (direction, var), arr in msgs.items():
+        for (direction, var), arr in zip(self._slots, msgs):
             arr.setflags(write=False)
             (forward if direction == "F" else backward)[var] = arr
         return MessageState(forward=forward, backward=backward, n_samples=n)
@@ -347,10 +352,10 @@ def _is_symbol_column(arr: np.ndarray) -> bool:
     return arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer)
 
 
-def propagate(graph: GraphSpec, evidence: Mapping | None = None,
-              n_samples: int | None = None, **kwargs) -> MessageState:
-    """One-shot propagation; see Propagator.run for the knobs."""
-    return Propagator(graph).run(evidence, n_samples=n_samples, **kwargs)
+def propagate(graph: GraphSpec, evidence: Mapping | None = None, n_samples: int | None = None,
+              parameters: Mapping[str, np.ndarray] | None = None) -> MessageState:
+    """One-shot propagation; see Propagator.run."""
+    return Propagator(graph).run(evidence, n_samples=n_samples, parameters=parameters)
 
 
 def aggregated_log_likelihood(state: MessageState, terminals: Sequence[str],
@@ -364,13 +369,20 @@ def aggregated_log_likelihood(state: MessageState, terminals: Sequence[str],
     Returns -inf when any counted sample has an impossible evidence
     combination.
     """
-    total = 0.0
-    weights = None if mask is None else np.asarray(mask, dtype=np.float64)
-    sel = None if weights is None else weights > 0
     for var in terminals:
         if var not in state.forward:
             raise UnknownVariable(f"unknown terminal {var!r}")
-        overlap = np.sum(state.forward[var] * state.backward[var], axis=-1)
+    weights = None if mask is None else np.asarray(mask, dtype=np.float64)
+    return _log_overlap([(state.forward[v], state.backward[v]) for v in terminals], weights)
+
+
+def _log_overlap(pairs, weights: np.ndarray | None) -> float:
+    """``aggregated_log_likelihood`` on (forward, backward) message pairs
+    and float weights."""
+    total = 0.0
+    sel = None if weights is None else weights > 0
+    for forward, backward in pairs:
+        overlap = np.sum(forward * backward, axis=-1)
         if sel is not None:
             overlap = overlap[sel]
         if np.any(overlap <= 0.0):

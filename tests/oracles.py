@@ -150,3 +150,73 @@ def deep_terminal_joint(params: dict[str, np.ndarray]) -> np.ndarray:
         x3 = params["P_X3"][3 * y2 + s3]
         joint += weight * x1[:, None, None] * x2[None, :, None] * x3[None, None, :]
     return joint
+
+
+def flooding(graph: GraphSpec, evidence: dict, init: dict) -> dict:
+    """Jacobi flooding: sweeps in which every message is recomputed at once
+    from the previous sweep's messages, until a sweep changes no bit.
+
+    ``init`` maps ("F"|"B", variable) to a starting (n, size) message.  The
+    rules are read off the GraphSpec fields: an open end takes its evidence
+    (an integer symbol or a soft vector) or uniform, a source emits its
+    prior, a block multiplies by theta or its transpose, and an equality
+    node multiplies the messages entering on its other edges.  Every
+    message but an open end's is scaled to unit sum.  Returns the settled
+    messages by slot; on a cycle-free graph a message settles one sweep
+    after its inputs, so more sweeps than slots mean it did not settle.
+    """
+    sizes = dict(graph.variables)
+    n = next(iter(init.values())).shape[0]
+    rules = {}
+    for src in graph.sources:
+        rules[("F", src.variable)] = lambda msgs, p=src.prior: np.tile(p, (n, 1))
+    for blk in graph.blocks:
+        rules[("F", blk.to_var)] = lambda msgs, b=blk: msgs[("F", b.from_var)] @ b.theta
+        rules[("B", blk.from_var)] = lambda msgs, b=blk: msgs[("B", b.to_var)] @ b.theta.T
+    for div in graph.diverters:
+        entering = [("F", v) for v in div.inbound] + [("B", v) for v in div.taps]
+        leaving = [("B", v) for v in div.inbound] + [("F", v) for v in div.taps]
+        for out, skip in zip(leaving, entering):
+            rules[out] = lambda msgs, others=[s for s in entering if s != skip]: (
+                np.prod([msgs[s] for s in others], axis=0))
+    open_ends = {}
+    for var, size in graph.variables:
+        for slot in (("F", var), ("B", var)):
+            if slot not in rules:
+                value = evidence.get(var)
+                if value is None:
+                    factor = np.full(size, 1.0 / size)
+                elif np.ndim(value) == 0:
+                    factor = np.eye(size)[int(value)]
+                else:
+                    factor = np.asarray(value, dtype=np.float64) / np.sum(value)
+                open_ends[slot] = np.tile(factor, (n, 1))
+    msgs = dict(init)
+    for _ in range(len(rules) + len(open_ends) + 1):
+        new = dict(open_ends)
+        for slot, rule in rules.items():
+            raw = rule(msgs)
+            new[slot] = raw / raw.sum(axis=1, keepdims=True)
+        if all(np.array_equal(new[s], msgs[s]) for s in new):
+            return new
+        msgs = new
+    raise AssertionError("flooding did not settle")
+
+
+# The formulas the library's message kernels had before they were rewritten
+# for speed; the rewrites must agree with them bit for bit.
+
+def reference_max_indicator(values: np.ndarray, delta: float, tie_rtol: float) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    out = np.full(values.shape, delta, dtype=np.float64)
+    peak = np.max(values, axis=-1, keepdims=True)
+    best = np.argmax(values >= peak - tie_rtol * np.abs(peak), axis=-1)
+    np.put_along_axis(out, np.expand_dims(best, axis=-1), delta + 1.0, axis=-1)
+    return out
+
+
+def reference_normalize(values: np.ndarray, sum_slack: float) -> np.ndarray:
+    """Rows scaled to unit sum; rows within ``sum_slack`` of it left as they are."""
+    values = np.array(values, dtype=np.float64)
+    sums = np.sum(values, axis=-1, keepdims=True)
+    return np.divide(values, sums, out=values, where=np.abs(sums - 1.0) > sum_slack)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cooccurrence_table, deep_terminal_joint
+from oracles import cooccurrence_table, deep_terminal_joint, reference_normalize
 from normalgraph.experiments import (
     build_deep_graph,
     build_latent_star,
@@ -35,7 +35,7 @@ from normalgraph.learning import (
     var_update,
     vit_update,
 )
-from normalgraph.messages import normalize, one_hot
+from normalgraph.messages import _SUM_SLACK, normalize, one_hot
 from normalgraph.propagation import (
     ContradictoryEvidence,
     Propagator,
@@ -701,14 +701,53 @@ class TestRandomStart:
             assert np.array_equal(w, np.ones(n) if mask is None else mask)
 
 
+def open_ends(graph: GraphSpec) -> set[tuple[str, str]]:
+    """The message slots that take evidence: ("F", v) where nothing produces
+    v and ("B", v) where nothing consumes it, read off the GraphSpec."""
+    produced = {s.variable for s in graph.sources} | {b.to_var for b in graph.blocks}
+    produced |= {v for d in graph.diverters for v in d.taps}
+    consumed = {b.from_var for b in graph.blocks} | {v for d in graph.diverters for v in d.inbound}
+    return ({("F", v) for v, _ in graph.variables if v not in produced}
+            | {("B", v) for v, _ in graph.variables if v not in consumed})
+
+
+class TestRandomStartIsNumpys:
+    """``initial_state(rng=...)`` is numpy's stream, recomputed here without
+    the library: one ``Generator.uniform`` (N, size) draw per slot that
+    takes no evidence, in declaration order (("F", v), then ("B", v), for
+    each variable in turn), each row scaled to unit sum by the reference
+    formula.  Evidence slots draw nothing."""
+
+    @pytest.mark.parametrize("observed", [("X1", "X2", "X3"), ("X2",)])
+    @pytest.mark.parametrize("n", [1, 400])
+    @pytest.mark.parametrize("graph_name", ["star", "deep"])
+    def test_draws_match_an_independent_recomputation(self, graph_name, n, observed):
+        learner, generative = study_graphs(graph_name, seed=4)
+        evidence = ancestral_sample(generative, n, seed=4).terminal_evidence(observed)
+        state = Propagator(learner).initial_state(evidence, rng=np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        evidence_slots = open_ends(learner)
+        for var, size in learner.variables:
+            for direction, store in (("F", state.forward), ("B", state.backward)):
+                if (direction, var) in evidence_slots:
+                    continue
+                expected = reference_normalize(rng.uniform(size=(n, size)), _SUM_SLACK)
+                assert store[var].tobytes() == expected.tobytes(), (direction, var)
+        for direction, var in evidence_slots:
+            store = state.forward if direction == "F" else state.backward
+            expected = one_hot(evidence[var], learner.sizes[var]) if var in evidence else (
+                np.full((n, learner.sizes[var]), 1.0 / learner.sizes[var]))
+            assert np.array_equal(store[var], expected), (direction, var)
+
+
 class TestEpochLoopChecksNothing:
     """Hard evidence is checked where it enters; the epochs of em_train then
     build no BlockDataset and normalize nothing."""
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_no_dataset_and_no_normalize(self, monkeypatch, algorithm):
-        learner, generative = study_graphs("deep", seed=1)
-        evidence = ancestral_sample(generative, 300, seed=1).terminal_evidence(("X1", "X2", "X3"))
+    @staticmethod
+    def counters(monkeypatch) -> dict:
+        """Count BlockDataset constructions and calls of ``normalize`` through
+        any ``normalgraph`` module's binding."""
         counts = {"datasets": 0, "normalize": 0}
         post_init = BlockDataset.__post_init__
 
@@ -726,6 +765,13 @@ class TestEpochLoopChecksNothing:
                 for key, value in list(vars(module).items()):
                     if value is normalize:
                         monkeypatch.setattr(module, key, counting_normalize)
+        return counts
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_no_dataset_and_no_normalize(self, monkeypatch, algorithm):
+        learner, generative = study_graphs("deep", seed=1)
+        evidence = ancestral_sample(generative, 300, seed=1).terminal_evidence(("X1", "X2", "X3"))
+        counts = self.counters(monkeypatch)
         cfg = TrainConfig(algorithm, epochs=5, seed=1)
         em_train(learner, evidence, cfg, split_mask(300, 0.8))
         assert counts == {"datasets": 0, "normalize": 0}
@@ -735,6 +781,22 @@ class TestEpochLoopChecksNothing:
         assert counts["normalize"] > 0
         BlockDataset(forward=[[1.0]], backward=[[1.0]])
         assert counts["datasets"] == 1
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_soft_evidence_is_normalized_once(self, monkeypatch, algorithm):
+        """Soft evidence is encoded before the first epoch and never again:
+        five epochs call ``normalize`` as often as one."""
+        learner, generative = study_graphs("star", seed=1)
+        evidence = ancestral_sample(generative, 200, seed=1).terminal_evidence(("X1", "X2", "X3"))
+        soft = {v: one_hot(column, learner.sizes[v]) for v, column in evidence.items()}
+        counts = self.counters(monkeypatch)
+        calls = []
+        for epochs in (1, 5):
+            counts["normalize"] = 0
+            em_train(learner, soft, TrainConfig(algorithm, epochs=epochs, seed=1),
+                     split_mask(200, 0.8))
+            calls.append(counts["normalize"])
+        assert calls[0] == calls[1] > 0, calls
 
 
 def latent_row_spread(theta: np.ndarray) -> float:

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_max_indicator, reference_normalize
 from normalgraph.messages import (
+    _SUM_SLACK,
+    TIE_RTOL,
     AllZeroVector,
+    _normalize_in_place,
     SupportMismatch,
     hadamard_posterior,
     is_normalized,
@@ -165,6 +169,64 @@ class TestMaxIndicator:
     def test_negative_delta_raises(self):
         with pytest.raises(ValueError):
             max_indicator(np.ones(3), -0.5)
+
+
+@st.composite
+def planted_rows(draw):
+    """One message (1-D) or a batch of 1-6 (2-D), 1-16 symbols wide.  Each
+    row is left as drawn or gets one planted feature: an exact tie with its
+    peak, an entry exactly at the tie floor ``peak - TIE_RTOL * peak`` (a
+    tie) or one ulp below it (not a tie), or a rescaling to within 2e-13 of
+    unit sum, on either side of the 1e-13 slack."""
+    width = draw(st.integers(1, 16))
+    n_rows = draw(st.integers(0, 6))
+    values = np.array(draw(st.lists(st.floats(0.0, 1e3, allow_subnormal=False),
+                                    min_size=width * max(n_rows, 1),
+                                    max_size=width * max(n_rows, 1))))
+    for row in values.reshape(-1, width):
+        feature = draw(st.sampled_from(["none", "tie", "at floor", "below floor", "unit sum"]))
+        peak = int(np.argmax(row))
+        others = [k for k in range(width) if k != peak]
+        if feature == "unit sum" and row.sum() > 0:
+            row *= (1.0 + draw(st.floats(-2e-13, 2e-13))) / row.sum()
+        elif feature != "unit sum" and feature != "none" and others:
+            floor = row[peak] - TIE_RTOL * abs(row[peak])
+            row[draw(st.sampled_from(others))] = {
+                "tie": row[peak], "at floor": floor, "below floor": np.nextafter(floor, -1.0),
+            }[feature]
+    return values if n_rows else values.reshape(width)
+
+
+class TestKernelsMatchReferenceFormulas:
+    """The column-wise ``max_indicator`` and the ``where=``-free
+    normalization reproduce the formulas they replaced bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=planted_rows(), delta=st.one_of(st.just(0.0), st.floats(1e-12, 1.0)))
+    def test_max_indicator(self, values, delta):
+        out = max_indicator(values, delta)
+        expected = reference_max_indicator(values, delta, TIE_RTOL)
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=planted_rows())
+    def test_normalize_in_place(self, values):
+        assume(np.all(values.sum(axis=-1) > 0))
+        out = _normalize_in_place(values.copy())
+        expected = reference_normalize(values, _SUM_SLACK)
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+
+    def test_planted_rows_reach_both_sides_of_each_threshold(self):
+        """The planted features do what the strategy says on fixed rows."""
+        peak = 0.75
+        floor = peak - TIE_RTOL * peak
+        at, below = np.array([floor, peak]), np.array([np.nextafter(floor, -1.0), peak])
+        np.testing.assert_array_equal(max_indicator(at), [1.0, 0.0])
+        np.testing.assert_array_equal(max_indicator(below), [0.0, 1.0])
+        row = np.array([0.25, 0.75])
+        inside, outside = row * (1 + 0.5e-13), row * (1 + 1.5e-13)
+        assert np.array_equal(_normalize_in_place(inside.copy()), inside)
+        assert not np.array_equal(_normalize_in_place(outside.copy()), outside)
 
 
 class TestKlDivergence:

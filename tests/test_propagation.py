@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import class_posteriors, random_bayes_tree, tree_posteriors
+from oracles import class_posteriors, flooding, random_bayes_tree, tree_posteriors
 from normalgraph.experiments import TREE_LEAF_CONDITIONALS, build_latent_star
 from normalgraph.graph import (
     DiverterNode,
@@ -219,24 +219,25 @@ class TestBatchingAndSchedules:
                 )
 
     def test_flooding_settles_to_exact(self):
-        """Jacobi flooding reproduces the one-pass sweep after depth rounds,
-        from uniform and from random starting messages alike."""
-        graph = build_latent_star(generative=True)
-        prop = Propagator(graph)
-        evidence = {"X1": 1, "X2": 0, "X3": 2}
-        exact = prop.run(evidence)
-        depth = prop.depth
-        flooded = prop.run(evidence, flooding_rounds=depth)
-        rng = np.random.default_rng(42)
-        random_start = prop.initial_state(evidence, rng=rng)
-        flooded_random = prop.run(evidence, flooding_rounds=depth, init=random_start)
-        for var in graph.sizes:
-            np.testing.assert_allclose(
-                flooded.forward[var], exact.forward[var], atol=1e-12
-            )
-            np.testing.assert_allclose(
-                flooded_random.backward[var], exact.backward[var], atol=1e-12
-            )
+        """Jacobi flooding, written from the GraphSpec alone, settles on the
+        one-pass sweep from uniform and from random starting messages
+        alike, on the latent star and the deep graph."""
+        from normalgraph.experiments import build_deep_graph, deep_generative_parameters
+
+        deep = build_deep_graph().with_parameters(deep_generative_parameters(1))
+        for graph in (build_latent_star(generative=True), deep):
+            prop = Propagator(graph)
+            evidence = {"X1": 1, "X2": 0, "X3": 2}
+            exact = prop.run(evidence)
+            for rng in (None, np.random.default_rng(42)):
+                start = prop.initial_state(evidence, rng=rng)
+                init = {("F", v): start.forward[v] for v in graph.sizes}
+                init.update({("B", v): start.backward[v] for v in graph.sizes})
+                flooded = flooding(graph, evidence, init)
+                for var in graph.sizes:
+                    np.testing.assert_allclose(flooded[("F", var)], exact.forward[var], atol=1e-12)
+                    np.testing.assert_allclose(flooded[("B", var)], exact.backward[var],
+                                               atol=1e-12)
 
     def test_schedule_is_deterministic(self):
         graph = build_latent_star(generative=True)
@@ -338,6 +339,28 @@ class TestEvidenceHandling:
         split = ensure_valid(split_variable(chain, "X"))
         with pytest.raises(ContradictoryEvidence, match="X"):
             propagate(split, {"X_cont": 0, "X_tap": 1})
+
+    # Samples 1, 3, 4, 6, 7, 9 and 10 contradict; the message names the first five.
+    CONTRADICTING_TAP = np.array([0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0])
+
+    def test_forward_contradiction_message(self):
+        """The prior puts all mass on 0, so X_tap = 1 leaves the forward
+        message into X_cont without support."""
+        split = ensure_valid(split_variable(identity_chain(prior=(1.0, 0.0)), "X"))
+        with pytest.raises(ContradictoryEvidence) as caught:
+            Propagator(split).run({"X_tap": self.CONTRADICTING_TAP})
+        assert str(caught.value) == (
+            "no consistent forward message at variable 'X_cont' for sample(s) [1, 3, 4, 6, 7]")
+
+    def test_backward_contradiction_message(self):
+        """X_cont = 0 and X_tap = 1 leave the backward message into X without
+        support; under a uniform prior every forward message keeps some."""
+        split = ensure_valid(split_variable(identity_chain(prior=(0.5, 0.5)), "X"))
+        with pytest.raises(ContradictoryEvidence) as caught:
+            Propagator(split).run({"X_cont": np.zeros(12, dtype=int),
+                                   "X_tap": self.CONTRADICTING_TAP})
+        assert str(caught.value) == (
+            "no consistent backward message at variable 'X' for sample(s) [1, 3, 4, 6, 7]")
 
     def test_split_with_uniform_tap_changes_nothing(self):
         """A fresh tap fed uniform backward flow is invisible elsewhere."""
