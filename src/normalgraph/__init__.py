@@ -10,9 +10,7 @@ messages that arrive at their ports, with four local update rules
 
 from .messages import (
     AllZeroVector,
-    SupportMismatch,
     hadamard_posterior,
-    kl_divergence,
     max_indicator,
     normalize,
     one_hot,
@@ -75,8 +73,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # messages
-    "AllZeroVector", "SupportMismatch", "hadamard_posterior", "kl_divergence",
-    "max_indicator", "normalize", "one_hot", "sharpen", "uniform",
+    "AllZeroVector", "hadamard_posterior", "max_indicator", "normalize", "one_hot",
+    "sharpen", "uniform",
     # graph
     "DiverterNode", "GraphError", "GraphSpec", "InvalidIndex", "SisoBlock",
     "SourceBlock", "UnknownVariable", "build_expander", "build_projector",

@@ -30,7 +30,7 @@ import numpy as np
 
 from .graph import GraphSpec, SourceBlock
 from .messages import max_indicator, normalize
-from .propagation import Propagator, block_log_likelihood
+from .propagation import Propagator, _bilinear, block_log_likelihood
 
 __all__ = [
     "BlockDataset",
@@ -106,7 +106,7 @@ def _finish_rows(raw: np.ndarray, fallback: np.ndarray) -> np.ndarray:
 def _pair_mass(theta: np.ndarray, f: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Sum over weighted samples of f(l) b(m) / (f' theta b), on floored
     messages: the pair mass of the block likelihood."""
-    scores = np.einsum("nl,lm,nm->n", f, theta, b)
+    scores = _bilinear(f, theta, b)
     weights = np.divide(w, scores, out=np.zeros_like(scores), where=w > 0)
     return (f * weights[:, None]).T @ b
 
@@ -316,7 +316,10 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
     subsequent epoch consumes the exact propagation of the previous
     epoch's parameters, and the per-epoch log-likelihoods are measured
     after the update.  All blocks within an epoch see the same frozen
-    message snapshot.  Samples with the same hard evidence get the same
+    message snapshot.  With ``cfg.nit`` = 1 an ml epoch is an EM step, so
+    the joint likelihood of the training samples never falls; with more
+    steps every block climbs its own likelihood as if no other block moved,
+    and the joint can fall.  Samples with the same hard evidence get the same
     messages, so every propagation runs once per distinct evidence row
     (``Propagator.distinct_rows``), and the updates and scores weight each
     row by its count of samples.

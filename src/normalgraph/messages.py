@@ -15,12 +15,10 @@ import numpy as np
 
 __all__ = [
     "AllZeroVector",
-    "SupportMismatch",
     "normalize",
     "hadamard_posterior",
     "sharpen",
     "max_indicator",
-    "kl_divergence",
     "uniform",
     "one_hot",
     "is_normalized",
@@ -36,10 +34,6 @@ TIE_RTOL = 1e-12
 
 class AllZeroVector(ValueError):
     """A message with no support cannot be normalized."""
-
-
-class SupportMismatch(ValueError):
-    """The reference distribution has a zero where the subject has mass."""
 
 
 def normalize(values: np.ndarray) -> np.ndarray:
@@ -120,23 +114,6 @@ def max_indicator(values: np.ndarray, delta: float = 0.0) -> np.ndarray:
     out = np.full(values.shape, delta, dtype=np.float64)
     np.put_along_axis(out, best[..., None], delta + 1.0, axis=-1)
     return out
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> np.ndarray | float:
-    """Kullback-Leibler divergence D(p || q), in nats, over the last axis."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape[-1] != q.shape[-1]:
-        raise ValueError(f"alphabet mismatch: {p.shape[-1]} vs {q.shape[-1]}")
-    mass = p > 0.0
-    if np.any(mass & (np.broadcast_to(q, np.broadcast_shapes(p.shape, q.shape)) == 0.0)):
-        raise SupportMismatch("reference has a zero where the subject has mass")
-    terms = np.zeros(np.broadcast_shapes(p.shape, q.shape), dtype=np.float64)
-    np.divide(p, q, out=terms, where=mass)
-    np.log(terms, out=terms, where=mass)
-    terms *= p
-    result = np.sum(terms, axis=-1)
-    return float(result) if result.ndim == 0 else result
 
 
 def uniform(size: int) -> np.ndarray:

@@ -216,12 +216,14 @@ class Propagator:
         keys = np.zeros(n_samples, dtype=np.int64)
         for var, column in columns.items():
             keys = keys * self.sizes[var] + column
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        if len(first) == n_samples:
+        keys, inverse = np.unique(keys, return_inverse=True)
+        n_rows = len(keys)
+        if n_rows == n_samples:
             return unmerged
         rows = dict(evidence)
-        rows.update((var, column[first]) for var, column in columns.items())
-        return rows, len(first), inverse
+        for var in reversed(columns):  # each row's symbols, decoded from its key
+            keys, rows[var] = np.divmod(keys, self.sizes[var])
+        return rows, n_rows, inverse
 
     # -- execution -----------------------------------------------------------
 
@@ -392,17 +394,23 @@ def _log_overlap(pairs, weights: np.ndarray | None) -> float:
     return total
 
 
+def _bilinear(f: np.ndarray, theta: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The score f_n' theta b_n of every row n: the matrix product f theta,
+    then a row-wise dot product with b."""
+    return np.einsum("nm,nm->n", f @ theta, b)
+
+
 def block_log_likelihood(theta: np.ndarray, data) -> float:
     """Masked log-likelihood of one block against its incident messages.
 
     ``data`` is anything with normalized (n, M_in) ``forward``, (n, M_out)
     ``backward`` and 0/1 ``mask`` arrays, such as a BlockDataset.  The per
-    sample score is f' theta b; -inf is returned if any selected sample
-    scores zero.
+    sample score is f' theta b, computed as ``einsum("nm,nm->n", f @ theta,
+    b)``; -inf is returned if any selected sample scores zero.
     """
     f, b, mask = data.forward, data.backward, data.mask
     theta = np.asarray(theta, dtype=np.float64)
-    scores = np.einsum("nl,lm,nm->n", f, theta, b)
+    scores = _bilinear(f, theta, b)
     sel = mask > 0
     if np.any(scores[sel] <= 0.0):
         return float("-inf")

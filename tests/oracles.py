@@ -204,7 +204,8 @@ def flooding(graph: GraphSpec, evidence: dict, init: dict) -> dict:
 
 
 # The formulas the library's message kernels had before they were rewritten
-# for speed; the rewrites must agree with them bit for bit.
+# for speed; the rewrites must agree with them bit for bit, except the
+# bilinear score, which must agree within a stated rounding bound.
 
 def reference_max_indicator(values: np.ndarray, delta: float, tie_rtol: float) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
@@ -220,3 +221,10 @@ def reference_normalize(values: np.ndarray, sum_slack: float) -> np.ndarray:
     values = np.array(values, dtype=np.float64)
     sums = np.sum(values, axis=-1, keepdims=True)
     return np.divide(values, sums, out=values, where=np.abs(sums - 1.0) > sum_slack)
+
+
+def reference_bilinear(f: np.ndarray, theta: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """f_n' theta b_n for every row n as one three-operand sum.  It adds
+    the L * M terms one at a time in (l, m) order, so it does not round
+    like the library's matrix product followed by a row-wise dot."""
+    return np.einsum("nl,lm,nm->n", f, theta, b)

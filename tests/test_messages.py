@@ -11,10 +11,8 @@ from normalgraph.messages import (
     TIE_RTOL,
     AllZeroVector,
     _normalize_in_place,
-    SupportMismatch,
     hadamard_posterior,
     is_normalized,
-    kl_divergence,
     max_indicator,
     normalize,
     one_hot,
@@ -227,40 +225,6 @@ class TestKernelsMatchReferenceFormulas:
         inside, outside = row * (1 + 0.5e-13), row * (1 + 1.5e-13)
         assert np.array_equal(_normalize_in_place(inside.copy()), inside)
         assert not np.array_equal(_normalize_in_place(outside.copy()), outside)
-
-
-class TestKlDivergence:
-    def test_identical_is_zero(self):
-        p = np.array([0.3, 0.7])
-        assert kl_divergence(p, p) == 0.0
-
-    def test_hand_example(self):
-        """D([1,0] || [1/2,1/2]) = log 2."""
-        value = kl_divergence(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
-        np.testing.assert_allclose(value, np.log(2.0), atol=1e-15)
-
-    def test_support_mismatch_raises(self):
-        with pytest.raises(SupportMismatch):
-            kl_divergence(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
-
-    def test_nonnegative_battery(self):
-        """Nonnegative on 10,000 random pairs; zero only for equal pairs."""
-        rng = np.random.default_rng(42)
-        p = normalize(rng.uniform(0.01, 1.0, size=(10_000, 5)))
-        q = normalize(rng.uniform(0.01, 1.0, size=(10_000, 5)))
-        values = kl_divergence(p, q)
-        assert np.all(values >= 0.0)
-        exact_zero = values == 0.0
-        close = np.max(np.abs(p - q), axis=-1) < 1e-12
-        assert np.all(~exact_zero | close)
-
-    def test_batched_against_loop(self):
-        rng = np.random.default_rng(42)
-        p = normalize(rng.uniform(0.01, 1.0, size=(7, 4)))
-        q = normalize(rng.uniform(0.01, 1.0, size=(7, 4)))
-        batched = kl_divergence(p, q)
-        singles = [kl_divergence(p[i], q[i]) for i in range(7)]
-        np.testing.assert_allclose(batched, singles, atol=1e-14)
 
 
 class TestSmallFactories:
