@@ -41,9 +41,7 @@ from .propagation import (
     MessageState,
     Propagator,
     aggregated_log_likelihood,
-    block_log_likelihood,
     posterior,
-    propagate,
 )
 from .learning import (
     ALGORITHMS,
@@ -51,6 +49,7 @@ from .learning import (
     EpochRecord,
     TrainConfig,
     TrainReport,
+    block_log_likelihood,
     em_train,
     generalized_divergence,
     kkt_multipliers,
@@ -82,10 +81,10 @@ __all__ = [
     "load_graph", "save_graph", "split_variable", "validate",
     # propagation
     "ContradictoryEvidence", "MessageState", "Propagator",
-    "aggregated_log_likelihood", "block_log_likelihood", "posterior", "propagate",
+    "aggregated_log_likelihood", "posterior",
     # learning
     "ALGORITHMS", "BlockDataset", "EpochRecord", "TrainConfig",
-    "TrainReport", "em_train", "generalized_divergence", "kkt_multipliers",
+    "TrainReport", "block_log_likelihood", "em_train", "generalized_divergence", "kkt_multipliers",
     "kl_update", "ml_update", "train_block", "var_update", "vit_update",
     # synthetic data
     "SampleSet", "ancestral_sample", "random_message_pairs",

@@ -43,6 +43,7 @@ from .learning import (
     var_update,
     vit_update,
 )
+from .messages import _require_finite_nonnegative
 from .propagation import ContradictoryEvidence
 from .synthgen import SampleSet, ancestral_sample, random_message_pairs, random_row_stochastic, substream
 
@@ -87,6 +88,8 @@ def build_latent_star(m_latent: int = 4, generative: bool = False) -> GraphSpec:
     With ``generative`` the blocks carry the reference parameters above
     (m_latent must be 4); otherwise they start uniform and trainable.
     """
+    if m_latent < 1:
+        raise ValueError(f"m_latent must be at least 1, got {m_latent}")
     leaf_sizes = tuple(m.shape[1] for m in TREE_LEAF_CONDITIONALS)
     if generative:
         if m_latent != TREE_PRIOR.shape[0]:
@@ -189,16 +192,27 @@ def split_mask(n_samples: int, split: float) -> np.ndarray:
 # Single-block study
 
 
+_M_IN, _M_OUT = 4, 3  # the single block's input and output alphabet sizes
+
+
 @dataclass
 class SingleBlockConfig:
-    m_in: int = 4
-    m_out: int = 3
+    """Settings of the single-block study, checked on construction."""
+
     n_samples: int = 400
     sharp_in: float = 1.0
     sharp_out: float = 1.0
     iterations: int = 100
     delta: float = 1e-6
     seed: int = 1
+
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
+        if self.n_samples < 0:
+            raise ValueError(f"n_samples must be nonnegative, got {self.n_samples}")
+        for name in ("sharp_in", "sharp_out", "delta"):
+            _require_finite_nonnegative(name, getattr(self, name))
 
 
 def run_single_block(cfg: SingleBlockConfig) -> list[tuple[str, int, float]]:
@@ -208,11 +222,9 @@ def run_single_block(cfg: SingleBlockConfig) -> list[tuple[str, int, float]]:
     iterative rules, a single row for the batch rules, and a random
     reference matrix labelled ``ref``.
     """
-    data = random_message_pairs(
-        cfg.m_in, cfg.m_out, cfg.n_samples, cfg.sharp_in, cfg.sharp_out, cfg.seed
-    )
+    data = random_message_pairs(_M_IN, _M_OUT, cfg.n_samples, cfg.sharp_in, cfg.sharp_out, cfg.seed)
     rows: list[tuple[str, int, float]] = []
-    uniform = np.full((cfg.m_in, cfg.m_out), 1.0 / cfg.m_out)
+    uniform = np.full((_M_IN, _M_OUT), 1.0 / _M_OUT)
 
     for algorithm, update in (("ml", ml_update), ("kl", kl_update)):
         theta = uniform
@@ -222,7 +234,7 @@ def run_single_block(cfg: SingleBlockConfig) -> list[tuple[str, int, float]]:
     rows.append(("vit", 1, block_log_likelihood(vit_update(data, cfg.delta), data)))
     rows.append(("var", 1, block_log_likelihood(var_update(data, cfg.delta), data)))
     reference = random_row_stochastic(
-        cfg.m_in, cfg.m_out, rng=substream(cfg.seed, "reference", cfg.m_in, cfg.m_out)
+        _M_IN, _M_OUT, rng=substream(cfg.seed, "reference", _M_IN, _M_OUT)
     )
     rows.append(("ref", 1, block_log_likelihood(reference, data)))
     return rows
@@ -271,6 +283,13 @@ def train_rules(graph: GraphSpec, evidence, cfg: GraphExperimentConfig,
     return reports
 
 
+def _sample_terminals(generative: GraphSpec, cfg: GraphExperimentConfig):
+    """Terminal evidence of ``cfg.n_samples`` ancestral samples of
+    ``generative``, and the mask of their training split."""
+    data = ancestral_sample(generative, cfg.n_samples, seed=cfg.seed)
+    return data.terminal_evidence(("X1", "X2", "X3")), split_mask(cfg.n_samples, cfg.split)
+
+
 def run_tree_experiment(cfg: GraphExperimentConfig) -> dict[str, TrainReport]:
     """Latent-star study: sample the reference model, learn from scratch.
 
@@ -278,10 +297,7 @@ def run_tree_experiment(cfg: GraphExperimentConfig) -> dict[str, TrainReport]:
     generative one always has four states); ``cfg.split`` < 1 holds out the
     trailing samples as a test set.
     """
-    generative = build_latent_star(generative=True)
-    data = ancestral_sample(generative, cfg.n_samples, seed=cfg.seed)
-    evidence = data.terminal_evidence(("X1", "X2", "X3"))
-    mask = split_mask(cfg.n_samples, cfg.split)
+    evidence, mask = _sample_terminals(build_latent_star(generative=True), cfg)
     learner = build_latent_star(m_latent=cfg.m_latent)
     return train_rules(learner, evidence, cfg, mask)
 
@@ -290,9 +306,7 @@ def run_deep_experiment(cfg: GraphExperimentConfig) -> dict[str, TrainReport]:
     """Deep-graph study: random ground truth, learned from 100 samples."""
     structure = build_deep_graph()
     generative = structure.with_parameters(deep_generative_parameters(cfg.seed))
-    data = ancestral_sample(generative, cfg.n_samples, seed=cfg.seed)
-    evidence = data.terminal_evidence(("X1", "X2", "X3"))
-    mask = split_mask(cfg.n_samples, cfg.split)
+    evidence, mask = _sample_terminals(generative, cfg)
     return train_rules(structure, evidence, cfg, mask)
 
 
@@ -304,10 +318,7 @@ def run_nit_sweep(cfg: GraphExperimentConfig, nits=(1, 3, 5, 10, 20),
     from a different random message initialization.  Returns rows of
     (nit, repetition, algorithm, final_train_loglik).
     """
-    generative = build_latent_star(generative=True)
-    data = ancestral_sample(generative, cfg.n_samples, seed=cfg.seed)
-    evidence = data.terminal_evidence(("X1", "X2", "X3"))
-    mask = split_mask(cfg.n_samples, cfg.split)
+    evidence, mask = _sample_terminals(build_latent_star(generative=True), cfg)
     learner = build_latent_star(m_latent=cfg.m_latent)
     rows: list[tuple[int, int, str, float]] = []
     for nit in nits:

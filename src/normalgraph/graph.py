@@ -85,14 +85,6 @@ class SisoBlock:
     def __post_init__(self):
         object.__setattr__(self, "theta", _frozen_array(self.theta, "lm"))
 
-    @property
-    def input_size(self) -> int:
-        return self.theta.shape[0]
-
-    @property
-    def output_size(self) -> int:
-        return self.theta.shape[1]
-
 
 @dataclass(frozen=True)
 class SourceBlock:
@@ -121,10 +113,7 @@ class DiverterNode:
     taps: tuple[str, ...]
 
     def __post_init__(self):
-        if isinstance(self.inbound, str):
-            object.__setattr__(self, "inbound", (self.inbound,))
-        else:
-            object.__setattr__(self, "inbound", tuple(self.inbound))
+        object.__setattr__(self, "inbound", tuple(self.inbound))
         object.__setattr__(self, "taps", tuple(self.taps))
 
     @property
@@ -467,6 +456,14 @@ def _numeric(entry, owner: str) -> np.ndarray:
         raise GraphError(f"{owner}: expected nested lists of numbers ({exc})") from exc
 
 
+def _trainable(entry: Mapping, default: bool, owner: str) -> bool:
+    """The optional ``trainable`` flag, which must be a JSON boolean."""
+    value = entry.get("trainable", default)
+    if not isinstance(value, bool):
+        raise GraphError(f"{owner}: 'trainable' must be true or false, got {value!r}")
+    return value
+
+
 def _section(data: Mapping, key: str, names: tuple[str, ...],
              required: tuple[str, ...] = ()) -> list:
     """One top-level section: a list of objects that carry the ``names``
@@ -510,7 +507,7 @@ def graph_from_dict(data: Mapping) -> GraphSpec:
                 name=entry["name"],
                 variable=var,
                 prior=prior_arr,
-                trainable=bool(entry.get("trainable", True)),
+                trainable=_trainable(entry, True, owner),
             )
         )
 
@@ -520,24 +517,21 @@ def graph_from_dict(data: Mapping) -> GraphSpec:
         for var in (frm, to):
             if var not in sizes:
                 raise UnknownVariable(f"block {entry['name']!r} references unknown variable {var!r}")
+        owner = f"block {entry['name']!r}"
         theta, from_builder = _matrix_from_format(
-            entry.get("matrix", "uniform"), sizes[frm], sizes[to], f"block {entry['name']!r}"
+            entry.get("matrix", "uniform"), sizes[frm], sizes[to], owner
         )
-        trainable = entry.get("trainable")
-        if from_builder:
-            # Structure-encoding matrices are constants of the model.
-            if trainable:
-                raise GraphError(f"block {entry['name']!r}: builder blocks cannot be trainable")
-            trainable = False
-        elif trainable is None:
-            trainable = True
+        # Structure-encoding matrices are constants of the model.
+        trainable = _trainable(entry, not from_builder, owner)
+        if from_builder and trainable:
+            raise GraphError(f"{owner}: builder blocks cannot be trainable")
         blocks.append(
             SisoBlock(
                 name=entry["name"],
                 from_var=frm,
                 to_var=to,
                 theta=theta,
-                trainable=bool(trainable),
+                trainable=trainable,
             )
         )
 

@@ -29,8 +29,8 @@ from typing import Mapping
 import numpy as np
 
 from .graph import GraphSpec, SourceBlock
-from .messages import max_indicator, normalize
-from .propagation import Propagator, _bilinear, block_log_likelihood
+from .messages import _require_finite_nonnegative, max_indicator, normalize
+from .propagation import Propagator
 
 __all__ = [
     "BlockDataset",
@@ -101,6 +101,23 @@ def _finish_rows(raw: np.ndarray, fallback: np.ndarray) -> np.ndarray:
         raw = np.where(empty[:, None], fallback, raw)
         sums = raw.sum(axis=1, keepdims=True)
     return raw / sums
+
+
+def _bilinear(f: np.ndarray, theta: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The score f_n' theta b_n of every row n: the matrix product f theta,
+    then a row-wise dot product with b."""
+    return np.einsum("nm,nm->n", f @ theta, b)
+
+
+def block_log_likelihood(theta: np.ndarray, data: BlockDataset) -> float:
+    """Masked log-likelihood of one block against its incident messages:
+    the sum of log f' theta b over the samples ``data.mask`` selects, or
+    -inf if any of them scores zero."""
+    scores = _bilinear(data.forward, np.asarray(theta, dtype=np.float64), data.backward)
+    sel = data.mask > 0
+    if np.any(scores[sel] <= 0.0):
+        return float("-inf")
+    return float(np.sum(np.log(scores[sel])))
 
 
 def _pair_mass(theta: np.ndarray, f: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -195,8 +212,7 @@ def var_update(data: BlockDataset, delta: float = 1e-6) -> np.ndarray:
     Accumulates the outer products of the raw message pairs over the masked
     samples, adds ``delta`` everywhere, and row-normalizes.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    _require_finite_nonnegative("delta", delta)
     return _var(data.forward, data.backward, data.mask, delta)
 
 
@@ -259,8 +275,7 @@ class TrainConfig:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if self.nit < 1:
             raise ValueError(f"nit must be at least 1, got {self.nit}")
-        if not self.delta >= 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
+        _require_finite_nonnegative("delta", self.delta)
 
 
 @dataclass
@@ -341,6 +356,8 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
     rng = np.random.default_rng(cfg.seed)
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64).reshape(-1)
+        if not np.all((mask == 0.0) | (mask == 1.0)):
+            raise ValueError("mask entries must be 0 or 1")
     messages, inverse, propagate = propagator._epochs(
         samples, None if mask is None else len(mask), rng, ports, terminals, parameters)
     if mask is None:

@@ -36,6 +36,12 @@ class AllZeroVector(ValueError):
     """A message with no support cannot be normalized."""
 
 
+def _require_finite_nonnegative(name: str, value: float) -> None:
+    """Reject a rule parameter outside [0, inf), NaN included."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
 def normalize(values: np.ndarray) -> np.ndarray:
     """Scale each row to unit sum.
 
@@ -81,8 +87,7 @@ def sharpen(values: np.ndarray, exponent: float) -> np.ndarray:
     Exponent 1 is the identity, large exponents approach the delta on the
     argmax, and 0 flattens to uniform.
     """
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
+    _require_finite_nonnegative("exponent", exponent)
     values = np.asarray(values, dtype=np.float64)
     if exponent == 1.0:
         return normalize(values)
@@ -105,9 +110,8 @@ def max_indicator(values: np.ndarray, delta: float = 0.0) -> np.ndarray:
     intentionally left unnormalized; callers that need a distribution
     normalize afterwards.
     """
+    _require_finite_nonnegative("delta", delta)
     values = np.asarray(values, dtype=np.float64)
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
     # The row peak column by column: a reduction over a short last axis costs per row.
     peak = functools.reduce(np.maximum, np.moveaxis(values, -1, 0))[..., None]
     best = np.argmax(values >= peak - TIE_RTOL * np.abs(peak), axis=-1)

@@ -43,10 +43,8 @@ __all__ = [
     "ContradictoryEvidence",
     "MessageState",
     "Propagator",
-    "propagate",
     "posterior",
     "aggregated_log_likelihood",
-    "block_log_likelihood",
 ]
 
 
@@ -78,7 +76,7 @@ class Propagator:
     """Reusable schedule for one graph structure.
 
     Compiling the schedule validates the graph once; ``run`` may then be
-    called many times with different evidence or parameter overrides.
+    called many times with different evidence.
     Messages ("F"|"B", variable) are numbered in declaration order;
     ``forward_order`` lists every variable after the inputs of its
     producer.
@@ -227,16 +225,10 @@ class Propagator:
 
     # -- execution -----------------------------------------------------------
 
-    def _parameters(self, overrides: Mapping[str, np.ndarray] | None) -> dict[str, np.ndarray]:
+    def _parameters(self) -> dict[str, np.ndarray]:
+        """Every source prior and block matrix, by node name."""
         params = {s.name: s.prior for s in self.graph.sources}
         params.update({b.name: b.theta for b in self.graph.blocks})
-        for name, value in (overrides or {}).items():
-            if name not in params:
-                raise GraphError(f"parameter override for unknown node {name!r}")
-            value = np.asarray(value, dtype=np.float64)
-            if value.shape != params[name].shape:
-                raise GraphError(f"override for {name!r} has shape {value.shape}")
-            params[name] = value
         return params
 
     def _pass(self, factors: list, params: Mapping[str, np.ndarray], n: int) -> list:
@@ -266,26 +258,17 @@ class Propagator:
             msgs[out] = raw
         return msgs
 
-    def run(
-        self,
-        evidence: Mapping | None = None,
-        n_samples: int | None = None,
-        parameters: Mapping[str, np.ndarray] | None = None,
-    ) -> MessageState:
-        """Propagate evidence and return the complete message state.
-
-        ``parameters`` overrides block matrices or source priors by node
-        name without rebuilding the schedule.
-        """
+    def run(self, evidence: Mapping | None = None, n_samples: int | None = None) -> MessageState:
+        """Propagate evidence and return the complete message state."""
         factors, n = self._evidence_factors(evidence, n_samples)
-        return self._to_state(self._pass(factors, self._parameters(parameters), n), n)
+        return self._to_state(self._pass(factors, self._parameters(), n), n)
 
-    def initial_state(self, evidence: Mapping | None = None, n_samples: int | None = None,
-                      rng: np.random.Generator | None = None) -> MessageState:
-        """Unpropagated state: evidence factors in place, everything else
-        uniform, or one (N, size) uniform draw per slot when ``rng`` is
-        given, rows scaled to unit sum.  Slots are drawn in declaration
-        order, ("F", v) then ("B", v) for each variable v in turn."""
+    def initial_state(self, evidence: Mapping | None = None, n_samples: int | None = None, *,
+                      rng: np.random.Generator) -> MessageState:
+        """Unpropagated state: evidence factors in place, and one (N, size)
+        uniform draw from ``rng`` at every other slot, rows scaled to unit
+        sum.  Slots are drawn in declaration order, ("F", v) then ("B", v)
+        for each variable v in turn."""
         factors, n = self._evidence_factors(evidence, n_samples)
         return self._to_state(self._start(factors, n, rng, range(len(self._slots))), n)
 
@@ -298,13 +281,10 @@ class Propagator:
             if factors[k] is not None:
                 continue
             size = self.sizes[var]
-            if k not in slots:
-                if rng is not None:
-                    rng.bit_generator.advance(n * size)
-            elif rng is None:
-                msgs[k] = np.full((n, size), 1.0 / size)
-            else:
+            if k in slots:
                 msgs[k] = _normalize_in_place(rng.random((n, size)))
+            else:
+                rng.bit_generator.advance(n * size)
         return msgs
 
     def _epochs(self, evidence: Mapping, n_samples: int | None, rng, ports, terminals, parameters):
@@ -324,7 +304,7 @@ class Propagator:
         rows, n_rows, inverse = self.distinct_rows(evidence, n)
         if n_rows < n:
             factors = self._evidence_factors(rows, n_rows)[0]
-        params = self._parameters(parameters)
+        params = {**self._parameters(), **parameters}
 
         def pick(msgs, slots):
             return [tuple(None if k is None else msgs[k] for k in pair) for pair in slots]
@@ -352,12 +332,6 @@ class Propagator:
 def _is_symbol_column(arr: np.ndarray) -> bool:
     """An integer vector: one hard symbol per sample."""
     return arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer)
-
-
-def propagate(graph: GraphSpec, evidence: Mapping | None = None, n_samples: int | None = None,
-              parameters: Mapping[str, np.ndarray] | None = None) -> MessageState:
-    """One-shot propagation; see Propagator.run."""
-    return Propagator(graph).run(evidence, n_samples=n_samples, parameters=parameters)
 
 
 def aggregated_log_likelihood(state: MessageState, terminals: Sequence[str],
@@ -393,25 +367,3 @@ def _log_overlap(pairs, weights: np.ndarray | None) -> float:
         total += float(np.sum(logs if sel is None else logs * weights[sel]))
     return total
 
-
-def _bilinear(f: np.ndarray, theta: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The score f_n' theta b_n of every row n: the matrix product f theta,
-    then a row-wise dot product with b."""
-    return np.einsum("nm,nm->n", f @ theta, b)
-
-
-def block_log_likelihood(theta: np.ndarray, data) -> float:
-    """Masked log-likelihood of one block against its incident messages.
-
-    ``data`` is anything with normalized (n, M_in) ``forward``, (n, M_out)
-    ``backward`` and 0/1 ``mask`` arrays, such as a BlockDataset.  The per
-    sample score is f' theta b, computed as ``einsum("nm,nm->n", f @ theta,
-    b)``; -inf is returned if any selected sample scores zero.
-    """
-    f, b, mask = data.forward, data.backward, data.mask
-    theta = np.asarray(theta, dtype=np.float64)
-    scores = _bilinear(f, theta, b)
-    sel = mask > 0
-    if np.any(scores[sel] <= 0.0):
-        return float("-inf")
-    return float(np.sum(np.log(scores[sel])))

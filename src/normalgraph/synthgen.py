@@ -133,11 +133,8 @@ def ancestral_sample(graph: GraphSpec, n_samples: int, seed: int = 1,
     return SampleSet(columns=columns, n_samples=n_samples, seed=seed)
 
 
-def random_row_stochastic(rows: int, cols: int, seed: int = 1,
-                          rng: np.random.Generator | None = None) -> np.ndarray:
-    """Random matrix with independent uniform entries, rows normalized."""
-    if rng is None:
-        rng = substream(seed, "matrix", rows, cols)
+def random_row_stochastic(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Random matrix of independent uniform draws from ``rng``, rows normalized."""
     return normalize(rng.uniform(size=(rows, cols)))
 
 

@@ -24,6 +24,7 @@ from normalgraph.experiments import (
 from normalgraph.graph import build_expander, build_projector
 from normalgraph.learning import (
     BlockDataset,
+    block_log_likelihood,
     kkt_multipliers,
     kl_update,
     generalized_divergence,
@@ -35,7 +36,6 @@ from normalgraph.messages import normalize, one_hot
 from normalgraph.propagation import (
     Propagator,
     aggregated_log_likelihood,
-    block_log_likelihood,
     posterior,
 )
 from normalgraph.synthgen import ancestral_sample

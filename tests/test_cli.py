@@ -207,7 +207,23 @@ MALFORMED_GRAPHS = {
         ("blocks", 0), {"name": "P_X1", "from": "S1", "to": "X1", "trainable": False,
                         "matrix": {"builder": "projector", "sizes": ["two", 2], "j": 1}}
     ),
+    "block trainable a string": _set(("blocks", 0, "trainable"), "false"),
+    "block trainable null": _set(("blocks", 0, "trainable"), None),
+    "source trainable null": _set(("sources", 0, "trainable"), None),
+    "source trainable a number": _set(("sources", 0, "trainable"), 1),
 }
+
+# Study settings outside their range, each with the results CSV it must not write.
+BAD_STUDY_SETTINGS = [
+    (["single-block", "--iterations", "0"], "single_block.csv"),
+    (["single-block", "--iterations", "-2"], "single_block.csv"),
+    (["single-block", "--n", "-1"], "single_block.csv"),
+    (["single-block", "--sharp-in", "nan"], "single_block.csv"),
+    (["single-block", "--sharp-out", "inf"], "single_block.csv"),
+    (["single-block", "--delta", "inf"], "single_block.csv"),
+    (["tree", "--ms-override", "0", "--epochs", "1", "--n", "20"], "tree.csv"),
+    (["nit-sweep", "--ms-override", "0", "--epochs", "1", "--n", "20"], "nit_sweep.csv"),
+]
 
 BAD_DATASETS = {
     "duplicate column": "X1,X1,X3\n1,2,1\n2,1,3\n",
@@ -279,6 +295,7 @@ class TestErrorReporting:
 
     @pytest.mark.parametrize("algo, flag, value", [
         ("var", "--delta", "-2"), ("ml", "--epochs", "-3"), ("ml", "--nit", "0"),
+        ("vit", "--delta", "inf"), ("var", "--delta", "inf"),
     ])
     def test_bad_training_setting_is_data(self, star_files, tmp_path, capsys, algo, flag, value):
         _, learner, data = star_files
@@ -290,6 +307,15 @@ class TestErrorReporting:
         assert len(err) == 1 and err[0].startswith("error: data:"), err
         assert flag[2:] in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, results", BAD_STUDY_SETTINGS,
+                             ids=[" ".join(argv) for argv, _ in BAD_STUDY_SETTINGS])
+    def test_bad_study_setting_is_data(self, tmp_path, capsys, argv, results):
+        rc = main(["experiment", *argv, "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: data:"), err
+        assert not (tmp_path / results).exists()
 
     def test_contradiction_is_evidence(self, star_files, tmp_path, capsys):
         _, _, data = star_files

@@ -27,6 +27,7 @@ from normalgraph.learning import (
     ALGORITHMS,
     BlockDataset,
     TrainConfig,
+    block_log_likelihood,
     em_train,
     generalized_divergence,
     kkt_multipliers,
@@ -41,7 +42,6 @@ from normalgraph.propagation import (
     ContradictoryEvidence,
     Propagator,
     aggregated_log_likelihood,
-    block_log_likelihood,
 )
 from normalgraph.synthgen import ancestral_sample, random_message_pairs
 
@@ -299,6 +299,7 @@ class TestTrainBlock:
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("epochs", -1), ("nit", 0), ("delta", -1e-9), ("delta", float("nan")),
+        ("delta", float("inf")),
     ])
     def test_rejects_bad_settings(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -309,8 +310,11 @@ class TestTrainConfig:
         assert (cfg.epochs, cfg.delta) == (0, 0.0)
 
     def test_var_rejects_negative_delta(self):
-        with pytest.raises(ValueError, match="delta"):
-            var_update(ONE_PAIR, delta=-2.0)
+        """Both counting rules reject a negative or non-finite delta."""
+        for update in (var_update, vit_update):
+            for delta in (-2.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="delta must be nonnegative and finite"):
+                    update(ONE_PAIR, delta=delta)
 
 
 # Message entries with exact zeros and the smallest subnormal among them.
@@ -513,6 +517,22 @@ class TestEmTrain:
         evidence = {"S_tap": np.array([0, 1, 1]), "X": np.array([0, 1, 0])}
         with pytest.raises(ValueError, match="expected 2"):
             em_train(observed_chain(), evidence, TrainConfig(epochs=1), mask=np.ones(2))
+
+    @pytest.mark.parametrize("entry", [-1.0, float("nan"), 0.5])
+    def test_mask_entries_must_be_0_or_1(self, entry):
+        evidence = {"S_tap": np.array([0, 1, 1]), "X": np.array([0, 1, 0])}
+        with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+            em_train(observed_chain(), evidence, TrainConfig(epochs=1),
+                     mask=np.array([1.0, entry, 0.0]))
+
+    def test_boolean_mask_trains_like_its_0_1_form(self):
+        learner, generative = study_graphs("star", seed=1)
+        evidence = ancestral_sample(generative, 50, seed=1).terminal_evidence(("X1", "X2", "X3"))
+        cfg = TrainConfig(epochs=3)
+        a = em_train(learner, evidence, cfg, mask=split_mask(50, 0.8) > 0)
+        b = em_train(learner, evidence, cfg, mask=split_mask(50, 0.8))
+        assert [(r.train_loglik, r.test_loglik) for r in a.records] == [
+            (r.train_loglik, r.test_loglik) for r in b.records]
 
     def test_second_epoch_harvests_propagated_messages(self):
         """The first update consumes the random starting messages; from the

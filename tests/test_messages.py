@@ -139,6 +139,11 @@ class TestSharpen:
         with pytest.raises(ValueError):
             sharpen(np.array([0.5, 0.5]), -1.0)
 
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf")])
+    def test_non_finite_exponent_raises(self, exponent):
+        with pytest.raises(ValueError, match="exponent must be nonnegative and finite"):
+            sharpen(np.array([[0.2, 0.8]]), exponent)
+
 
 class TestMaxIndicator:
     def test_structure(self):
@@ -167,6 +172,11 @@ class TestMaxIndicator:
     def test_negative_delta_raises(self):
         with pytest.raises(ValueError):
             max_indicator(np.ones(3), -0.5)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_non_finite_delta_raises(self, delta):
+        with pytest.raises(ValueError, match="delta must be nonnegative and finite"):
+            max_indicator(np.ones(3), delta)
 
 
 @st.composite

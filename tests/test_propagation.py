@@ -16,15 +16,13 @@ from normalgraph.graph import (
     ensure_valid,
     split_variable,
 )
-from normalgraph.learning import BlockDataset
+from normalgraph.learning import BlockDataset, block_log_likelihood
 from normalgraph.messages import one_hot
 from normalgraph.propagation import (
     ContradictoryEvidence,
     Propagator,
     aggregated_log_likelihood,
-    block_log_likelihood,
     posterior,
-    propagate,
 )
 
 
@@ -92,29 +90,30 @@ class TestLocalRules:
         """Uniform four-state input through the first reference conditional
         lands on the marginal [0.35, 0.65]."""
         theta = TREE_LEAF_CONDITIONALS[0]
-        out = propagate(one_block(theta), {"A": np.full(4, 0.25)}).forward["B"][0]
+        out = Propagator(one_block(theta)).run({"A": np.full(4, 0.25)}).forward["B"][0]
         np.testing.assert_allclose(out, [0.35, 0.65], atol=1e-15)
 
     def test_siso_forward_identity_and_uniform(self):
         f = np.array([0.2, 0.8])
-        out = propagate(one_block(np.eye(2)), {"A": f}).forward["B"][0]
+        out = Propagator(one_block(np.eye(2))).run({"A": f}).forward["B"][0]
         np.testing.assert_allclose(out, f, atol=1e-15)
         rows_equal = np.full((3, 2), 0.5)
-        out = propagate(one_block(rows_equal), {"A": np.array([0.1, 0.3, 0.6])}).forward["B"][0]
+        state = Propagator(one_block(rows_equal)).run({"A": np.array([0.1, 0.3, 0.6])})
+        out = state.forward["B"][0]
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
 
     def test_siso_backward_hand_value(self):
         theta = np.array([[0.1, 0.9], [0.9, 0.1]])
-        out = propagate(one_block(theta), {"B": np.array([1.0, 0.0])}).backward["A"][0]
+        out = Propagator(one_block(theta)).run({"B": np.array([1.0, 0.0])}).backward["A"][0]
         np.testing.assert_allclose(out, [0.1, 0.9], atol=1e-15)
 
     def test_siso_backward_uniform_passthrough(self):
         theta = np.array([[0.3, 0.7], [0.6, 0.4], [0.5, 0.5]])
-        out = propagate(one_block(theta), {"B": np.array([0.5, 0.5])}).backward["A"][0]
+        out = Propagator(one_block(theta)).run({"B": np.array([0.5, 0.5])}).backward["A"][0]
         np.testing.assert_allclose(out, 1.0 / 3.0, atol=1e-15)
 
     def test_diverter_out_hand_values(self):
-        state = propagate(one_diverter(2), {
+        state = Propagator(one_diverter(2)).run({
             "E0": np.array([0.5, 0.5]),
             "E1": np.array([0.9, 0.1]),
             "E2": np.array([0.5, 0.5]),
@@ -124,7 +123,7 @@ class TestLocalRules:
         np.testing.assert_allclose(state.forward["E2"][0], [0.9, 0.1], atol=1e-15)
 
     def test_diverter_single_tap_passthrough(self):
-        state = propagate(one_diverter(1), {
+        state = Propagator(one_diverter(1)).run({
             "E0": np.array([0.2, 0.8]),
             "E1": np.array([0.7, 0.3]),
         })
@@ -133,7 +132,7 @@ class TestLocalRules:
 
     def test_diverter_contradiction(self):
         with pytest.raises(ContradictoryEvidence):
-            propagate(one_diverter(2), {
+            Propagator(one_diverter(2)).run({
                 "E0": np.array([1.0, 0.0]),
                 "E1": np.array([0.0, 1.0]),
                 "E2": np.array([0.5, 0.5]),
@@ -142,14 +141,14 @@ class TestLocalRules:
 
 class TestPropagateExactness:
     def test_identity_chain_posterior(self):
-        state = propagate(identity_chain())
+        state = Propagator(identity_chain()).run()
         np.testing.assert_allclose(posterior(state, "X")[0], [0.3, 0.7], atol=1e-14)
 
     def test_star_posterior_hand_product(self):
         """All-leaves evidence: the source posterior is the prior times the
         selected conditional columns, here [10, 297, 3600, 60] / 3967."""
         graph = build_latent_star(generative=True)
-        state = propagate(graph, {"X1": 0, "X2": 0, "X3": 0})
+        state = Propagator(graph).run({"X1": 0, "X2": 0, "X3": 0})
         expected = np.array([10.0, 297.0, 3600.0, 60.0]) / 3967.0
         for replica in ("S0", "S1", "S2", "S3"):
             np.testing.assert_allclose(posterior(state, replica)[0], expected, atol=1e-14)
@@ -157,7 +156,7 @@ class TestPropagateExactness:
     def test_star_matches_class_enumeration(self):
         graph = build_latent_star(generative=True)
         for evidence in ({"X1": 1}, {"X1": 0, "X3": 2}, {}):
-            state = propagate(graph, evidence)
+            state = Propagator(graph).run(evidence)
             oracle = class_posteriors(graph, evidence)
             for var in ("S0", "X1", "X2", "X3"):
                 np.testing.assert_allclose(
@@ -167,7 +166,7 @@ class TestPropagateExactness:
     def test_product_space_join_matches_enumeration(self):
         graph = mini_join_graph()
         for evidence in ({"X": 1}, {"X": 0}, {}):
-            state = propagate(graph, evidence)
+            state = Propagator(graph).run(evidence)
             oracle = class_posteriors(graph, evidence)
             for var in ("A", "B", "P0", "X"):
                 np.testing.assert_allclose(
@@ -185,7 +184,7 @@ class TestPropagateExactness:
                 for v in range(n_nodes)
                 if rng.uniform() < 0.4
             }
-            state = propagate(graph, {readout[v]: k for v, k in observed.items()})
+            state = Propagator(graph).run({readout[v]: k for v, k in observed.items()})
             expected = tree_posteriors(tree, observed)
             for v in range(n_nodes):
                 got = posterior(state, readout[v])[0]
@@ -195,7 +194,7 @@ class TestPropagateExactness:
 
     def test_replica_posteriors_agree(self):
         graph = build_latent_star(generative=True)
-        state = propagate(graph, {"X1": 1, "X2": 0})
+        state = Propagator(graph).run({"X1": 1, "X2": 0})
         reference = posterior(state, "S0")
         for replica in ("S1", "S2", "S3"):
             np.testing.assert_allclose(posterior(state, replica), reference, atol=1e-12)
@@ -210,9 +209,9 @@ class TestBatchingAndSchedules:
             "X2": rng.integers(2, size=20),
             "X3": rng.integers(3, size=20),
         }
-        batch = propagate(graph, evidence)
+        batch = Propagator(graph).run(evidence)
         for n in range(20):
-            single = propagate(graph, {k: int(v[n]) for k, v in evidence.items()})
+            single = Propagator(graph).run({k: int(v[n]) for k, v in evidence.items()})
             for var in ("S0", "X1", "X3"):
                 np.testing.assert_allclose(
                     posterior(batch, var)[n], posterior(single, var)[0], atol=1e-15
@@ -229,10 +228,12 @@ class TestBatchingAndSchedules:
             prop = Propagator(graph)
             evidence = {"X1": 1, "X2": 0, "X3": 2}
             exact = prop.run(evidence)
-            for rng in (None, np.random.default_rng(42)):
-                start = prop.initial_state(evidence, rng=rng)
-                init = {("F", v): start.forward[v] for v in graph.sizes}
-                init.update({("B", v): start.backward[v] for v in graph.sizes})
+            start = prop.initial_state(evidence, rng=np.random.default_rng(42))
+            random = {("F", v): start.forward[v] for v in graph.sizes}
+            random.update({("B", v): start.backward[v] for v in graph.sizes})
+            uniform = {slot: np.full((1, graph.sizes[slot[1]]), 1.0 / graph.sizes[slot[1]])
+                       for slot in random}
+            for init in (uniform, random):
                 flooded = flooding(graph, evidence, init)
                 for var in graph.sizes:
                     np.testing.assert_allclose(flooded[("F", var)], exact.forward[var], atol=1e-12)
@@ -246,24 +247,6 @@ class TestBatchingAndSchedules:
         for var in graph.sizes:
             assert np.array_equal(a.forward[var], b.forward[var])
             assert np.array_equal(a.backward[var], b.backward[var])
-
-    def test_parameter_overrides_match_rebuilt_graph(self):
-        graph = build_latent_star()
-        prop = Propagator(graph)
-        new_theta = np.array([[0.2, 0.8], [0.7, 0.3], [0.5, 0.5], [0.9, 0.1]])
-        overridden = prop.run({"X1": 1}, parameters={"P_X1": new_theta})
-        rebuilt = propagate(graph.with_parameters({"P_X1": new_theta}), {"X1": 1})
-        for var in graph.sizes:
-            np.testing.assert_allclose(
-                overridden.forward[var], rebuilt.forward[var], atol=1e-15
-            )
-
-    def test_override_validation(self):
-        prop = Propagator(build_latent_star())
-        with pytest.raises(GraphError):
-            prop.run({}, parameters={"nope": np.eye(2)})
-        with pytest.raises(GraphError):
-            prop.run({}, parameters={"P_X1": np.eye(3)})
 
     def test_forward_order_follows_producers(self):
         """Every variable comes after the inputs of its producing node."""
@@ -283,7 +266,7 @@ class TestBatchingAndSchedules:
             assert all(position[v] < position[var] for v in inputs), var
 
     def test_state_arrays_are_frozen(self):
-        state = propagate(identity_chain())
+        state = Propagator(identity_chain()).run()
         with pytest.raises(ValueError):
             state.forward["X"][0, 0] = 9.9
 
@@ -292,15 +275,15 @@ class TestEvidenceHandling:
     def test_hard_evidence_cuts_flow(self):
         """The posterior at an instantiated terminal is the injected delta."""
         graph = build_latent_star(generative=True)
-        state = propagate(graph, {"X1": 1, "X3": 0})
+        state = Propagator(graph).run({"X1": 1, "X3": 0})
         np.testing.assert_allclose(posterior(state, "X1")[0], [0.0, 1.0], atol=0)
         np.testing.assert_allclose(posterior(state, "X3")[0], [1.0, 0.0, 0.0], atol=0)
 
     def test_soft_evidence_scale_invariance(self):
         graph = build_latent_star(generative=True)
         soft = np.array([0.2, 0.5])
-        a = propagate(graph, {"X1": soft})
-        b = propagate(graph, {"X1": soft * 37.0})
+        a = Propagator(graph).run({"X1": soft})
+        b = Propagator(graph).run({"X1": soft * 37.0})
         for var in graph.sizes:
             np.testing.assert_allclose(
                 posterior(a, var), posterior(b, var), atol=1e-12
@@ -308,37 +291,37 @@ class TestEvidenceHandling:
 
     def test_scalar_evidence_broadcasts(self):
         graph = build_latent_star(generative=True)
-        state = propagate(graph, {"X1": 1}, n_samples=5)
+        state = Propagator(graph).run({"X1": 1}, n_samples=5)
         assert state.n_samples == 5
         assert posterior(state, "S0").shape == (5, 4)
 
     def test_mixed_batch_sizes_must_agree(self):
         graph = build_latent_star(generative=True)
         with pytest.raises(ValueError):
-            propagate(graph, {"X1": np.zeros(4, dtype=int), "X2": np.zeros(6, dtype=int)})
+            Propagator(graph).run({"X1": np.zeros(4, dtype=int), "X2": np.zeros(6, dtype=int)})
 
     def test_unknown_and_nonterminal_evidence(self):
         graph = build_latent_star(generative=True)
         with pytest.raises(UnknownVariable):
-            propagate(graph, {"Q": 0})
+            Propagator(graph).run({"Q": 0})
         with pytest.raises(GraphError, match="split"):
-            propagate(graph, {"S1": 0})
+            Propagator(graph).run({"S1": 0})
 
     def test_out_of_range_symbol(self):
         graph = build_latent_star(generative=True)
         with pytest.raises(ValueError):
-            propagate(graph, {"X1": 2})
+            Propagator(graph).run({"X1": 2})
 
     def test_all_zero_soft_evidence(self):
         graph = build_latent_star(generative=True)
         with pytest.raises(ContradictoryEvidence):
-            propagate(graph, {"X1": np.zeros(2)})
+            Propagator(graph).run({"X1": np.zeros(2)})
 
     def test_contradictory_hard_evidence_names_variable(self):
         chain = identity_chain(prior=(1.0, 0.0))
         split = ensure_valid(split_variable(chain, "X"))
         with pytest.raises(ContradictoryEvidence, match="X"):
-            propagate(split, {"X_cont": 0, "X_tap": 1})
+            Propagator(split).run({"X_cont": 0, "X_tap": 1})
 
     # Samples 1, 3, 4, 6, 7, 9 and 10 contradict; the message names the first five.
     CONTRADICTING_TAP = np.array([0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0])
@@ -367,8 +350,8 @@ class TestEvidenceHandling:
         graph = build_latent_star(generative=True)
         split = ensure_valid(split_variable(graph, "X2"))
         evidence = {"X1": 1, "X3": 2}
-        before = propagate(graph, evidence)
-        after = propagate(split, evidence)
+        before = Propagator(graph).run(evidence)
+        after = Propagator(split).run(evidence)
         for var in graph.sizes:
             np.testing.assert_allclose(
                 posterior(after, var), posterior(before, var), atol=1e-12
@@ -423,20 +406,20 @@ class TestDistinctRows:
 class TestLikelihoods:
     def test_aggregated_trivial_values(self):
         graph = identity_chain(prior=(0.25, 0.75))
-        state = propagate(graph, {"X": 1})
+        state = Propagator(graph).run({"X": 1})
         # single terminal: the overlap is P(X = 1)
         value = aggregated_log_likelihood(state, ("X",))
         np.testing.assert_allclose(value, np.log(0.75), atol=1e-14)
 
     def test_aggregated_uniform_times_delta(self):
         graph = identity_chain(prior=(0.5, 0.5))
-        state = propagate(graph, {"X": 0})
+        state = Propagator(graph).run({"X": 0})
         value = aggregated_log_likelihood(state, ("X",))
         np.testing.assert_allclose(value, np.log(0.5), atol=1e-14)
 
     def test_aggregated_empty_mask_is_zero(self):
         graph = identity_chain()
-        state = propagate(graph, {"X": np.array([0, 1, 1])})
+        state = Propagator(graph).run({"X": np.array([0, 1, 1])})
         assert aggregated_log_likelihood(state, ("X",), np.zeros(3, dtype=bool)) == 0.0
 
     def test_aggregated_counts_equal_repeated_rows(self):
@@ -444,17 +427,17 @@ class TestLikelihoods:
         rows = {"X1": np.array([0, 1, 1, 0]), "X2": np.array([0, 0, 1, 1]),
                 "X3": np.array([2, 0, 1, 2])}
         counts = np.array([3.0, 0.0, 1.0, 5.0])
-        counted = aggregated_log_likelihood(propagate(graph, rows), tuple(rows), counts)
+        counted = aggregated_log_likelihood(Propagator(graph).run(rows), tuple(rows), counts)
         repeat = np.repeat(np.arange(4), counts.astype(int))
         samples = {v: column[repeat] for v, column in rows.items()}
-        repeated = aggregated_log_likelihood(propagate(graph, samples), tuple(rows))
+        repeated = aggregated_log_likelihood(Propagator(graph).run(samples), tuple(rows))
         np.testing.assert_allclose(counted, repeated, rtol=1e-14)
 
     def test_aggregated_boolean_mask_sums_selected_logs(self):
         """A 0/1 mask scores exactly the selected samples' log terms."""
         graph = build_latent_star(generative=True)
         evidence = {"X1": np.array([0, 1, 1, 0, 1]), "X3": np.array([2, 0, 1, 2, 2])}
-        state = propagate(graph, evidence)
+        state = Propagator(graph).run(evidence)
         mask = np.array([True, False, True, True, False])
         expected = 0.0
         for var in evidence:
@@ -473,11 +456,11 @@ class TestLikelihoods:
                 ),
             )
         )
-        state = propagate(graph, {"X": 1})
+        state = Propagator(graph).run({"X": 1})
         assert aggregated_log_likelihood(state, ("X",)) == float("-inf")
 
     def test_aggregated_unknown_terminal(self):
-        state = propagate(identity_chain())
+        state = Propagator(identity_chain()).run()
         with pytest.raises(UnknownVariable):
             aggregated_log_likelihood(state, ("Q",))
 

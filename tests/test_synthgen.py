@@ -204,14 +204,15 @@ class TestAncestralSampling:
 
 class TestFactories:
     def test_random_row_stochastic(self):
-        mat = random_row_stochastic(5, 3, seed=2)
+        mat = random_row_stochastic(5, 3, rng=substream(2, "matrix"))
         assert mat.shape == (5, 3)
         np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
-        assert np.array_equal(mat, random_row_stochastic(5, 3, seed=2))
-        assert not np.array_equal(mat, random_row_stochastic(5, 3, seed=3))
+        assert np.array_equal(mat, random_row_stochastic(5, 3, rng=substream(2, "matrix")))
+        assert not np.array_equal(mat, random_row_stochastic(5, 3, rng=substream(3, "matrix")))
 
     def test_single_column_matrix_is_ones(self):
-        np.testing.assert_allclose(random_row_stochastic(4, 1, seed=1), 1.0, atol=0)
+        ones = random_row_stochastic(4, 1, rng=substream(1, "matrix"))
+        np.testing.assert_allclose(ones, 1.0, atol=0)
 
     def test_random_message_pairs_shapes(self):
         data = random_message_pairs(4, 3, 25, seed=1)
