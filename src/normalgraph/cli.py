@@ -49,7 +49,7 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
                         help="stop early once the train loglik moves less than this")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--dump-coefficients", action="store_true",
-                        help="also write per-epoch parameter snapshots")
+                        help="also write every epoch's parameters")
     parser.add_argument("--emit-plot", action="store_true",
                         help="also write a gnuplot script next to the results")
 
@@ -187,7 +187,6 @@ def _graph_config(args, n_samples: int, epochs_default: int) -> exp.GraphExperim
         seed=args.seed,
         tol=args.tol,
         algorithms=args.algo if args.algo is not None else ALGORITHMS,
-        record_coefficients=args.dump_coefficients,
     )
 
 

@@ -43,7 +43,7 @@ from .learning import (
     var_update,
     vit_update,
 )
-from .messages import _require_finite_nonnegative
+from .messages import _require_delta, _require_finite_nonnegative
 from .propagation import ContradictoryEvidence
 from .synthgen import SampleSet, ancestral_sample, random_message_pairs, random_row_stochastic, substream
 
@@ -211,8 +211,9 @@ class SingleBlockConfig:
             raise ValueError(f"iterations must be at least 1, got {self.iterations}")
         if self.n_samples < 0:
             raise ValueError(f"n_samples must be nonnegative, got {self.n_samples}")
-        for name in ("sharp_in", "sharp_out", "delta"):
+        for name in ("sharp_in", "sharp_out"):
             _require_finite_nonnegative(name, getattr(self, name))
+        _require_delta(self.delta)
 
 
 def run_single_block(cfg: SingleBlockConfig) -> list[tuple[str, int, float]]:
@@ -255,7 +256,6 @@ class GraphExperimentConfig:
     seed: int = 1
     tol: float | None = None
     algorithms: tuple[str, ...] = ALGORITHMS
-    record_coefficients: bool = False
 
 
 def train_rules(graph: GraphSpec, evidence, cfg: GraphExperimentConfig,
@@ -270,15 +270,15 @@ def train_rules(graph: GraphSpec, evidence, cfg: GraphExperimentConfig,
             delta=cfg.delta,
             seed=cfg.seed,
             tol=cfg.tol,
-            record_coefficients=cfg.record_coefficients,
         )
         try:
             reports[algorithm] = em_train(graph, evidence, train_cfg, mask)
         except ContradictoryEvidence as error:
+            remedy = ("use vit or var, or train on the full data" if algorithm in ("ml", "kl")
+                      else "use a positive --delta")
             raise ContradictoryEvidence(
                 f"{error} (the {algorithm} rule can assign zero probability to "
-                f"symbols absent from the training split; use vit or var, or "
-                f"train on the full data)"
+                f"symbols absent from the training split; {remedy})"
             ) from None
     return reports
 
@@ -434,14 +434,13 @@ def write_coefficient_rows(reports: dict[str, TrainReport], path,
     """Coefficient dump CSV: (algorithm, epoch, block, row, col, value)."""
     table = []
     for algorithm, report in reports.items():
-        if not report.snapshots:
-            continue
-        for epoch in sorted(report.snapshots):
-            for name, matrix in report.snapshots[epoch].items():
+        for record in report.records:
+            for name, matrix in record.parameters.items():
                 matrix = np.atleast_2d(matrix)
                 for r in range(matrix.shape[0]):
                     for c in range(matrix.shape[1]):
-                        table.append([algorithm, epoch, name, r, c, format_float(matrix[r, c])])
+                        table.append([algorithm, record.epoch, name, r, c,
+                                      format_float(matrix[r, c])])
     write_csv(path, ["algorithm", "epoch", "block", "row", "col", "value"], table, meta)
 
 

@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .graph import GraphSpec, SourceBlock
-from .messages import _require_finite_nonnegative, max_indicator, normalize
+from .messages import _require_delta, max_indicator, normalize
 from .propagation import Propagator
 
 __all__ = [
@@ -212,7 +212,7 @@ def var_update(data: BlockDataset, delta: float = 1e-6) -> np.ndarray:
     Accumulates the outer products of the raw message pairs over the masked
     samples, adds ``delta`` everywhere, and row-normalizes.
     """
-    _require_finite_nonnegative("delta", delta)
+    _require_delta(delta)
     return _var(data.forward, data.backward, data.mask, delta)
 
 
@@ -266,7 +266,6 @@ class TrainConfig:
     delta: float = 1e-6
     seed: int = 1
     tol: float | None = None
-    record_coefficients: bool = False
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -275,26 +274,27 @@ class TrainConfig:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if self.nit < 1:
             raise ValueError(f"nit must be at least 1, got {self.nit}")
-        _require_finite_nonnegative("delta", self.delta)
+        _require_delta(self.delta)
 
 
 @dataclass
 class EpochRecord:
+    """One epoch of em_train: the scores after its update, and the
+    trainable parameters its M-step returned, by unit name."""
+
     epoch: int
     train_loglik: float
     test_loglik: float
     wall_ms: float
+    parameters: dict[str, np.ndarray]
 
 
 @dataclass
 class TrainReport:
     """Outcome of one em_train run."""
 
-    algorithm: str
     records: list[EpochRecord]
     graph: GraphSpec
-    seed: int
-    snapshots: dict[int, dict[str, np.ndarray]] | None = None
 
     @property
     def final_train_loglik(self) -> float:
@@ -322,8 +322,9 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
         Algorithm and schedule.  ``cfg.seed`` drives the random initial
         messages that break the label symmetry of the latent variables.
     mask:
-        Optional 0/1 array of length N selecting the training samples.
-        Unselected samples still propagate and are scored as the test set.
+        Optional 0/1 array of length N selecting the training samples; for
+        N > 0 it must select at least one.  Unselected samples still
+        propagate and are scored as the test set.
 
     The first M-step consumes the random start of ``Propagator.initial_state``
     with ``rng=np.random.default_rng(cfg.seed)``, of which only the slots it
@@ -358,19 +359,16 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
         mask = np.asarray(mask, dtype=np.float64).reshape(-1)
         if not np.all((mask == 0.0) | (mask == 1.0)):
             raise ValueError("mask entries must be 0 or 1")
+        if mask.size and not mask.any():
+            raise ValueError("mask selects no training sample")
     messages, inverse, propagate = propagator._epochs(
         samples, None if mask is None else len(mask), rng, ports, terminals, parameters)
     if mask is None:
         mask = np.ones(len(inverse), dtype=np.float64)
-    row_weights = np.bincount(inverse, weights=mask)
     train_weights = np.bincount(inverse, weights=mask > 0)
     test_weights = np.bincount(inverse, weights=mask <= 0)
-    has_split = bool(np.any(mask <= 0))
 
     records: list[EpochRecord] = []
-    snapshots: dict[int, dict[str, np.ndarray]] | None = (
-        {} if cfg.record_coefficients else None
-    )
     previous_ll = None
     weights = mask  # the random start state is per sample
     for epoch in range(1, cfg.epochs + 1):
@@ -384,23 +382,14 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
                 updates[unit.name] = _fit(parameters[unit.name], f, b, weights, cfg)
         parameters.update(updates)
         messages, score = propagate(updates)
-        weights = row_weights
+        weights = train_weights
         train_ll = score(train_weights)
-        test_ll = score(test_weights) if has_split else train_ll
+        test_ll = score(test_weights) if test_weights.any() else train_ll
         wall_ms = (time.perf_counter() - started) * 1e3
-        records.append(EpochRecord(epoch, train_ll, test_ll, wall_ms))
-        if snapshots is not None:
-            snapshots[epoch] = {name: value.copy() for name, value in parameters.items()}
+        records.append(EpochRecord(epoch, train_ll, test_ll, wall_ms, updates))
         if cfg.tol is not None and previous_ll is not None:
             if abs(train_ll - previous_ll) < cfg.tol:
                 break
         previous_ll = train_ll
 
-    learned = graph.with_parameters(parameters)
-    return TrainReport(
-        algorithm=cfg.algorithm,
-        records=records,
-        graph=learned,
-        seed=cfg.seed,
-        snapshots=snapshots,
-    )
+    return TrainReport(records, graph.with_parameters(parameters))

@@ -42,6 +42,19 @@ def _require_finite_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
+# The largest pseudocount the counting rules accept.  Up to it a row of a
+# count table sums to at most (1 + delta)**2 N M, which stays finite for any
+# N < 2**63 and any alphabet size M below 1e89.
+MAX_DELTA = 1e100
+
+
+def _require_delta(delta: float) -> None:
+    """The one check of a counting rule's ``delta``: in [0, MAX_DELTA]."""
+    _require_finite_nonnegative("delta", delta)
+    if delta > MAX_DELTA:
+        raise ValueError(f"delta must be at most {MAX_DELTA:g}, got {delta}")
+
+
 def normalize(values: np.ndarray) -> np.ndarray:
     """Scale each row to unit sum.
 
@@ -110,7 +123,7 @@ def max_indicator(values: np.ndarray, delta: float = 0.0) -> np.ndarray:
     intentionally left unnormalized; callers that need a distribution
     normalize afterwards.
     """
-    _require_finite_nonnegative("delta", delta)
+    _require_delta(delta)
     values = np.asarray(values, dtype=np.float64)
     # The row peak column by column: a reduction over a short last axis costs per row.
     peak = functools.reduce(np.maximum, np.moveaxis(values, -1, 0))[..., None]

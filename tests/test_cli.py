@@ -109,7 +109,35 @@ class TestTrain:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: evidence:")
-        assert "training split" in err
+        assert "training split; use vit or var, or train on the full data)" in err
+
+    @pytest.mark.parametrize("algo", ["vit", "var"])
+    def test_holdout_only_symbol_under_zero_delta(self, star_files, tmp_path, capsys, algo):
+        """With delta 0 the counting rules give a symbol they never counted
+        zero probability, so their hint points at delta."""
+        _, learner, data = star_files
+        rc = main(["train", "--graph", str(learner), "--data", str(data),
+                   "--algo", algo, "--delta", "0", "--epochs", "2", "--split", "0.5",
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: evidence:"), err
+        assert err[0].endswith(f"(the {algo} rule can assign zero probability to symbols "
+                               "absent from the training split; use a positive --delta)")
+
+    def test_empty_dataset_trains(self, star_files, tmp_path, capsys):
+        """A header-only dataset has no samples, so no split can leave its
+        training set empty: every rule trains on nothing and exits 0."""
+        _, learner, _ = star_files
+        empty = tmp_path / "empty.csv"
+        empty.write_text("X1,X2,X3\n")
+        out = tmp_path / "r.csv"
+        rc = main(["train", "--graph", str(learner), "--data", str(empty), "--algo", "all",
+                   "--epochs", "2", "--split", "0.5", "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out.count("final train loglik 0.000000") == 4
+        # three provenance lines, the header, two epochs of four rules
+        assert len(drop_wall_column(out)) == 3 + 1 + 4 * 2
 
     def test_reruns_match_except_wall_clock(self, star_files, tmp_path):
         _, learner, data = star_files
@@ -221,6 +249,9 @@ BAD_STUDY_SETTINGS = [
     (["single-block", "--sharp-in", "nan"], "single_block.csv"),
     (["single-block", "--sharp-out", "inf"], "single_block.csv"),
     (["single-block", "--delta", "inf"], "single_block.csv"),
+    (["single-block", "--delta", "1e200"], "single_block.csv"),
+    (["tree", "--delta", "1e101", "--epochs", "1", "--n", "20"], "tree.csv"),
+    (["tree", "--n", "1", "--split", "0.4"], "tree.csv"),
     (["tree", "--ms-override", "0", "--epochs", "1", "--n", "20"], "tree.csv"),
     (["nit-sweep", "--ms-override", "0", "--epochs", "1", "--n", "20"], "nit_sweep.csv"),
 ]
@@ -296,6 +327,7 @@ class TestErrorReporting:
     @pytest.mark.parametrize("algo, flag, value", [
         ("var", "--delta", "-2"), ("ml", "--epochs", "-3"), ("ml", "--nit", "0"),
         ("vit", "--delta", "inf"), ("var", "--delta", "inf"),
+        ("vit", "--delta", "1e300"), ("var", "--delta", "1e308"),
     ])
     def test_bad_training_setting_is_data(self, star_files, tmp_path, capsys, algo, flag, value):
         _, learner, data = star_files
@@ -435,22 +467,27 @@ class TestExperimentCommand:
         assert drop_wall_column(a / "tree.csv") == drop_wall_column(b / "tree.csv")
 
 
-def declared_script(name: str) -> str:
-    """Target of ``name`` under ``[project.scripts]`` in pyproject.toml.
+def declared(section: str, name: str) -> str:
+    """The string value of ``name`` under ``section`` in pyproject.toml.
 
     Read line by line rather than with ``tomllib``, which Python 3.10 lacks.
     """
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    section = None
+    current = None
     for line in pyproject.read_text().splitlines():
         line = line.strip()
         if line.startswith("["):
-            section = line
+            current = line
             continue
         match = re.fullmatch(rf'{re.escape(name)}\s*=\s*"([^"]+)"', line)
-        if section == "[project.scripts]" and match:
+        if current == section and match:
             return match.group(1)
-    raise LookupError(f"no [project.scripts] entry named {name!r}")
+    raise LookupError(f"no {section} entry named {name!r}")
+
+
+def declared_script(name: str) -> str:
+    """Target of ``name`` under ``[project.scripts]`` in pyproject.toml."""
+    return declared("[project.scripts]", name)
 
 
 def package_env() -> dict[str, str]:
@@ -459,6 +496,21 @@ def package_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
     return env
+
+
+class TestPublicNames:
+    """Each module's ``__all__`` is the only list of its public names."""
+
+    @pytest.mark.parametrize("module", ["messages", "graph", "propagation", "learning",
+                                        "synthgen", "experiments", "cli"])
+    def test_every_listed_name_is_defined(self, module):
+        namespace = importlib.import_module(f"normalgraph.{module}")
+        assert namespace.__all__
+        missing = [name for name in namespace.__all__ if not hasattr(namespace, name)]
+        assert missing == []
+
+    def test_version_matches_pyproject(self):
+        assert normalgraph.__version__ == declared("[project]", "version")
 
 
 class TestConsoleScript:

@@ -222,8 +222,7 @@ class TestResultCsv:
 
     def test_coefficient_rows_cover_all_entries(self, tmp_path):
         cfg = GraphExperimentConfig(
-            n_samples=20, epochs=2, algorithms=("var",),
-            record_coefficients=True, seed=1,
+            n_samples=20, epochs=2, algorithms=("var",), seed=1,
         )
         reports = run_tree_experiment(cfg)
         path = tmp_path / "coeffs.csv"

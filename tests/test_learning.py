@@ -37,7 +37,7 @@ from normalgraph.learning import (
     var_update,
     vit_update,
 )
-from normalgraph.messages import _SUM_SLACK, normalize, one_hot
+from normalgraph.messages import _SUM_SLACK, MAX_DELTA, normalize, one_hot
 from normalgraph.propagation import (
     ContradictoryEvidence,
     Propagator,
@@ -299,7 +299,7 @@ class TestTrainBlock:
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("epochs", -1), ("nit", 0), ("delta", -1e-9), ("delta", float("nan")),
-        ("delta", float("inf")),
+        ("delta", float("inf")), ("delta", 1e101),
     ])
     def test_rejects_bad_settings(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -315,6 +315,24 @@ class TestTrainConfig:
             for delta in (-2.0, float("nan"), float("inf")):
                 with pytest.raises(ValueError, match="delta must be nonnegative and finite"):
                     update(ONE_PAIR, delta=delta)
+
+    def test_delta_ceiling(self):
+        """Both counting rules reject a delta above MAX_DELTA, and train to
+        finite row-stochastic matrices at it."""
+        above = np.nextafter(MAX_DELTA, np.inf)
+        for update in (var_update, vit_update):
+            with pytest.raises(ValueError, match="delta must be at most 1e\\+100"):
+                update(ONE_PAIR, delta=above)
+        learner, generative = study_graphs("star", seed=1)
+        evidence = ancestral_sample(generative, 100, seed=1).terminal_evidence(("X1", "X2", "X3"))
+        for algorithm in ("vit", "var"):
+            report = em_train(learner, evidence, TrainConfig(algorithm, epochs=3, delta=MAX_DELTA))
+            for record in report.records:
+                assert np.isfinite([record.train_loglik, record.test_loglik]).all()
+                for matrix in record.parameters.values():
+                    matrix = np.atleast_2d(matrix)
+                    assert np.isfinite(matrix).all() and (matrix >= 0).all()
+                    np.testing.assert_allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 # Message entries with exact zeros and the smallest subnormal among them.
@@ -472,16 +490,17 @@ class TestEmTrain:
             assert np.isfinite(record.test_loglik)
             assert record.test_loglik != record.train_loglik
 
-    def test_snapshots_recorded_when_asked(self):
+    def test_records_hold_each_epochs_parameters(self):
         graph = observed_chain()
         evidence = {"S_tap": np.array([0, 1, 1]), "X": np.array([0, 1, 1])}
-        cfg = TrainConfig(algorithm="var", epochs=3, record_coefficients=True)
-        report = em_train(graph, evidence, cfg)
-        assert sorted(report.snapshots) == [1, 2, 3]
-        names = set(report.snapshots[1])
-        assert names == {"prior_S", "P_X"}
-        for matrix in report.snapshots[2].values():
+        report = em_train(graph, evidence, TrainConfig(algorithm="var", epochs=3))
+        assert [record.epoch for record in report.records] == [1, 2, 3]
+        assert set(report.records[0].parameters) == {"prior_S", "P_X"}
+        for matrix in report.records[1].parameters.values():
             np.testing.assert_allclose(np.atleast_2d(matrix).sum(axis=1), 1.0, atol=1e-12)
+        final = report.records[-1].parameters
+        np.testing.assert_array_equal(final["prior_S"], report.graph.source("prior_S").prior)
+        np.testing.assert_array_equal(final["P_X"], report.graph.block("P_X").theta)
 
     def test_fixed_blocks_stay_fixed(self):
         from normalgraph.experiments import build_deep_graph
@@ -524,6 +543,15 @@ class TestEmTrain:
         with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
             em_train(observed_chain(), evidence, TrainConfig(epochs=1),
                      mask=np.array([1.0, entry, 0.0]))
+
+    def test_mask_must_select_a_training_sample(self):
+        evidence = {"S_tap": np.array([0, 1, 1]), "X": np.array([0, 1, 0])}
+        with pytest.raises(ValueError, match="mask selects no training sample"):
+            em_train(observed_chain(), evidence, TrainConfig(epochs=1), mask=np.zeros(3))
+        # No samples at all is not an empty selection: the run trains on nothing.
+        empty = {"S_tap": np.zeros(0, dtype=int), "X": np.zeros(0, dtype=int)}
+        report = em_train(observed_chain(), empty, TrainConfig(epochs=2), mask=np.zeros(0))
+        assert [r.train_loglik for r in report.records] == [0.0, 0.0]
 
     def test_boolean_mask_trains_like_its_0_1_form(self):
         learner, generative = study_graphs("star", seed=1)
@@ -603,7 +631,7 @@ def study_graphs(name: str, seed: int):
 
 def assert_same_training(a, b, epochs: int) -> tuple[float, float]:
     """Every epoch's log-likelihoods of two runs agree within 1e-12
-    relative and every snapshot entry within 1e-10 absolute; returns the
+    relative and every epoch's parameters within 1e-10 absolute; returns the
     largest relative loglik and absolute parameter differences."""
     assert len(a.records) == len(b.records) == epochs
     worst_ll = worst_param = 0.0
@@ -611,11 +639,10 @@ def assert_same_training(a, b, epochs: int) -> tuple[float, float]:
         for u, v in ((x.train_loglik, y.train_loglik), (x.test_loglik, y.test_loglik)):
             np.testing.assert_allclose(u, v, rtol=1e-12, atol=0, err_msg=f"epoch {x.epoch}")
             worst_ll = max(worst_ll, abs(u - v) / abs(v))
-    for epoch, params in a.snapshots.items():
-        for name, value in params.items():
-            other = b.snapshots[epoch][name]
+        for name, value in x.parameters.items():
+            other = y.parameters[name]
             np.testing.assert_allclose(value, other, rtol=0, atol=1e-10,
-                                       err_msg=f"{name} epoch {epoch}")
+                                       err_msg=f"{name} epoch {x.epoch}")
             worst_param = max(worst_param, float(np.max(np.abs(value - other))))
     return worst_ll, worst_param
 
@@ -636,7 +663,7 @@ class TestCountedRows:
         assert propagator.distinct_rows(evidence, n)[1] < n
         assert propagator.distinct_rows(soft, n)[1] == n
         mask = split_mask(n, split)
-        cfg = TrainConfig(algorithm, epochs=200, seed=2, record_coefficients=True)
+        cfg = TrainConfig(algorithm, epochs=200, seed=2)
         assert_same_training(em_train(learner, evidence, cfg, mask),
                              em_train(learner, soft, cfg, mask), epochs=200)
 
@@ -689,10 +716,10 @@ def joint_trajectory(graph_name, seed, nit, n, epochs, split=1.0):
     joint_loglik = star_joint_loglik if graph_name == "star" else deep_joint_loglik
     evidence = ancestral_sample(generative, n, seed=seed).terminal_evidence(("X1", "X2", "X3"))
     mask = split_mask(n, split)
-    cfg = TrainConfig(algorithm="ml", epochs=epochs, nit=nit, seed=seed, record_coefficients=True)
+    cfg = TrainConfig(algorithm="ml", epochs=epochs, nit=nit, seed=seed)
     report = em_train(learner, evidence, cfg, mask)
     train = {v: column[mask > 0] for v, column in evidence.items()}
-    joint = [joint_loglik(report.snapshots[e], train) for e in sorted(report.snapshots)]
+    joint = [joint_loglik(record.parameters, train) for record in report.records]
     assert len(joint) == epochs and all(np.isfinite(joint))
     return report, joint
 
@@ -768,7 +795,7 @@ class TestBilinearKernel:
     def test_ml_trains_like_the_reference_formula(self, monkeypatch, graph_name, n, split, seed):
         learner, generative = study_graphs(graph_name, seed)
         evidence = ancestral_sample(generative, n, seed=seed).terminal_evidence(("X1", "X2", "X3"))
-        cfg = TrainConfig("ml", epochs=200, seed=seed, record_coefficients=True)
+        cfg = TrainConfig("ml", epochs=200, seed=seed)
         library = em_train(learner, evidence, cfg, split_mask(n, split))
         monkeypatch.setattr(learning, "_bilinear", reference_bilinear)
         reference = em_train(learner, evidence, cfg, split_mask(n, split))
@@ -953,8 +980,9 @@ class TestVarEqualLatentRows:
         evidence = ancestral_sample(build_latent_star(generative=True), 400, seed=1
                                     ).terminal_evidence(("X1", "X2", "X3"))
         report = em_train(build_latent_star(), evidence,
-                          TrainConfig("var", epochs=60, seed=1, record_coefficients=True))
-        spreads = {e: latent_row_spread(report.snapshots[e]["P_X1"]) for e in (1, 5, 10, 20, 60)}
+                          TrainConfig("var", epochs=60, seed=1))
+        spreads = {e: latent_row_spread(report.records[e - 1].parameters["P_X1"])
+                   for e in (1, 5, 10, 20, 60)}
         assert all(np.isfinite(list(spreads.values())))
         print("var P_X1 latent row spread by epoch:",
               ", ".join(f"{e}: {s:.2g}" for e, s in spreads.items()))

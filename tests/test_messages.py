@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import reference_max_indicator, reference_normalize
 from normalgraph.messages import (
     _SUM_SLACK,
+    MAX_DELTA,
     TIE_RTOL,
     AllZeroVector,
     _normalize_in_place,
@@ -177,6 +178,11 @@ class TestMaxIndicator:
     def test_non_finite_delta_raises(self, delta):
         with pytest.raises(ValueError, match="delta must be nonnegative and finite"):
             max_indicator(np.ones(3), delta)
+
+    def test_delta_above_ceiling_raises(self):
+        assert max_indicator(np.ones(3), MAX_DELTA)[0] == MAX_DELTA + 1.0
+        with pytest.raises(ValueError, match="delta must be at most"):
+            max_indicator(np.ones(3), np.nextafter(MAX_DELTA, np.inf))
 
 
 @st.composite
