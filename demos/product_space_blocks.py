@@ -16,7 +16,6 @@ from normalgraph.graph import (
     SourceBlock,
     build_expander,
     build_projector,
-    ensure_valid,
 )
 from normalgraph.synthgen import ancestral_sample
 
@@ -35,7 +34,7 @@ def main():
         show(f"expander j={j}", build_expander(sizes, j))
 
     # A joint 6-state variable P0 constrained to encode the pair (A, B).
-    graph = ensure_valid(GraphSpec(
+    graph = GraphSpec(
         variables=(("A", 2), ("B", 3), ("PA", 6), ("PB", 6), ("P0", 6), ("X", 2)),
         sources=(
             SourceBlock("prior_A", "A", np.array([0.7, 0.3])),
@@ -47,7 +46,7 @@ def main():
             SisoBlock("P_X", "P0", "X", np.tile([[0.9, 0.1], [0.1, 0.9]], (3, 1))),
         ),
         diverters=(DiverterNode(inbound=("PA", "PB"), taps=("P0",)),),
-    ))
+    )
 
     data = ancestral_sample(graph, 10, seed=1, keep_all=True)
     print("\nsampled rows: the joint symbol is always 3*A + B")

@@ -192,7 +192,6 @@ def _graph_config(args, n_samples: int, epochs_default: int) -> exp.GraphExperim
 
 def cmd_experiment(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n_samples = args.n if args.n is not None else (100 if args.name == "deep" else 400)
 
     if args.name == "single-block":
@@ -205,8 +204,9 @@ def cmd_experiment(args) -> int:
             seed=args.seed,
         )
         rows = exp.run_single_block(cfg)
+        out_dir.mkdir(parents=True, exist_ok=True)
         results = out_dir / "single_block.csv"
-        exp.write_block_rows(rows, results, meta={"seed": cfg.seed})
+        exp.write_csv(results, ["algorithm", "iteration", "loglik"], rows, meta={"seed": cfg.seed})
         if args.emit_plot:
             exp.write_plot_script(out_dir / "single_block.gp", results.name,
                                   "iteration", ("loglik",), title="single block")
@@ -222,12 +222,10 @@ def cmd_experiment(args) -> int:
         if args.ms_override is not None:
             cfg = replace(cfg, m_latent=args.ms_override)
         rows = exp.run_nit_sweep(cfg)
+        out_dir.mkdir(parents=True, exist_ok=True)
         results = out_dir / "nit_sweep.csv"
-        table = []
-        for nit, rep, algorithm, loglik in rows:
-            table.append([nit, rep, algorithm, exp.format_float(loglik)])
         exp.write_csv(results, ["nit", "repetition", "algorithm", "final_train_loglik"],
-                      table, meta={"seed": cfg.seed})
+                      rows, meta={"seed": cfg.seed})
         print(f"wrote {len(rows)} sweep rows to {results}")
         return 0
 
@@ -243,6 +241,7 @@ def cmd_experiment(args) -> int:
         results = out_dir / "deep.csv"
 
     meta = {"seed": cfg.seed, "split": cfg.split, "m_latent": cfg.m_latent}
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_reports(args, reports, results, meta, f"{args.name} training")
     return 0
 

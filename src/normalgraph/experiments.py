@@ -29,7 +29,6 @@ from .graph import (
     SisoBlock,
     SourceBlock,
     build_expander,
-    ensure_valid,
     graph_digest,
 )
 from .learning import (
@@ -64,7 +63,6 @@ __all__ = [
     "save_samples",
     "load_samples",
     "write_csv",
-    "write_block_rows",
     "write_training_rows",
     "write_coefficient_rows",
     "write_plot_script",
@@ -101,7 +99,7 @@ def build_latent_star(m_latent: int = 4, generative: bool = False) -> GraphSpec:
         mats = tuple(np.full((m_latent, c), 1.0 / c) for c in leaf_sizes)
     variables = [("S0", m_latent), ("S1", m_latent), ("S2", m_latent), ("S3", m_latent)]
     variables += [(f"X{i}", c) for i, c in enumerate(leaf_sizes, start=1)]
-    graph = GraphSpec(
+    return GraphSpec(
         variables=tuple(variables),
         sources=(SourceBlock("prior_S", "S0", prior),),
         blocks=tuple(
@@ -110,7 +108,6 @@ def build_latent_star(m_latent: int = 4, generative: bool = False) -> GraphSpec:
         ),
         diverters=(DiverterNode(inbound=("S0",), taps=("S1", "S2", "S3")),),
     )
-    return ensure_valid(graph)
 
 
 # Four-layer graph: sources S1, S2, S3; the pair (S1, S2) drives Y1 through
@@ -162,7 +159,7 @@ def build_deep_graph() -> GraphSpec:
         DiverterNode(inbound=("Y1_0",), taps=("Y1_1", "Y1_2")),
         DiverterNode(inbound=("PS23_1", "PS23_2"), taps=("PS23_0",)),
     )
-    return ensure_valid(GraphSpec(variables, sources, blocks, diverters))
+    return GraphSpec(variables, sources, blocks, diverters)
 
 
 def deep_generative_parameters(seed: int = 1) -> dict[str, np.ndarray]:
@@ -390,21 +387,15 @@ def load_samples(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
 
 
 def write_csv(path, header, rows, meta: dict | None = None) -> None:
-    """Results CSV: ``# key: value`` provenance lines, the header, the rows."""
+    """Results CSV: ``# key: value`` provenance lines, the header, the rows;
+    float cells, numpy's float64 included, are written by ``format_float``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key, value in (meta or {}).items():
             fh.write(f"# {key}: {value}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
-
-
-def write_block_rows(rows, path, meta: dict | None = None) -> None:
-    """Single-block results CSV: (algorithm, iteration, loglik)."""
-    table = []
-    for algorithm, iteration, loglik in rows:
-        table.append([algorithm, iteration, format_float(loglik)])
-    write_csv(path, ["algorithm", "iteration", "loglik"], table, meta)
+        writer.writerows([format_float(c) if isinstance(c, float) else c for c in row]
+                         for row in rows)
 
 
 def write_training_rows(reports: dict[str, TrainReport], path,
@@ -421,10 +412,10 @@ def write_training_rows(reports: dict[str, TrainReport], path,
     table = []
     for algorithm, report in reports.items():
         for record in report.records:
-            row = [algorithm, record.epoch, format_float(record.train_loglik)]
+            row = [algorithm, record.epoch, record.train_loglik]
             if include_test:
-                row.append(format_float(record.test_loglik))
-            row.append(format_float(record.wall_ms))
+                row.append(record.test_loglik)
+            row.append(record.wall_ms)
             table.append(row)
     write_csv(path, header, table, meta)
 
@@ -439,8 +430,7 @@ def write_coefficient_rows(reports: dict[str, TrainReport], path,
                 matrix = np.atleast_2d(matrix)
                 for r in range(matrix.shape[0]):
                     for c in range(matrix.shape[1]):
-                        table.append([algorithm, record.epoch, name, r, c,
-                                      format_float(matrix[r, c])])
+                        table.append([algorithm, record.epoch, name, r, c, matrix[r, c]])
     write_csv(path, ["algorithm", "epoch", "block", "row", "col", "value"], table, meta)
 
 

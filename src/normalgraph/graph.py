@@ -8,7 +8,8 @@ has at most one producing node (its tail) and one consuming node (its
 head); an unoccupied endpoint makes the variable a terminal where evidence
 can be injected.
 
-Graphs are plain frozen dataclasses with value semantics.  A JSON file
+Graphs are plain frozen dataclasses with value semantics, checked when
+they are built: every ``GraphSpec`` that exists is sound.  A JSON file
 format (see ``load_graph``/``save_graph``) mirrors the structure one to
 one; matrices are row-major with rows indexed by the input symbol.
 """
@@ -35,7 +36,6 @@ __all__ = [
     "GraphSpec",
     "build_projector",
     "build_expander",
-    "validate",
     "ensure_valid",
     "split_variable",
     "graph_to_dict",
@@ -127,7 +127,8 @@ class DiverterNode:
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Immutable description of a normal-form factor graph."""
+    """Immutable description of a normal-form factor graph, checked when
+    built: construction raises GraphError listing every structural problem."""
 
     variables: tuple[tuple[str, int], ...]
     sources: tuple[SourceBlock, ...] = ()
@@ -139,6 +140,7 @@ class GraphSpec:
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "diverters", tuple(self.diverters))
+        ensure_valid(self)
 
     @property
     def sizes(self) -> dict[str, int]:
@@ -254,7 +256,7 @@ def build_expander(sizes: Sequence[int], j: int) -> np.ndarray:
     return out
 
 
-def validate(graph: GraphSpec) -> list[str]:
+def _problems(graph: GraphSpec) -> list[str]:
     """Collect structural violations; an empty list means the graph is sound.
 
     Checks names, endpoint occupancy, alphabet agreement, numeric
@@ -375,8 +377,9 @@ def validate(graph: GraphSpec) -> list[str]:
 
 
 def ensure_valid(graph: GraphSpec) -> GraphSpec:
-    """Raise GraphError with all violations if the graph is unsound."""
-    problems = validate(graph)
+    """Raise GraphError listing every violation; ``GraphSpec.__post_init__``
+    runs it on each graph being built, so an existing graph always passes."""
+    problems = _problems(graph)
     if problems:
         raise GraphError("; ".join(problems))
     return graph
@@ -590,7 +593,7 @@ def graph_to_dict(graph: GraphSpec) -> dict:
 def load_graph(path) -> GraphSpec:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return ensure_valid(graph_from_dict(data))
+    return graph_from_dict(data)
 
 
 def save_graph(graph: GraphSpec, path) -> None:

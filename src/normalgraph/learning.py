@@ -83,10 +83,6 @@ class BlockDataset:
             if self.mask.shape[0] != self.forward.shape[0]:
                 raise ValueError("mask length does not match sample count")
 
-    @property
-    def n_samples(self) -> int:
-        return self.forward.shape[0]
-
 
 def _finish_rows(raw: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     """Row-normalize; a row without mass takes the same row of ``fallback``.
@@ -312,7 +308,7 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
     Parameters
     ----------
     graph:
-        Validated graph; trainable matrices and priors are reinitialized to
+        Graph to train; trainable matrices and priors are reinitialized to
         uniform rows before the first epoch, so their stored values only
         provide shapes.
     samples:

@@ -34,7 +34,6 @@ from .graph import (
     SisoBlock,
     SourceBlock,
     UnknownVariable,
-    ensure_valid,
 )
 from .messages import (AllZeroVector, _normalize_in_place, hadamard_posterior, normalize,
                        one_hot, uniform)
@@ -75,15 +74,14 @@ def posterior(state: MessageState, variable: str) -> np.ndarray:
 class Propagator:
     """Reusable schedule for one graph structure.
 
-    Compiling the schedule validates the graph once; ``run`` may then be
-    called many times with different evidence.
+    The schedule is compiled once from a graph that was checked when it
+    was built; ``run`` may then be called many times with different evidence.
     Messages ("F"|"B", variable) are numbered in declaration order;
     ``forward_order`` lists every variable after the inputs of its
     producer.
     """
 
     def __init__(self, graph: GraphSpec):
-        ensure_valid(graph)
         self.graph = graph
         self.sizes = graph.sizes
         self._tails = graph.tails()

@@ -241,19 +241,19 @@ MALFORMED_GRAPHS = {
     "source trainable a number": _set(("sources", 0, "trainable"), 1),
 }
 
-# Study settings outside their range, each with the results CSV it must not write.
+# Study settings outside their range; each must leave no --out directory behind.
 BAD_STUDY_SETTINGS = [
-    (["single-block", "--iterations", "0"], "single_block.csv"),
-    (["single-block", "--iterations", "-2"], "single_block.csv"),
-    (["single-block", "--n", "-1"], "single_block.csv"),
-    (["single-block", "--sharp-in", "nan"], "single_block.csv"),
-    (["single-block", "--sharp-out", "inf"], "single_block.csv"),
-    (["single-block", "--delta", "inf"], "single_block.csv"),
-    (["single-block", "--delta", "1e200"], "single_block.csv"),
-    (["tree", "--delta", "1e101", "--epochs", "1", "--n", "20"], "tree.csv"),
-    (["tree", "--n", "1", "--split", "0.4"], "tree.csv"),
-    (["tree", "--ms-override", "0", "--epochs", "1", "--n", "20"], "tree.csv"),
-    (["nit-sweep", "--ms-override", "0", "--epochs", "1", "--n", "20"], "nit_sweep.csv"),
+    ["single-block", "--iterations", "0"],
+    ["single-block", "--iterations", "-2"],
+    ["single-block", "--n", "-1"],
+    ["single-block", "--sharp-in", "nan"],
+    ["single-block", "--sharp-out", "inf"],
+    ["single-block", "--delta", "inf"],
+    ["single-block", "--delta", "1e200"],
+    ["tree", "--delta", "1e101", "--epochs", "1", "--n", "20"],
+    ["tree", "--n", "1", "--split", "0.4"],
+    ["tree", "--ms-override", "0", "--epochs", "1", "--n", "20"],
+    ["nit-sweep", "--ms-override", "0", "--epochs", "1", "--n", "20"],
 ]
 
 BAD_DATASETS = {
@@ -340,14 +340,14 @@ class TestErrorReporting:
         assert flag[2:] in err[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, results", BAD_STUDY_SETTINGS,
-                             ids=[" ".join(argv) for argv, _ in BAD_STUDY_SETTINGS])
-    def test_bad_study_setting_is_data(self, tmp_path, capsys, argv, results):
-        rc = main(["experiment", *argv, "--out", str(tmp_path)])
+    @pytest.mark.parametrize("argv", BAD_STUDY_SETTINGS, ids=" ".join)
+    def test_bad_study_setting_is_data(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc = main(["experiment", *argv, "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: data:"), err
-        assert not (tmp_path / results).exists()
+        assert not out.exists()
 
     def test_contradiction_is_evidence(self, star_files, tmp_path, capsys):
         _, _, data = star_files

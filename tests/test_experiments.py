@@ -19,20 +19,20 @@ from normalgraph.experiments import (
     run_tree_experiment,
     save_samples,
     split_mask,
-    write_block_rows,
     write_coefficient_rows,
+    write_csv,
     write_plot_script,
     write_training_rows,
 )
-from normalgraph.graph import build_expander, graph_digest, validate
+from normalgraph.graph import build_expander, graph_digest
 from normalgraph.synthgen import ancestral_sample
 
 
 class TestBuilders:
     def test_star_variants_validate(self):
-        assert validate(build_latent_star()) == []
-        assert validate(build_latent_star(m_latent=7)) == []
-        assert validate(build_latent_star(generative=True)) == []
+        build_latent_star()
+        build_latent_star(m_latent=7)
+        build_latent_star(generative=True)
 
     def test_generative_star_carries_reference_model(self):
         star = build_latent_star(generative=True)
@@ -53,7 +53,6 @@ class TestBuilders:
 
     def test_deep_graph_shape(self):
         graph = build_deep_graph()
-        assert validate(graph) == []
         assert graph.sizes["PS12_0"] == 8
         assert graph.sizes["PS23_0"] == 12
         assert len(graph.terminals()) == 3
@@ -82,8 +81,7 @@ class TestBuilders:
         assert any(not np.array_equal(a[name], c[name]) for name in a)
 
     def test_parameterized_deep_graph_validates(self):
-        graph = build_deep_graph().with_parameters(deep_generative_parameters(seed=3))
-        assert validate(graph) == []
+        build_deep_graph().with_parameters(deep_generative_parameters(seed=3))
 
 
 class TestSplitMask:
@@ -197,13 +195,18 @@ class TestResultCsv:
 
     def test_block_rows_layout(self, tmp_path):
         path = tmp_path / "block.csv"
-        write_block_rows(
-            [("ml", 1, -1.5), ("ref", 1, -2.0)], path, meta={"seed": 1}
-        )
+        write_csv(path, ["algorithm", "iteration", "loglik"],
+                  [("ml", 1, -1.5), ("ref", 1, -2.0)], meta={"seed": 1})
         lines = path.read_text().splitlines()
-        assert lines[0] == "# seed: 1"
-        assert lines[1] == "algorithm,iteration,loglik"
-        assert lines[2].startswith("ml,1,")
+        assert lines == ["# seed: 1", "algorithm,iteration,loglik", "ml,1,-1.5", "ref,1,-2"]
+
+    def test_only_float_cells_take_the_float_format(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        third = np.float64(1.0) / 3.0
+        write_csv(path, ["a", "b", "c", "d", "e"], [[1.0 / 3.0, third, 7, True, "x"]])
+        body = path.read_text().splitlines()[1]
+        assert body == ",".join([format_float(1.0 / 3.0)] * 2 + ["7", "True", "x"])
+        assert body.startswith("0.33333333333333331,")
 
     def test_training_rows_wall_clock_is_last(self, tmp_path):
         cfg = GraphExperimentConfig(

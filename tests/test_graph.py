@@ -17,14 +17,12 @@ from normalgraph.graph import (
     UnknownVariable,
     build_expander,
     build_projector,
-    ensure_valid,
     graph_digest,
     graph_from_dict,
     graph_to_dict,
     load_graph,
     save_graph,
     split_variable,
-    validate,
 )
 
 # Hand-written product-space matrices for component sizes [2, 3, 2]: the
@@ -40,12 +38,10 @@ PROJ_3 = np.array([[1, 0], [0, 1]] * 6, dtype=np.float64)
 
 def chain_graph():
     """S with prior feeding an identity-ish block into X."""
-    return ensure_valid(
-        GraphSpec(
-            variables=(("S", 2), ("X", 2)),
-            sources=(SourceBlock("prior_S", "S", np.array([0.3, 0.7])),),
-            blocks=(SisoBlock("P_X", "S", "X", np.array([[0.9, 0.1], [0.2, 0.8]])),),
-        )
+    return GraphSpec(
+        variables=(("S", 2), ("X", 2)),
+        sources=(SourceBlock("prior_S", "S", np.array([0.3, 0.7])),),
+        blocks=(SisoBlock("P_X", "S", "X", np.array([[0.9, 0.1], [0.2, 0.8]])),),
     )
 
 
@@ -150,69 +146,55 @@ class TestGraphSpecBasics:
 
 class TestValidate:
     def test_accepts_experiment_builders(self):
-        assert validate(build_latent_star()) == []
-        assert validate(build_latent_star(m_latent=7)) == []
-        assert validate(build_latent_star(generative=True)) == []
-        assert validate(build_deep_graph()) == []
+        build_latent_star()
+        build_latent_star(m_latent=7)
+        build_latent_star(generative=True)
+        build_deep_graph()
 
     def test_rejects_single_corruptions(self):
-        """Every one-field corruption of the star graph must be caught."""
+        """Every one-field corruption of the star graph must be caught
+        when the corrupted graph is built."""
         star = build_latent_star()
-        broken = []
-        # unknown variable in a block
-        blocks = list(star.blocks)
-        blocks[0] = replace(blocks[0], from_var="NOPE")
-        broken.append(replace(star, blocks=tuple(blocks)))
-        # duplicate node names
-        blocks = list(star.blocks)
-        blocks[1] = replace(blocks[1], name=blocks[0].name)
-        broken.append(replace(star, blocks=tuple(blocks)))
-        # two producers for one variable
-        broken.append(
-            replace(star, sources=star.sources + (SourceBlock("extra", "X1", np.array([0.5, 0.5])),))
-        )
-        # non-stochastic matrix
-        blocks = list(star.blocks)
-        bad = np.array(blocks[0].theta)
-        bad[0, 0] += 0.2
-        blocks[0] = replace(blocks[0], theta=bad)
-        broken.append(replace(star, blocks=tuple(blocks)))
-        # entry outside [0, 1]
-        blocks = list(star.blocks)
-        bad = np.array(blocks[2].theta)
-        bad[0] = [1.4, -0.2, -0.2]
-        blocks[2] = replace(blocks[2], theta=bad)
-        broken.append(replace(star, blocks=tuple(blocks)))
-        # prior length mismatch
-        sources = (SourceBlock("prior_S", "S0", np.array([0.5, 0.5])),)
-        broken.append(replace(star, sources=sources))
-        # diverter replica size disagreement
-        variables = tuple(
-            (n, 3 if n == "S2" else s) for n, s in star.variables
-        )
-        broken.append(replace(star, variables=variables))
-        # dangling variable
-        broken.append(replace(star, variables=star.variables + (("LONE", 2),)))
-        # diverter tap duplicated
-        divs = (DiverterNode(inbound=("S0",), taps=("S1", "S1", "S3")),)
-        broken.append(replace(star, diverters=divs))
-        for graph in broken:
-            assert validate(graph), "corruption slipped through"
-            with pytest.raises(GraphError):
-                ensure_valid(graph)
+
+        def with_block(index, **changes):
+            blocks = list(star.blocks)
+            blocks[index] = replace(blocks[index], **changes)
+            return replace(star, blocks=tuple(blocks))
+
+        non_stochastic = np.array(star.blocks[0].theta)
+        non_stochastic[0, 0] += 0.2
+        out_of_range = np.array(star.blocks[2].theta)
+        out_of_range[0] = [1.4, -0.2, -0.2]
+        extra_source = SourceBlock("extra", "X1", np.array([0.5, 0.5]))
+        corruptions = [
+            ("unknown variable 'NOPE'", lambda: with_block(0, from_var="NOPE")),
+            ("duplicate node names", lambda: with_block(1, name=star.blocks[0].name)),
+            ("multiple producers", lambda: replace(star, sources=star.sources + (extra_source,))),
+            ("rows do not sum to 1", lambda: with_block(0, theta=non_stochastic)),
+            (r"entries outside \[0, 1\]", lambda: with_block(2, theta=out_of_range)),
+            ("prior length 2 does not match", lambda: replace(
+                star, sources=(SourceBlock("prior_S", "S0", np.array([0.5, 0.5])),))),
+            ("replicas disagree on alphabet size", lambda: replace(
+                star, variables=tuple((n, 3 if n == "S2" else s) for n, s in star.variables))),
+            ("'LONE' dangles", lambda: replace(star, variables=star.variables + (("LONE", 2),))),
+            ("attaches the same variable twice", lambda: replace(
+                star, diverters=(DiverterNode(inbound=("S0",), taps=("S1", "S1", "S3")),))),
+        ]
+        for problem, build in corruptions:
+            with pytest.raises(GraphError, match=problem):
+                build()
 
     def test_rejects_cycle(self):
-        graph = GraphSpec(
-            variables=(("A", 2), ("B", 2), ("C", 2)),
-            sources=(SourceBlock("prior_A", "A", np.array([0.5, 0.5])),),
-            blocks=(
-                SisoBlock("ab", "A", "B", np.full((2, 2), 0.5)),
-                SisoBlock("bc", "B", "C", np.full((2, 2), 0.5)),
-                SisoBlock("ca", "C", "A", np.full((2, 2), 0.5)),
-            ),
-        )
-        problems = validate(graph)
-        assert any("cycle" in p or "producers" in p for p in problems)
+        with pytest.raises(GraphError, match="cycle|producers"):
+            GraphSpec(
+                variables=(("A", 2), ("B", 2), ("C", 2)),
+                sources=(SourceBlock("prior_A", "A", np.array([0.5, 0.5])),),
+                blocks=(
+                    SisoBlock("ab", "A", "B", np.full((2, 2), 0.5)),
+                    SisoBlock("bc", "B", "C", np.full((2, 2), 0.5)),
+                    SisoBlock("ca", "C", "A", np.full((2, 2), 0.5)),
+                ),
+            )
 
     def test_rejects_parallel_edges(self):
         graph = GraphSpec(
@@ -221,33 +203,36 @@ class TestValidate:
             blocks=(SisoBlock("ab", "A", "B", np.full((2, 2), 0.5)),),
             diverters=(DiverterNode(inbound=("B",), taps=("C",)),),
         )
-        assert validate(graph) == []
-        looped = replace(
-            graph,
-            variables=graph.variables + (("D", 2),),
-            blocks=graph.blocks + (SisoBlock("cd", "C", "D", np.full((2, 2), 0.5)),),
-            diverters=(DiverterNode(inbound=("B", "D"), taps=("C",)),),
-        )
-        problems = validate(looped)
-        assert problems
+        with pytest.raises(GraphError, match="parallel edge"):
+            replace(
+                graph,
+                variables=graph.variables + (("D", 2),),
+                blocks=graph.blocks + (SisoBlock("cd", "C", "D", np.full((2, 2), 0.5)),),
+                diverters=(DiverterNode(inbound=("B", "D"), taps=("C",)),),
+            )
 
     def test_reports_diverter_without_inbound_edge(self):
         chain = chain_graph()
-        graph = replace(chain, diverters=(DiverterNode(inbound=(), taps=("X",)),))
-        assert any("at least one inbound" in p for p in validate(graph))
+        with pytest.raises(GraphError, match="at least one inbound"):
+            replace(chain, diverters=(DiverterNode(inbound=(), taps=("X",)),))
 
     def test_rejects_nonpositive_size(self):
-        graph = GraphSpec(
-            variables=(("A", 0),),
-            sources=(SourceBlock("prior_A", "A", np.array([])),),
-        )
-        assert any("non-positive" in p for p in validate(graph))
+        with pytest.raises(GraphError, match="non-positive"):
+            GraphSpec(
+                variables=(("A", 0),),
+                sources=(SourceBlock("prior_A", "A", np.array([])),),
+            )
+
+    def test_with_parameters_rejects_non_stochastic_matrix(self):
+        star = build_latent_star()
+        with pytest.raises(GraphError, match="block 'P_X1' matrix rows do not sum to 1"):
+            star.with_parameters({"P_X1": np.full((4, 2), 0.4)})
 
 
 class TestSplitVariable:
     def test_chain_split_structure(self):
         graph = chain_graph()
-        split = ensure_valid(split_variable(graph, "S"))
+        split = split_variable(graph, "S")
         names = dict(split.variables)
         assert "S_cont" in names and "S_tap" in names
         # the block now consumes the continuation replica
@@ -258,7 +243,7 @@ class TestSplitVariable:
 
     def test_split_terminal_variable(self):
         graph = chain_graph()
-        split = ensure_valid(split_variable(graph, "X"))
+        split = split_variable(graph, "X")
         assert "X_tap" in split.terminals()
         assert "X_cont" in split.terminals()
 
@@ -279,7 +264,7 @@ class TestSplitVariable:
             variables=graph.variables + (("S_cont", 2),),
             blocks=graph.blocks + (SisoBlock("c1", "X", "S_cont", np.full((2, 2), 0.5)),),
         )
-        split = ensure_valid(split_variable(graph, "S"))
+        split = split_variable(graph, "S")
         names = [n for n, _ in split.variables]
         assert names.count("S_cont") == 1
         assert "S_cont2" in names
@@ -315,7 +300,7 @@ class TestFileFormat:
             "sources": [{"name": "prior_S", "variable": "S", "prior": "uniform"}],
             "blocks": [{"name": "P_X", "from": "S", "to": "X", "matrix": "uniform"}],
         }
-        graph = ensure_valid(graph_from_dict(data))
+        graph = graph_from_dict(data)
         np.testing.assert_allclose(graph.source("prior_S").prior, 1.0 / 3.0)
         np.testing.assert_allclose(graph.block("P_X").theta, 0.5)
 
@@ -332,7 +317,7 @@ class TestFileFormat:
                 }
             ],
         }
-        graph = ensure_valid(graph_from_dict(data))
+        graph = graph_from_dict(data)
         block = graph.block("join")
         assert np.array_equal(block.theta, build_expander([4, 2], 1))
         assert block.trainable is False

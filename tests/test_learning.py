@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (cooccurrence_table, deep_terminal_joint, reference_bilinear,
-                     reference_normalize)
+from oracles import (cooccurrence_table, deep_terminal_joint, random_bayes_tree,
+                     reference_bilinear, reference_normalize)
 from normalgraph.experiments import (
     build_deep_graph,
     build_latent_star,
@@ -19,7 +19,9 @@ from normalgraph.graph import (
     GraphSpec,
     SisoBlock,
     SourceBlock,
-    ensure_valid,
+    graph_digest,
+    load_graph,
+    save_graph,
     split_variable,
 )
 from normalgraph import learning
@@ -415,7 +417,7 @@ def observed_chain():
         sources=(SourceBlock("prior_S", "S", np.array([0.5, 0.5])),),
         blocks=(SisoBlock("P_X", "S", "X", np.eye(2)),),
     )
-    return ensure_valid(split_variable(chain, "S"))
+    return split_variable(chain, "S")
 
 
 class TestEmTrain:
@@ -986,3 +988,26 @@ class TestVarEqualLatentRows:
         assert all(np.isfinite(list(spreads.values())))
         print("var P_X1 latent row spread by epoch:",
               ", ".join(f"{e}: {s:.2g}" for e, s in spreads.items()))
+
+
+class TestRandomLatentTrees:
+    """em_train on random tree-shaped nets observed at their leaves only,
+    so every internal node is latent."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_every_rule_learns_a_sound_graph(self, tmp_path_factory, seed):
+        tree, graph, readout = random_bayes_tree(np.random.default_rng(seed))
+        leaves = [readout[v] for v in range(len(tree["sizes"])) if v not in tree["parent"]]
+        evidence = ancestral_sample(graph, 500, seed=seed).terminal_evidence(leaves)
+        path = tmp_path_factory.mktemp("tree") / "learned.json"
+        for rule in ALGORITHMS:
+            report = em_train(graph, evidence, TrainConfig(rule, epochs=10, seed=1))
+            assert all(np.isfinite(r.train_loglik) for r in report.records), rule
+            for unit in report.graph.trainable_units():
+                matrix = np.atleast_2d(unit.prior if isinstance(unit, SourceBlock) else unit.theta)
+                assert np.all(np.isfinite(matrix)) and np.all(matrix >= 0.0), (rule, unit.name)
+                np.testing.assert_allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12,
+                                           err_msg=f"{rule} {unit.name}")
+            save_graph(report.graph, path)
+            assert graph_digest(load_graph(path)) == graph_digest(report.graph), rule

@@ -13,7 +13,6 @@ from normalgraph.graph import (
     SourceBlock,
     UnknownVariable,
     build_expander,
-    ensure_valid,
     split_variable,
 )
 from normalgraph.learning import BlockDataset, block_log_likelihood
@@ -27,12 +26,10 @@ from normalgraph.propagation import (
 
 
 def identity_chain(prior=(0.3, 0.7)):
-    return ensure_valid(
-        GraphSpec(
-            variables=(("S", 2), ("X", 2)),
-            sources=(SourceBlock("prior_S", "S", np.array(prior)),),
-            blocks=(SisoBlock("P_X", "S", "X", np.eye(2)),),
-        )
+    return GraphSpec(
+        variables=(("S", 2), ("X", 2)),
+        sources=(SourceBlock("prior_S", "S", np.array(prior)),),
+        blocks=(SisoBlock("P_X", "S", "X", np.eye(2)),),
     )
 
 
@@ -43,42 +40,36 @@ def mini_join_graph(seed=42):
     theta /= theta.sum(axis=1, keepdims=True)
     prior_a = np.array([0.6, 0.4])
     prior_b = np.array([0.5, 0.2, 0.3])
-    return ensure_valid(
-        GraphSpec(
-            variables=(("A", 2), ("B", 3), ("PA", 6), ("PB", 6), ("P0", 6), ("X", 2)),
-            sources=(
-                SourceBlock("prior_A", "A", prior_a),
-                SourceBlock("prior_B", "B", prior_b),
-            ),
-            blocks=(
-                SisoBlock("joinA", "A", "PA", build_expander([2, 3], 1), trainable=False),
-                SisoBlock("joinB", "B", "PB", build_expander([2, 3], 2), trainable=False),
-                SisoBlock("P_X", "P0", "X", theta),
-            ),
-            diverters=(DiverterNode(inbound=("PA", "PB"), taps=("P0",)),),
-        )
+    return GraphSpec(
+        variables=(("A", 2), ("B", 3), ("PA", 6), ("PB", 6), ("P0", 6), ("X", 2)),
+        sources=(
+            SourceBlock("prior_A", "A", prior_a),
+            SourceBlock("prior_B", "B", prior_b),
+        ),
+        blocks=(
+            SisoBlock("joinA", "A", "PA", build_expander([2, 3], 1), trainable=False),
+            SisoBlock("joinB", "B", "PB", build_expander([2, 3], 2), trainable=False),
+            SisoBlock("P_X", "P0", "X", theta),
+        ),
+        diverters=(DiverterNode(inbound=("PA", "PB"), taps=("P0",)),),
     )
 
 
 def one_block(theta):
     """A single block between the open terminals A (input) and B (output)."""
     theta = np.asarray(theta, dtype=float)
-    return ensure_valid(
-        GraphSpec(
-            variables=(("A", theta.shape[0]), ("B", theta.shape[1])),
-            blocks=(SisoBlock("P", "A", "B", theta),),
-        )
+    return GraphSpec(
+        variables=(("A", theta.shape[0]), ("B", theta.shape[1])),
+        blocks=(SisoBlock("P", "A", "B", theta),),
     )
 
 
 def one_diverter(n_taps, size=2):
     """A single diverter from the open terminal E0 to the open taps E1..En."""
     taps = tuple(f"E{k}" for k in range(1, n_taps + 1))
-    return ensure_valid(
-        GraphSpec(
-            variables=tuple((v, size) for v in ("E0", *taps)),
-            diverters=(DiverterNode(inbound=("E0",), taps=taps),),
-        )
+    return GraphSpec(
+        variables=tuple((v, size) for v in ("E0", *taps)),
+        diverters=(DiverterNode(inbound=("E0",), taps=taps),),
     )
 
 
@@ -319,7 +310,7 @@ class TestEvidenceHandling:
 
     def test_contradictory_hard_evidence_names_variable(self):
         chain = identity_chain(prior=(1.0, 0.0))
-        split = ensure_valid(split_variable(chain, "X"))
+        split = split_variable(chain, "X")
         with pytest.raises(ContradictoryEvidence, match="X"):
             Propagator(split).run({"X_cont": 0, "X_tap": 1})
 
@@ -329,7 +320,7 @@ class TestEvidenceHandling:
     def test_forward_contradiction_message(self):
         """The prior puts all mass on 0, so X_tap = 1 leaves the forward
         message into X_cont without support."""
-        split = ensure_valid(split_variable(identity_chain(prior=(1.0, 0.0)), "X"))
+        split = split_variable(identity_chain(prior=(1.0, 0.0)), "X")
         with pytest.raises(ContradictoryEvidence) as caught:
             Propagator(split).run({"X_tap": self.CONTRADICTING_TAP})
         assert str(caught.value) == (
@@ -338,7 +329,7 @@ class TestEvidenceHandling:
     def test_backward_contradiction_message(self):
         """X_cont = 0 and X_tap = 1 leave the backward message into X without
         support; under a uniform prior every forward message keeps some."""
-        split = ensure_valid(split_variable(identity_chain(prior=(0.5, 0.5)), "X"))
+        split = split_variable(identity_chain(prior=(0.5, 0.5)), "X")
         with pytest.raises(ContradictoryEvidence) as caught:
             Propagator(split).run({"X_cont": np.zeros(12, dtype=int),
                                    "X_tap": self.CONTRADICTING_TAP})
@@ -348,7 +339,7 @@ class TestEvidenceHandling:
     def test_split_with_uniform_tap_changes_nothing(self):
         """A fresh tap fed uniform backward flow is invisible elsewhere."""
         graph = build_latent_star(generative=True)
-        split = ensure_valid(split_variable(graph, "X2"))
+        split = split_variable(graph, "X2")
         evidence = {"X1": 1, "X3": 2}
         before = Propagator(graph).run(evidence)
         after = Propagator(split).run(evidence)
@@ -447,14 +438,12 @@ class TestLikelihoods:
         assert aggregated_log_likelihood(state, tuple(evidence), mask * 1.0) == expected
 
     def test_aggregated_minus_inf_sentinel(self):
-        graph = ensure_valid(
-            GraphSpec(
-                variables=(("S", 2), ("X", 2)),
-                sources=(SourceBlock("prior_S", "S", np.array([1.0, 0.0])),),
-                blocks=(
-                    SisoBlock("P_X", "S", "X", np.array([[1.0, 0.0], [0.5, 0.5]])),
-                ),
-            )
+        graph = GraphSpec(
+            variables=(("S", 2), ("X", 2)),
+            sources=(SourceBlock("prior_S", "S", np.array([1.0, 0.0])),),
+            blocks=(
+                SisoBlock("P_X", "S", "X", np.array([[1.0, 0.0], [0.5, 0.5]])),
+            ),
         )
         state = Propagator(graph).run({"X": 1})
         assert aggregated_log_likelihood(state, ("X",)) == float("-inf")

@@ -8,7 +8,6 @@ from normalgraph.graph import (
     GraphSpec,
     SisoBlock,
     SourceBlock,
-    ensure_valid,
     split_variable,
 )
 from normalgraph.experiments import (
@@ -27,12 +26,11 @@ from normalgraph.synthgen import (
 
 
 def identity_chain(prior=(0.3, 0.7)):
-    graph = GraphSpec(
+    return GraphSpec(
         variables=(("S", 2), ("X", 2)),
         sources=(SourceBlock("prior_S", "S", np.asarray(prior, dtype=float)),),
         blocks=(SisoBlock("P_X", "S", "X", np.eye(2)),),
     )
-    return ensure_valid(graph)
 
 
 class TestSubstream:
@@ -80,15 +78,13 @@ class TestAncestralSampling:
         from normalgraph.graph import DiverterNode
 
         full = build_latent_star(generative=True)
-        two_leaf = ensure_valid(
-            GraphSpec(
-                variables=tuple(
-                    (v, s) for v, s in full.variables if v not in ("S3", "X3")
-                ),
-                sources=full.sources,
-                blocks=tuple(b for b in full.blocks if b.name != "P_X3"),
-                diverters=(DiverterNode(inbound=("S0",), taps=("S1", "S2")),),
-            )
+        two_leaf = GraphSpec(
+            variables=tuple(
+                (v, s) for v, s in full.variables if v not in ("S3", "X3")
+            ),
+            sources=full.sources,
+            blocks=tuple(b for b in full.blocks if b.name != "P_X3"),
+            diverters=(DiverterNode(inbound=("S0",), taps=("S1", "S2")),),
         )
         a = ancestral_sample(full, 50, seed=6, keep_all=True)
         b = ancestral_sample(two_leaf, 50, seed=6, keep_all=True)
@@ -166,7 +162,7 @@ class TestAncestralSampling:
         unsplit = build_deep_graph().with_parameters(deep_generative_parameters(seed=1))
         graph = unsplit
         for variable in splits:
-            graph = ensure_valid(split_variable(graph, variable))
+            graph = split_variable(graph, variable)
         data = ancestral_sample(graph, 500, seed=8, keep_all=True)
         assert np.array_equal(data["PS12_0"], data["S1_0"] * 2 + data["S2"])
         assert np.array_equal(data["PS23_0"], data["Y2"] * 3 + data["S3"])
@@ -184,12 +180,10 @@ class TestAncestralSampling:
         assert data["X"].shape == (0,)
 
     def test_open_input_rejected(self):
-        headless = ensure_valid(
-            GraphSpec(
-                variables=(("S", 2), ("X", 2)),
-                sources=(),
-                blocks=(SisoBlock("P_X", "S", "X", np.eye(2)),),
-            )
+        headless = GraphSpec(
+            variables=(("S", 2), ("X", 2)),
+            sources=(),
+            blocks=(SisoBlock("P_X", "S", "X", np.eye(2)),),
         )
         with pytest.raises(GraphError, match="open input"):
             ancestral_sample(headless, 5)
