@@ -33,6 +33,7 @@ from .graph import (
 )
 from .learning import (
     ALGORITHMS,
+    BlockDataset,
     TrainConfig,
     TrainReport,
     block_log_likelihood,
@@ -42,9 +43,9 @@ from .learning import (
     var_update,
     vit_update,
 )
-from .messages import _require_delta, _require_finite_nonnegative
+from .messages import _require_delta, _require_finite_nonnegative, sharpen
 from .propagation import ContradictoryEvidence
-from .synthgen import SampleSet, ancestral_sample, random_message_pairs, random_row_stochastic, substream
+from .synthgen import SampleSet, ancestral_sample, random_row_stochastic, substream
 
 __all__ = [
     "TREE_PRIOR",
@@ -53,6 +54,7 @@ __all__ = [
     "build_deep_graph",
     "deep_generative_parameters",
     "SingleBlockConfig",
+    "random_message_pairs",
     "run_single_block",
     "GraphExperimentConfig",
     "train_rules",
@@ -211,6 +213,21 @@ class SingleBlockConfig:
         for name in ("sharp_in", "sharp_out"):
             _require_finite_nonnegative(name, getattr(self, name))
         _require_delta(self.delta)
+
+
+def random_message_pairs(m_in: int, m_out: int, n_samples: int,
+                         sharp_in: float = 1.0, sharp_out: float = 1.0,
+                         seed: int = 1) -> BlockDataset:
+    """Synthetic message pairs for single-block experiments.
+
+    Entries are drawn uniform in [0, 1], normalized, and sharpened by the
+    given exponents; exponent 1 leaves them smooth, large exponents push
+    every message toward a delta.
+    """
+    rng = substream(seed, "pairs", m_in, m_out, n_samples)
+    forward = sharpen(rng.uniform(size=(n_samples, m_in)), sharp_in)
+    backward = sharpen(rng.uniform(size=(n_samples, m_out)), sharp_out)
+    return BlockDataset(forward=forward, backward=backward)
 
 
 def run_single_block(cfg: SingleBlockConfig) -> list[tuple[str, int, float]]:

@@ -8,10 +8,11 @@ has at most one producing node (its tail) and one consuming node (its
 head); an unoccupied endpoint makes the variable a terminal where evidence
 can be injected.
 
-Graphs are plain frozen dataclasses with value semantics, checked when
-they are built: every ``GraphSpec`` that exists is sound.  A JSON file
-format (see ``load_graph``/``save_graph``) mirrors the structure one to
-one; matrices are row-major with rows indexed by the input symbol.
+Graphs are plain frozen dataclasses, checked when they are built: every
+``GraphSpec`` that exists is sound.  Graphs and blocks compare by identity;
+equal content gives equal ``graph_digest``.  A JSON file format (see
+``load_graph``/``save_graph``) mirrors the structure one to one; matrices
+are row-major with rows indexed by the input symbol.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _frozen_array(values, shape_hint: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SisoBlock:
     """Soft-input soft-output block: a conditional matrix between two edges.
 
@@ -86,7 +87,7 @@ class SisoBlock:
         object.__setattr__(self, "theta", _frozen_array(self.theta, "lm"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourceBlock:
     """Terminal producer holding a prior distribution for one edge."""
 
@@ -125,7 +126,7 @@ class DiverterNode:
         return "=" + (self.inbound[0] if self.inbound else "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphSpec:
     """Immutable description of a normal-form factor graph, checked when
     built: construction raises GraphError listing every structural problem."""
@@ -146,38 +147,17 @@ class GraphSpec:
     def sizes(self) -> dict[str, int]:
         return dict(self.variables)
 
-    def size_of(self, variable: str) -> int:
-        for name, size in self.variables:
-            if name == variable:
-                return size
-        raise UnknownVariable(f"unknown variable {variable!r}")
-
     def tails(self) -> dict[str, object]:
         """Producing node per variable (absent key: open tail)."""
-        out: dict[str, object] = {}
-        for src in self.sources:
-            out.setdefault(src.variable, src)
-        for blk in self.blocks:
-            out.setdefault(blk.to_var, blk)
-        for div in self.diverters:
-            for tap in div.taps:
-                out.setdefault(tap, div)
-        return out
+        return {var: nodes[0] for var, nodes in _endpoints(self)[0].items()}
 
     def heads(self) -> dict[str, object]:
         """Consuming node per variable (absent key: open head)."""
-        out: dict[str, object] = {}
-        for blk in self.blocks:
-            out.setdefault(blk.from_var, blk)
-        for div in self.diverters:
-            for edge in div.inbound:
-                out.setdefault(edge, div)
-        return out
+        return {var: nodes[0] for var, nodes in _endpoints(self)[1].items()}
 
     def terminals(self) -> tuple[str, ...]:
         """Variables with an unoccupied endpoint, in declaration order."""
-        tails = self.tails()
-        heads = self.heads()
+        tails, heads = _endpoints(self)
         return tuple(n for n, _ in self.variables if n not in tails or n not in heads)
 
     def block(self, name: str) -> SisoBlock:
@@ -200,25 +180,15 @@ class GraphSpec:
 
     def with_parameters(self, updates: Mapping[str, np.ndarray]) -> "GraphSpec":
         """New graph with the named blocks' matrices / priors replaced."""
-        seen = set()
-        sources = []
-        for src in self.sources:
-            if src.name in updates:
-                sources.append(replace(src, prior=np.asarray(updates[src.name], dtype=np.float64)))
-                seen.add(src.name)
-            else:
-                sources.append(src)
-        blocks = []
-        for blk in self.blocks:
-            if blk.name in updates:
-                blocks.append(replace(blk, theta=np.asarray(updates[blk.name], dtype=np.float64)))
-                seen.add(blk.name)
-            else:
-                blocks.append(blk)
-        missing = set(updates) - seen
+        missing = set(updates) - {unit.name for unit in (*self.sources, *self.blocks)}
         if missing:
             raise GraphError(f"no such blocks: {sorted(missing)}")
-        return replace(self, sources=tuple(sources), blocks=tuple(blocks))
+
+        def swap(units, field_name):
+            return tuple(replace(u, **{field_name: np.asarray(updates[u.name], dtype=np.float64)})
+                         if u.name in updates else u for u in units)
+
+        return replace(self, sources=swap(self.sources, "prior"), blocks=swap(self.blocks, "theta"))
 
 
 def build_projector(sizes: Sequence[int], j: int) -> np.ndarray:
@@ -256,6 +226,24 @@ def build_expander(sizes: Sequence[int], j: int) -> np.ndarray:
     return out
 
 
+def _endpoints(graph: GraphSpec) -> tuple[dict[str, list], dict[str, list]]:
+    """(tails, heads): for every variable a node names, its producing and
+    its consuming nodes, in graph order (sources, blocks, diverters)."""
+    tails: dict[str, list] = {}
+    heads: dict[str, list] = {}
+    for src in graph.sources:
+        tails.setdefault(src.variable, []).append(src)
+    for blk in graph.blocks:
+        heads.setdefault(blk.from_var, []).append(blk)
+        tails.setdefault(blk.to_var, []).append(blk)
+    for div in graph.diverters:
+        for edge in div.inbound:
+            heads.setdefault(edge, []).append(div)
+        for tap in div.taps:
+            tails.setdefault(tap, []).append(div)
+    return tails, heads
+
+
 def _problems(graph: GraphSpec) -> list[str]:
     """Collect structural violations; an empty list means the graph is sound.
 
@@ -278,34 +266,27 @@ def _problems(graph: GraphSpec) -> list[str]:
         dupes = sorted({n for n in node_names if node_names.count(n) > 1})
         problems.append(f"duplicate node names: {dupes}")
 
-    def known(var: str, owner: str) -> bool:
-        if var not in sizes:
-            problems.append(f"{owner} references unknown variable {var!r}")
-            return False
-        return True
-
-    tails: dict[str, list[str]] = {n: [] for n in sizes}
-    heads: dict[str, list[str]] = {n: [] for n in sizes}
+    tails, heads = _endpoints(graph)
+    kinds = {SourceBlock: "source", SisoBlock: "block", DiverterNode: "diverter"}
+    for ends in (tails, heads):
+        for var, nodes in ends.items():
+            if var not in sizes:
+                problems += [f"{kinds[type(node)]} {node.name!r} references unknown variable {var!r}"
+                             for node in nodes]
 
     for src in graph.sources:
-        if known(src.variable, f"source {src.name!r}"):
-            tails[src.variable].append(src.name)
-            if src.prior.shape != (sizes[src.variable],):
-                problems.append(
-                    f"source {src.name!r} prior length {src.prior.shape[0]} "
-                    f"does not match variable size {sizes[src.variable]}"
-                )
-            elif not is_normalized(src.prior, STOCHASTIC_ATOL):
-                problems.append(f"source {src.name!r} prior is not a distribution")
+        if src.variable not in sizes:
+            continue
+        if src.prior.shape != (sizes[src.variable],):
+            problems.append(
+                f"source {src.name!r} prior length {src.prior.shape[0]} "
+                f"does not match variable size {sizes[src.variable]}"
+            )
+        elif not is_normalized(src.prior, STOCHASTIC_ATOL):
+            problems.append(f"source {src.name!r} prior is not a distribution")
 
     for blk in graph.blocks:
-        ok_from = known(blk.from_var, f"block {blk.name!r}")
-        ok_to = known(blk.to_var, f"block {blk.name!r}")
-        if ok_from:
-            heads[blk.from_var].append(blk.name)
-        if ok_to:
-            tails[blk.to_var].append(blk.name)
-        if ok_from and ok_to:
+        if blk.from_var in sizes and blk.to_var in sizes:
             want = (sizes[blk.from_var], sizes[blk.to_var])
             if blk.theta.shape != want:
                 problems.append(
@@ -322,26 +303,23 @@ def _problems(graph: GraphSpec) -> list[str]:
         label = f"diverter {div.name!r}"
         if len(div.inbound) < 1 or len(div.taps) < 1:
             problems.append(f"{label} needs at least one inbound edge and one tap")
-        attached = [v for v in div.edges if known(v, label)]
         if len(set(div.edges)) != len(div.edges):
             problems.append(f"{label} attaches the same variable twice")
-        for edge in div.inbound:
-            if edge in sizes:
-                heads[edge].append(div.name)
-        for tap in div.taps:
-            if tap in sizes:
-                tails[tap].append(div.name)
-        replica_sizes = {sizes[v] for v in attached}
-        if len(replica_sizes) > 1:
+        if len({sizes[v] for v in div.edges if v in sizes}) > 1:
             problems.append(f"{label} replicas disagree on alphabet size")
 
+    attached: dict[str, tuple[str, str]] = {}
     for var in sizes:
-        if len(tails[var]) > 1:
-            problems.append(f"variable {var!r} has multiple producers: {tails[var]}")
-        if len(heads[var]) > 1:
-            problems.append(f"variable {var!r} has multiple consumers: {heads[var]}")
-        if not tails[var] and not heads[var]:
+        producers = [node.name for node in tails.get(var, ())]
+        consumers = [node.name for node in heads.get(var, ())]
+        if len(producers) > 1:
+            problems.append(f"variable {var!r} has multiple producers: {producers}")
+        if len(consumers) > 1:
+            problems.append(f"variable {var!r} has multiple consumers: {consumers}")
+        if not producers and not consumers:
             problems.append(f"variable {var!r} dangles (no attachment at all)")
+        if len(producers) == 1 and len(consumers) == 1:
+            attached[var] = (producers[0], consumers[0])
 
     # Cycle and parallel-edge detection over fully attached edges, treating
     # each node as a vertex of an undirected multigraph.
@@ -357,21 +335,20 @@ def _problems(graph: GraphSpec) -> list[str]:
         return i
 
     seen_pairs: set[tuple[int, int]] = set()
-    for var in sizes:
-        if len(tails[var]) == 1 and len(heads[var]) == 1:
-            a, b = node_ids[tails[var][0]], node_ids[heads[var][0]]
-            if a == b:
-                problems.append(f"variable {var!r} loops node {tails[var][0]!r} to itself")
-                continue
-            pair = (min(a, b), max(a, b))
-            if pair in seen_pairs:
-                problems.append(f"parallel edge between {tails[var][0]!r} and {heads[var][0]!r}")
-            seen_pairs.add(pair)
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                problems.append(f"cycle through variable {var!r}")
-            else:
-                parent[ra] = rb
+    for var, (tail, head) in attached.items():
+        a, b = node_ids[tail], node_ids[head]
+        if a == b:
+            problems.append(f"variable {var!r} loops node {tail!r} to itself")
+            continue
+        pair = (min(a, b), max(a, b))
+        if pair in seen_pairs:
+            problems.append(f"parallel edge between {tail!r} and {head!r}")
+        seen_pairs.add(pair)
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            problems.append(f"cycle through variable {var!r}")
+        else:
+            parent[ra] = rb
 
     return problems
 
@@ -404,7 +381,9 @@ def split_variable(graph: GraphSpec, variable: str) -> GraphSpec:
     posterior readout.  Messages everywhere else are unchanged because the
     new tap contributes only a uniform backward factor.
     """
-    size = graph.size_of(variable)
+    if variable not in graph.sizes:
+        raise UnknownVariable(f"unknown variable {variable!r}")
+    size = graph.sizes[variable]
     for div in graph.diverters:
         if variable in div.taps:
             raise GraphError(f"variable {variable!r} is already a diverter tap")
@@ -500,11 +479,10 @@ def graph_from_dict(data: Mapping) -> GraphSpec:
     sources = []
     for entry in _section(data, "sources", ("name", "variable")):
         var = entry["variable"]
-        if var not in sizes:
-            raise UnknownVariable(f"source {entry['name']!r} references unknown variable {var!r}")
         prior = entry.get("prior", "uniform")
         owner = f"source {entry['name']!r}"
-        prior_arr = uniform(sizes[var]) if prior == "uniform" else _numeric(prior, owner)
+        # An unknown variable gets a one-symbol stand-in; GraphSpec reports it.
+        prior_arr = uniform(sizes.get(var, 1)) if prior == "uniform" else _numeric(prior, owner)
         sources.append(
             SourceBlock(
                 name=entry["name"],
@@ -517,12 +495,9 @@ def graph_from_dict(data: Mapping) -> GraphSpec:
     blocks = []
     for entry in _section(data, "blocks", ("name", "from", "to")):
         frm, to = entry["from"], entry["to"]
-        for var in (frm, to):
-            if var not in sizes:
-                raise UnknownVariable(f"block {entry['name']!r} references unknown variable {var!r}")
         owner = f"block {entry['name']!r}"
         theta, from_builder = _matrix_from_format(
-            entry.get("matrix", "uniform"), sizes[frm], sizes[to], owner
+            entry.get("matrix", "uniform"), sizes.get(frm, 1), sizes.get(to, 1), owner
         )
         # Structure-encoding matrices are constants of the model.
         trainable = _trainable(entry, not from_builder, owner)

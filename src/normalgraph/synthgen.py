@@ -20,15 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DiverterNode, GraphSpec, GraphError, SourceBlock
-from .learning import BlockDataset
-from .messages import normalize, sharpen
+from .messages import normalize
 from .propagation import Propagator
 
 __all__ = [
     "SampleSet",
     "ancestral_sample",
     "random_row_stochastic",
-    "random_message_pairs",
     "substream",
 ]
 
@@ -136,18 +134,3 @@ def ancestral_sample(graph: GraphSpec, n_samples: int, seed: int = 1,
 def random_row_stochastic(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Random matrix of independent uniform draws from ``rng``, rows normalized."""
     return normalize(rng.uniform(size=(rows, cols)))
-
-
-def random_message_pairs(m_in: int, m_out: int, n_samples: int,
-                         sharp_in: float = 1.0, sharp_out: float = 1.0,
-                         seed: int = 1) -> BlockDataset:
-    """Synthetic message pairs for single-block experiments.
-
-    Entries are drawn uniform in [0, 1], normalized, and sharpened by the
-    given exponents; exponent 1 leaves them smooth, large exponents push
-    every message toward a delta.
-    """
-    rng = substream(seed, "pairs", m_in, m_out, n_samples)
-    forward = sharpen(rng.uniform(size=(n_samples, m_in)), sharp_in)
-    backward = sharpen(rng.uniform(size=(n_samples, m_out)), sharp_out)
-    return BlockDataset(forward=forward, backward=backward)

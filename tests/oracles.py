@@ -71,6 +71,20 @@ def random_bayes_tree(rng: np.random.Generator, max_nodes: int = 6, max_size: in
     return tree, graph, readout
 
 
+def tree_leaf_joint(parent: list[int], params: dict[str, np.ndarray]) -> np.ndarray:
+    """Joint distribution of the leaves of a ``random_bayes_tree`` shape.
+
+    ``params`` holds ``prior_V0`` and every ``cpt_V{v}`` by block name; one
+    einsum multiplies them along the ``parent`` array and sums the internal
+    nodes out.  Axis i of the result is the i-th leaf in node order.
+    """
+    letters = "abcdefghijklmnopqrstuvwxyz"[: len(parent)]
+    leaves = "".join(letters[v] for v in range(len(parent)) if v not in parent)
+    inputs = [letters[0]] + [letters[parent[v]] + letters[v] for v in range(1, len(parent))]
+    tables = [params["prior_V0"]] + [params[f"cpt_V{v}"] for v in range(1, len(parent))]
+    return np.einsum(",".join(inputs) + "->" + leaves, *tables)
+
+
 def tree_posteriors(tree, evidence: dict[int, int]) -> list[np.ndarray]:
     """Conditional marginal of every node by joint-table enumeration."""
     sizes, parent, tables = tree["sizes"], tree["parent"], tree["tables"]

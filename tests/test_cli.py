@@ -509,6 +509,12 @@ class TestPublicNames:
         missing = [name for name in namespace.__all__ if not hasattr(namespace, name)]
         assert missing == []
 
+    def test_synthgen_imports_no_learning_rule(self):
+        code = "import sys, normalgraph.synthgen; sys.exit('normalgraph.learning' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=package_env())
+        assert proc.returncode == 0, proc.stderr or "normalgraph.learning was imported"
+
     def test_version_matches_pyproject(self):
         assert normalgraph.__version__ == declared("[project]", "version")
 

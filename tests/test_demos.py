@@ -17,8 +17,9 @@ def test_demo_runs(script, tmp_path):
     package_root = Path(normalgraph.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                          env=env, cwd=tmp_path, timeout=300)
+    # The suite turns RuntimeWarning into an error; so does each demo's interpreter.
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -97,9 +97,12 @@ class TestGraphSpecBasics:
     def test_sizes_and_lookup(self):
         graph = chain_graph()
         assert graph.sizes == {"S": 2, "X": 2}
-        assert graph.size_of("X") == 2
-        with pytest.raises(UnknownVariable):
-            graph.size_of("Q")
+
+    def test_graphs_compare_by_identity(self):
+        a, b = build_latent_star(), build_latent_star()
+        assert a == a and a != b
+        assert len({a, b, a.blocks[0], b.blocks[0]}) == 4
+        assert graph_digest(a) == graph_digest(b)
 
     def test_tails_heads_terminals(self):
         graph = build_latent_star()
@@ -133,7 +136,7 @@ class TestGraphSpecBasics:
         new_theta = np.array([[0.5, 0.5], [0.5, 0.5]])
         updated = graph.with_parameters({"P_X": new_theta})
         assert np.array_equal(updated.block("P_X").theta, new_theta)
-        # original untouched (value semantics)
+        # original untouched: graphs are immutable
         assert graph.block("P_X").theta[0, 0] == 0.9
         with pytest.raises(GraphError):
             graph.with_parameters({"missing": new_theta})
@@ -350,11 +353,17 @@ class TestFileFormat:
 
     def test_unknown_variable_in_file(self):
         data = {
-            "variables": [{"name": "S", "size": 2}],
+            "variables": [{"name": "S", "size": 2}, {"name": "A", "size": 3}],
+            "sources": [{"name": "prior_Q", "variable": "Q"}],
             "blocks": [{"name": "b", "from": "S", "to": "X", "matrix": "uniform"}],
+            "diverters": [{"variable": "A", "taps": ["T"]}],
         }
-        with pytest.raises(UnknownVariable):
+        with pytest.raises(GraphError) as info:
             graph_from_dict(data)
+        for reference in ("source 'prior_Q' references unknown variable 'Q'",
+                          "block 'b' references unknown variable 'X'",
+                          "diverter '=A' references unknown variable 'T'"):
+            assert reference in str(info.value)
 
     def test_multi_inbound_diverter_round_trip(self, tmp_path):
         graph = build_deep_graph()

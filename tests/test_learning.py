@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (cooccurrence_table, deep_terminal_joint, random_bayes_tree,
-                     reference_bilinear, reference_normalize)
+                     reference_bilinear, reference_normalize, tree_leaf_joint)
 from normalgraph.experiments import (
     build_deep_graph,
     build_latent_star,
     deep_generative_parameters,
+    random_message_pairs,
     split_mask,
 )
 from normalgraph.graph import (
@@ -45,7 +46,7 @@ from normalgraph.propagation import (
     Propagator,
     aggregated_log_likelihood,
 )
-from normalgraph.synthgen import ancestral_sample, random_message_pairs
+from normalgraph.synthgen import ancestral_sample
 
 
 def smooth_dataset(rng, m_in, m_out, n):
@@ -1011,3 +1012,18 @@ class TestRandomLatentTrees:
                                            err_msg=f"{rule} {unit.name}")
             save_graph(report.graph, path)
             assert graph_digest(load_graph(path)) == graph_digest(report.graph), rule
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_ml_single_step_never_lowers_the_leaf_joint(self, seed):
+        """With nit=1 an ml epoch is an EM step, so the exact joint
+        likelihood of the observed leaves, from the oracle, cannot fall."""
+        tree, graph, readout = random_bayes_tree(np.random.default_rng(seed))
+        leaves = [readout[v] for v in range(len(tree["sizes"])) if v not in tree["parent"]]
+        evidence = ancestral_sample(graph, 500, seed=seed).terminal_evidence(leaves)
+        report = em_train(graph, evidence, TrainConfig("ml", epochs=20, nit=1, seed=1))
+        observed = tuple(evidence[v] for v in leaves)
+        logliks = [np.log(tree_leaf_joint(tree["parent"], r.parameters)[observed]).sum()
+                   for r in report.records]
+        for epoch, (before, after) in enumerate(zip(logliks, logliks[1:]), start=2):
+            assert after >= before - 1e-11 * abs(before), (epoch, before, after)

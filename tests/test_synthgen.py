@@ -16,10 +16,10 @@ from normalgraph.experiments import (
     build_deep_graph,
     build_latent_star,
     deep_generative_parameters,
+    random_message_pairs,
 )
 from normalgraph.synthgen import (
     ancestral_sample,
-    random_message_pairs,
     random_row_stochastic,
     substream,
 )
