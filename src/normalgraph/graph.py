@@ -149,11 +149,11 @@ class GraphSpec:
 
     def tails(self) -> dict[str, object]:
         """Producing node per variable (absent key: open tail)."""
-        return {var: nodes[0] for var, nodes in _endpoints(self)[0].items()}
+        return _ends(self)[0]
 
     def heads(self) -> dict[str, object]:
         """Consuming node per variable (absent key: open head)."""
-        return {var: nodes[0] for var, nodes in _endpoints(self)[1].items()}
+        return _ends(self)[1]
 
     def terminals(self) -> tuple[str, ...]:
         """Variables with an unoccupied endpoint, in declaration order."""
@@ -224,6 +224,11 @@ def build_expander(sizes: Sequence[int], j: int) -> np.ndarray:
     out = projector.T * scale
     out.setflags(write=False)
     return out
+
+
+def _ends(graph: GraphSpec) -> tuple[dict[str, object], dict[str, object]]:
+    """``(graph.tails(), graph.heads())`` from one endpoint walk."""
+    return tuple({var: nodes[0] for var, nodes in ends.items()} for ends in _endpoints(graph))
 
 
 def _endpoints(graph: GraphSpec) -> tuple[dict[str, list], dict[str, list]]:

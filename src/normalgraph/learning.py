@@ -16,8 +16,10 @@ the training samples into a BlockDataset.  Four update rules are provided:
   estimate).
 
 ``em_train`` wires their kernels into the expectation-maximization loop
-over a whole graph: propagate all samples, read each block's incident
-messages from the epoch's message snapshot, update every block, repeat.
+over a whole graph: propagate all samples, then update every block in one
+kernel call on a zero-padded stack of all of them (one call per block when
+the stack would hold more than ``propagation.STACK_ENTRIES`` message
+entries), repeat.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .graph import GraphSpec, SourceBlock
+from .graph import GraphSpec
 from .messages import _require_delta, max_indicator, normalize
-from .propagation import Propagator
+from .propagation import Propagator, _Epochs
 
 __all__ = [
     "BlockDataset",
@@ -84,25 +86,27 @@ class BlockDataset:
                 raise ValueError("mask length does not match sample count")
 
 
-def _finish_rows(raw: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+def _finish_rows(raw: np.ndarray, fallback, live: np.ndarray) -> np.ndarray:
     """Row-normalize; a row without mass takes the same row of ``fallback``.
 
     The iterative rules fall back to the previous matrix, so an empty row
-    keeps its old value; the batch counting rules fall back to all ones,
-    so an empty row becomes uniform.
+    keeps its old value; the batch counting rules fall back to ``live``,
+    ones on the real entries, so an empty row becomes uniform.  A padded
+    row (0 in ``live``) is never empty: it stays 0.
     """
-    sums = raw.sum(axis=1, keepdims=True)
-    empty = sums[:, 0] <= 0.0
+    padded = 1.0 - live[..., :1]
+    sums = raw.sum(axis=-1, keepdims=True) + padded
+    empty = sums <= 0.0
     if np.any(empty):
-        raw = np.where(empty[:, None], fallback, raw)
-        sums = raw.sum(axis=1, keepdims=True)
+        raw = np.where(empty, fallback, raw)
+        sums = raw.sum(axis=-1, keepdims=True) + padded
     return raw / sums
 
 
 def _bilinear(f: np.ndarray, theta: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The score f_n' theta b_n of every row n: the matrix product f theta,
     then a row-wise dot product with b."""
-    return np.einsum("nm,nm->n", f @ theta, b)
+    return np.einsum("...nm,...nm->...n", f @ theta, b)
 
 
 def block_log_likelihood(theta: np.ndarray, data: BlockDataset) -> float:
@@ -121,53 +125,57 @@ def _pair_mass(theta: np.ndarray, f: np.ndarray, b: np.ndarray, w: np.ndarray) -
     messages: the pair mass of the block likelihood."""
     scores = _bilinear(f, theta, b)
     weights = np.divide(w, scores, out=np.zeros_like(scores), where=w > 0)
-    return (f * weights[:, None]).T @ b
+    return np.swapaxes(f * weights[..., None], -1, -2) @ b
 
 
-def _rescaled(theta: np.ndarray, pair_mass: np.ndarray, row_mass: np.ndarray) -> np.ndarray:
+def _rescaled(theta: np.ndarray, pair_mass: np.ndarray, row_mass: np.ndarray,
+              live: np.ndarray) -> np.ndarray:
     """theta scaled by pair_mass / row_mass and renormalized; a row with no
     forward mass keeps its previous value."""
-    raw = np.divide(theta * pair_mass, row_mass[:, None],
-                    out=np.zeros_like(theta), where=row_mass[:, None] > 0)
-    return _finish_rows(raw, theta)
+    raw = np.divide(theta * pair_mass, row_mass[..., None],
+                    out=np.zeros_like(theta), where=row_mass[..., None] > 0)
+    return _finish_rows(raw, theta, live)
 
 
-# One kernel per rule, on (n, M_in) forward and (n, M_out) backward messages and n weights.
+# One kernel per rule, on a stack of U units: (U, L, M) parameters, (U, n, L)
+# forward and (U, n, M) backward messages (floored at MESSAGE_FLOOR for ml
+# and kl), n weights, and ``live``, 1.0 on the (U, L, M) entries that are not
+# zero padding.  Padded entries come out 0.
 
-def _ml(theta, f, b, w, nit: int) -> np.ndarray:
-    f, b = np.maximum(f, MESSAGE_FLOOR), np.maximum(b, MESSAGE_FLOOR)
+def _ml(theta, f, b, w, nit: int, live) -> np.ndarray:
     row_mass = w @ f
     for _ in range(nit):
-        theta = _rescaled(theta, _pair_mass(theta, f, b, w), row_mass)
+        theta = _rescaled(theta, _pair_mass(theta, f, b, w), row_mass, live)
     return theta
 
 
-def _kl(theta, f, b, w, nit: int) -> np.ndarray:
-    f, b = np.maximum(f, MESSAGE_FLOOR), np.maximum(b, MESSAGE_FLOOR)
+def _kl(theta, f, b, w, nit: int, live) -> np.ndarray:
     row_mass = w @ f
-    weighted = (w[:, None] * f).T
+    weighted = np.swapaxes(w[:, None] * f, -1, -2)
     for _ in range(nit):
         ratio = f @ theta
         np.maximum(ratio, MESSAGE_FLOOR, out=ratio)
-        theta = _rescaled(theta, weighted @ np.divide(b, ratio, out=ratio), row_mass)
+        theta = _rescaled(theta, weighted @ np.divide(b, ratio, out=ratio), row_mass, live)
     return theta
 
 
-def _vit(f, b, w, delta: float) -> np.ndarray:
-    raw = (w[:, None] * max_indicator(f, delta)).T @ max_indicator(b, delta)
-    return _finish_rows(raw, np.ones_like(raw))
+def _vit(theta, f, b, w, delta: float, live) -> np.ndarray:
+    hard_f = max_indicator(f, delta) * np.swapaxes(live[..., :1], -1, -2)
+    raw = np.swapaxes(w[:, None] * hard_f, -1, -2) @ (max_indicator(b, delta) * live[..., :1, :])
+    return _finish_rows(raw, live, live)
 
 
-def _var(f, b, w, delta: float) -> np.ndarray:
-    raw = (w[:, None] * f).T @ b + delta
-    return _finish_rows(raw, np.ones_like(raw))
+def _var(theta, f, b, w, delta: float, live) -> np.ndarray:
+    raw = np.swapaxes(w[:, None] * f, -1, -2) @ b + delta * live
+    return _finish_rows(raw, live, live)
 
 
-def _fit(theta, f, b, w, cfg: "TrainConfig") -> np.ndarray:
-    """``train_block`` on raw arrays."""
+def _rule(cfg: "TrainConfig"):
+    """The kernel of ``cfg``'s rule, the setting it takes (nit or delta),
+    and the floor of its messages."""
     if cfg.algorithm in ("ml", "kl"):
-        return (_ml if cfg.algorithm == "ml" else _kl)(theta, f, b, w, cfg.nit)
-    return (_vit if cfg.algorithm == "vit" else _var)(f, b, w, cfg.delta)
+        return (_ml if cfg.algorithm == "ml" else _kl), cfg.nit, MESSAGE_FLOOR
+    return (_vit if cfg.algorithm == "vit" else _var), cfg.delta, 0.0
 
 
 def ml_update(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
@@ -178,7 +186,7 @@ def ml_update(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
     the rows are then renormalized.  Equivalent to one EM step on the
     block-local likelihood, so repeated application climbs monotonically.
     """
-    return _ml(np.asarray(theta, dtype=np.float64), data.forward, data.backward, data.mask, 1)
+    return train_block(theta, data, TrainConfig("ml", nit=1))
 
 
 def kl_update(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
@@ -189,7 +197,7 @@ def kl_update(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
     f(i) instead of the full bilinear score.  Monotonically decreases the
     generalized divergence of the backward messages from the prediction.
     """
-    return _kl(np.asarray(theta, dtype=np.float64), data.forward, data.backward, data.mask, 1)
+    return train_block(theta, data, TrainConfig("kl", nit=1))
 
 
 def vit_update(data: BlockDataset, delta: float = 1e-6) -> np.ndarray:
@@ -199,7 +207,7 @@ def vit_update(data: BlockDataset, delta: float = 1e-6) -> np.ndarray:
     lowest index) padded by ``delta``, and the indicator outer products are
     accumulated over the masked samples and row-normalized.
     """
-    return _vit(data.forward, data.backward, data.mask, delta)
+    return train_block(None, data, TrainConfig("vit", delta=delta))
 
 
 def var_update(data: BlockDataset, delta: float = 1e-6) -> np.ndarray:
@@ -208,8 +216,7 @@ def var_update(data: BlockDataset, delta: float = 1e-6) -> np.ndarray:
     Accumulates the outer products of the raw message pairs over the masked
     samples, adds ``delta`` everywhere, and row-normalizes.
     """
-    _require_delta(delta)
-    return _var(data.forward, data.backward, data.mask, delta)
+    return train_block(None, data, TrainConfig("var", delta=delta))
 
 
 def generalized_divergence(theta: np.ndarray, data: BlockDataset) -> float:
@@ -247,9 +254,13 @@ def train_block(theta: np.ndarray, data: BlockDataset, cfg: "TrainConfig") -> np
     ``theta`` is the block's current matrix; a source prior enters as a
     1 x M row with constant unit input.  The iterative rules (ml, kl)
     start from it and apply ``cfg.nit`` steps; the counting rules (vit,
-    var) ignore it.
+    var) ignore it, and it may be None.  The rule's kernel sees the block
+    as a stack of one unit without padding.
     """
-    return _fit(np.asarray(theta, dtype=np.float64), data.forward, data.backward, data.mask, cfg)
+    kernel, setting, floor = _rule(cfg)
+    f, b = np.maximum(data.forward, floor)[None], np.maximum(data.backward, floor)[None]
+    theta = None if theta is None else np.asarray(theta, dtype=np.float64)[None]
+    return kernel(theta, f, b, data.mask, setting, np.ones((1, f.shape[2], b.shape[2])))[0]
 
 
 @dataclass
@@ -266,10 +277,18 @@ class TrainConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        for name in ("epochs", "nit", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if self.nit < 1:
             raise ValueError(f"nit must be at least 1, got {self.nit}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.tol is not None and not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and above 0, got {self.tol}")
         _require_delta(self.delta)
 
 
@@ -334,50 +353,35 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
     and the joint can fall.  Samples with the same hard evidence get the same
     messages, so every propagation runs once per distinct evidence row
     (``Propagator.distinct_rows``), and the updates and scores weight each
-    row by its count of samples.
+    row by its count of samples.  Each epoch's M-step is one kernel call on
+    all blocks, zero-padded to the widest, while their U n (L_max + M_max)
+    stacked message entries stay within ``propagation.STACK_ENTRIES``, and
+    one unpadded call per block above it (a per-sample start at large N).
     """
     terminals = tuple(samples.keys())
     if not terminals:
         raise ValueError("no terminal samples given")
-
-    propagator = Propagator(graph)
-    units = graph.trainable_units()
-    parameters: dict[str, np.ndarray] = {}
-    for unit in units:
-        shape = (unit.prior if isinstance(unit, SourceBlock) else unit.theta).shape
-        parameters[unit.name] = np.full(shape, 1.0 / shape[-1])
-
-    # Each unit's message pair; a source's input is the constant 1.
-    ports = [(None, u.variable) if isinstance(u, SourceBlock) else (u.from_var, u.to_var)
-             for u in units]
-    rng = np.random.default_rng(cfg.seed)
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64).reshape(-1)
         if not np.all((mask == 0.0) | (mask == 1.0)):
             raise ValueError("mask entries must be 0 or 1")
         if mask.size and not mask.any():
             raise ValueError("mask selects no training sample")
-    messages, inverse, propagate = propagator._epochs(
-        samples, None if mask is None else len(mask), rng, ports, terminals, parameters)
+    kernel, setting, floor = _rule(cfg)
+    epochs = _Epochs(Propagator(graph), samples, None if mask is None else len(mask),
+                     np.random.default_rng(cfg.seed), graph.trainable_units(), terminals, floor)
     if mask is None:
-        mask = np.ones(len(inverse), dtype=np.float64)
-    train_weights = np.bincount(inverse, weights=mask > 0)
-    test_weights = np.bincount(inverse, weights=mask <= 0)
+        mask = np.ones(len(epochs.inverse), dtype=np.float64)
+    train_weights = np.bincount(epochs.inverse, weights=mask > 0)
+    test_weights = np.bincount(epochs.inverse, weights=mask <= 0)
 
     records: list[EpochRecord] = []
     previous_ll = None
     weights = mask  # the random start state is per sample
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
-        updates: dict[str, np.ndarray] = {}
-        for unit, (f, b) in zip(units, messages):
-            if f is None:
-                row = parameters[unit.name].reshape(1, -1)
-                updates[unit.name] = _fit(row, np.ones((len(b), 1)), b, weights, cfg).reshape(-1)
-            else:
-                updates[unit.name] = _fit(parameters[unit.name], f, b, weights, cfg)
-        parameters.update(updates)
-        messages, score = propagate(updates)
+        updates, score = epochs.step(
+            lambda theta, f, b, live: kernel(theta, f, b, weights, setting, live))
         weights = train_weights
         train_ll = score(train_weights)
         test_ll = score(test_weights) if test_weights.any() else train_ll
@@ -388,4 +392,4 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
                 break
         previous_ll = train_ll
 
-    return TrainReport(records, graph.with_parameters(parameters))
+    return TrainReport(records, graph.with_parameters(epochs.parameters))

@@ -34,6 +34,7 @@ from .graph import (
     SisoBlock,
     SourceBlock,
     UnknownVariable,
+    _ends,
 )
 from .messages import (AllZeroVector, _normalize_in_place, hadamard_posterior, normalize,
                        one_hot, uniform)
@@ -84,8 +85,7 @@ class Propagator:
     def __init__(self, graph: GraphSpec):
         self.graph = graph
         self.sizes = graph.sizes
-        self._tails = graph.tails()
-        self._heads = graph.heads()
+        self._tails, self._heads = _ends(graph)
         self._compile()
 
     # A rule is (kind, parameter name, input slots); a step is the same with
@@ -285,46 +285,86 @@ class Propagator:
                 rng.bit_generator.advance(n * size)
         return msgs
 
-    def _epochs(self, evidence: Mapping, n_samples: int | None, rng, ports, terminals, parameters):
-        """``em_train``'s propagation, with the evidence encoded once.
-
-        ``ports`` holds (forward variable or None, backward variable) pairs.
-        Returns the message pairs at the ports in the random start of
-        ``initial_state`` (drawn at those slots only), each sample's row in
-        ``distinct_rows``, and ``epoch(updates)``: it overrides parameters,
-        propagates the distinct rows and returns their pairs at the ports
-        and ``score(weights)``, the terminals' ``aggregated_log_likelihood``.
-        """
-        factors, n = self._evidence_factors(evidence, n_samples)
-        numbered = lambda pairs: [(self._slot.get(("F", f)), self._slot[("B", b)]) for f, b in pairs]
-        slots, scored = numbered(ports), numbered((v, v) for v in terminals)
-        msgs = self._start(factors, n, rng, {k for pair in slots for k in pair})
-        rows, n_rows, inverse = self.distinct_rows(evidence, n)
-        if n_rows < n:
-            factors = self._evidence_factors(rows, n_rows)[0]
-        params = {**self._parameters(), **parameters}
-
-        def pick(msgs, slots):
-            return [tuple(None if k is None else msgs[k] for k in pair) for pair in slots]
-
-        def epoch(updates):
-            params.update(updates)
-            try:
-                msgs = self._pass(factors, params, n_rows)
-            except ContradictoryEvidence:
-                if n_rows < n:  # name the samples, not the merged rows
-                    self._pass(self._evidence_factors(evidence, n)[0], params, n)
-                raise
-            return pick(msgs, slots), lambda w: _log_overlap(pick(msgs, scored), w)
-
-        return pick(msgs, slots), inverse, epoch
-
     def _to_state(self, msgs: list, n: int) -> MessageState:
         forward, backward = {}, {}
         for (direction, var), arr in zip(self._slots, msgs):
             arr.setflags(write=False)
             (forward if direction == "F" else backward)[var] = arr
         return MessageState(forward=forward, backward=backward, n_samples=n)
+
+
+# Every trainable unit goes into one zero-padded M-step call while the
+# stacked messages hold at most this many entries, U n (L_max + M_max);
+# above it each unit trains alone, unpadded.  On the deep graph (U = 8,
+# L_max + M_max = 16) stacking is faster for every rule up to n = 256 rows,
+# ties or loses at 384-512 and is slower from n = 768 on.
+STACK_ENTRIES = 32768
+
+
+class _Epochs:
+    """``em_train``'s epochs, the evidence encoded once.  Unit u trains an
+    (L_u, M_u) matrix (a source's prior as a 1 x M row with input 1) on its
+    (n, L_u) forward and (n, M_u) backward port messages, floored at
+    ``floor``: first the random start of ``initial_state``, drawn at the
+    ports only, then the propagation of the ``distinct_rows``."""
+
+    def __init__(self, propagator: Propagator, evidence: Mapping, n_samples: int | None, rng,
+                 units, terminals, floor: float):
+        self._propagator, self._evidence, self._floor = propagator, evidence, floor
+        factors, n = propagator._evidence_factors(evidence, n_samples)
+        slot = propagator._slot
+        self._ports = [(None, slot[("B", u.variable)]) if isinstance(u, SourceBlock)
+                       else (slot[("F", u.from_var)], slot[("B", u.to_var)]) for u in units]
+        self._scored = [(slot[("F", v)], slot[("B", v)]) for v in terminals]
+        shapes = [u.prior.shape if isinstance(u, SourceBlock) else u.theta.shape for u in units]
+        self.parameters = {u.name: np.full(s, 1.0 / s[-1]) for u, s in zip(units, shapes)}
+        self._params = {**propagator._parameters(), **self.parameters}
+        self._shapes = [(1, *s) if len(s) == 1 else s for s in shapes]
+        self._live = np.zeros((len(units), *np.max([(1, 1), *self._shapes], axis=0)))
+        for u, (l, m) in enumerate(self._shapes):  # 1.0 on each unit's real entries
+            self._live[u, :l, :m] = 1.0
+        self._msgs = propagator._start(factors, n, rng, {k for pair in self._ports for k in pair})
+        self._n = self._n_samples = n
+        rows, self._n_rows, self.inverse = propagator.distinct_rows(evidence, n)
+        self._factors = (factors if self._n_rows == n
+                         else propagator._evidence_factors(rows, self._n_rows)[0])
+
+    def step(self, train) -> tuple[dict, object]:
+        """One epoch: ``train(theta, f, b, live)`` maps stacked parameters and
+        messages to new parameters, for all units in one zero-padded stack
+        within ``STACK_ENTRIES``, else for one unpadded unit per call.
+        Returns the new parameters by unit name, and ``score(weights)``, the
+        terminals' ``aggregated_log_likelihood`` under them."""
+        n, live, msgs, floor = self._n, self._live, self._msgs, self._floor
+        units = zip(self._ports, self._shapes, self.parameters.values())
+        if len(live) > 1 and len(live) * n * sum(live.shape[1:]) <= STACK_ENTRIES:
+            theta = np.zeros(live.shape)
+            f, b = np.zeros((len(live), n, live.shape[1])), np.zeros((len(live), n, live.shape[2]))
+            for u, ((kf, kb), (l, m), p) in enumerate(units):
+                theta[u, :l, :m], b[u, :, :m] = p, msgs[kb]
+                f[u, :, :l] = 1.0 if kf is None else msgs[kf]
+            if floor:
+                np.maximum(f, floor * np.swapaxes(live[..., :1], 1, 2), out=f)
+                np.maximum(b, floor * live[:, :1], out=b)
+            trained = train(theta, f, b, live)
+        else:
+            port = lambda k: np.maximum(msgs[k], floor)[None] if floor else msgs[k][None]
+            trained = [train(p.reshape(1, l, m), np.ones((1, n, 1)) if kf is None else port(kf),
+                             port(kb), np.ones((1, l, m)))[0]
+                       for (kf, kb), (l, m), p in units]
+        updates = {name: theta[:l, :m].reshape(p.shape) for (name, p), theta, (l, m)
+                   in zip(self.parameters.items(), trained, self._shapes)}
+        self.parameters.update(updates)
+        self._params.update(updates)
+        try:
+            msgs = self._propagator._pass(self._factors, self._params, self._n_rows)
+        except ContradictoryEvidence:
+            if self._n_rows < self._n_samples:  # name the samples, not the merged rows
+                factors = self._propagator._evidence_factors(self._evidence, self._n_samples)[0]
+                self._propagator._pass(factors, self._params, self._n_samples)
+            raise
+        self._msgs, self._n = msgs, self._n_rows
+        return updates, lambda w: _log_overlap([(msgs[f], msgs[b]) for f, b in self._scored], w)
 
 
 def _is_symbol_column(arr: np.ndarray) -> bool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DiverterNode, GraphSpec, GraphError, SourceBlock
+from .graph import DiverterNode, GraphSpec, GraphError, SourceBlock, _ends
 from .messages import normalize
 from .propagation import Propagator
 
@@ -88,8 +88,7 @@ def ancestral_sample(graph: GraphSpec, n_samples: int, seed: int = 1,
     ``keep_all`` for diagnostics.
     """
     order = Propagator(graph).forward_order
-    tails = graph.tails()
-    heads = graph.heads()
+    tails, heads = _ends(graph)
     sizes = graph.sizes
     open_tails = [v for v in sizes if v not in tails]
     if open_tails:

@@ -4,7 +4,9 @@ Everything here recomputes quantities by brute force and stays away from
 the library's message-passing and learning code paths: posteriors come
 from explicit joint-table enumeration, learned tables from direct pair
 counting.  Agreement between these oracles and the library is what the
-exactness tests assert.
+exactness tests assert.  The one exception is ``reference_em``, the EM
+loop written plainly on the library's public per-block pieces, against
+which ``em_train``'s stacked epochs are checked.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import itertools
 import numpy as np
 
 from normalgraph.graph import DiverterNode, GraphSpec, SisoBlock, SourceBlock
+from normalgraph.learning import BlockDataset, EpochRecord, TrainReport, train_block
+from normalgraph.propagation import Propagator, aggregated_log_likelihood
 
 
 def cooccurrence_table(x, y, m_in: int, m_out: int) -> np.ndarray:
@@ -242,3 +246,37 @@ def reference_bilinear(f: np.ndarray, theta: np.ndarray, b: np.ndarray) -> np.nd
     the L * M terms one at a time in (l, m) order, so it does not round
     like the library's matrix product followed by a row-wise dot."""
     return np.einsum("nl,lm,nm->n", f, theta, b)
+
+
+def reference_em(graph: GraphSpec, evidence: dict, cfg, mask: np.ndarray | None = None):
+    """``em_train`` written plainly: every epoch trains the units one at a
+    time with ``train_block`` on the previous epoch's per-sample messages,
+    first those of ``Propagator.initial_state`` with
+    ``rng=np.random.default_rng(cfg.seed)``, then those of ``Propagator.run``,
+    and scores the terminals with ``aggregated_log_likelihood``.  Returns a
+    ``TrainReport`` without wall times."""
+    units = graph.trainable_units()
+    shapes = {u.name: (u.prior if isinstance(u, SourceBlock) else u.theta).shape for u in units}
+    params = {name: np.full(shape, 1.0 / shape[-1]) for name, shape in shapes.items()}
+    n = None if mask is None else len(mask)
+    state = Propagator(graph).initial_state(evidence, n, rng=np.random.default_rng(cfg.seed))
+    weights = np.ones(state.n_samples) if mask is None else np.asarray(mask, dtype=np.float64)
+    records = []
+    for epoch in range(1, cfg.epochs + 1):
+        updates = {}
+        for unit in units:
+            if isinstance(unit, SourceBlock):
+                data = BlockDataset(np.ones((state.n_samples, 1)), state.backward[unit.variable],
+                                    weights)
+                updates[unit.name] = train_block(params[unit.name][None], data, cfg)[0]
+            else:
+                data = BlockDataset(state.forward[unit.from_var], state.backward[unit.to_var],
+                                    weights)
+                updates[unit.name] = train_block(params[unit.name], data, cfg)
+        params.update(updates)
+        state = Propagator(graph.with_parameters(params)).run(evidence, n)
+        train_ll = aggregated_log_likelihood(state, tuple(evidence), weights)
+        test_ll = (aggregated_log_likelihood(state, tuple(evidence), 1.0 - weights)
+                   if np.any(weights == 0.0) else train_ll)
+        records.append(EpochRecord(epoch, train_ll, test_ll, 0.0, updates))
+    return TrainReport(records, graph.with_parameters(params))

@@ -328,6 +328,8 @@ class TestErrorReporting:
         ("var", "--delta", "-2"), ("ml", "--epochs", "-3"), ("ml", "--nit", "0"),
         ("vit", "--delta", "inf"), ("var", "--delta", "inf"),
         ("vit", "--delta", "1e300"), ("var", "--delta", "1e308"),
+        ("ml", "--tol", "nan"), ("kl", "--tol", "-1"), ("vit", "--tol", "inf"),
+        ("var", "--seed", "-3"),
     ])
     def test_bad_training_setting_is_data(self, star_files, tmp_path, capsys, algo, flag, value):
         _, learner, data = star_files

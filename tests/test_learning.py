@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (cooccurrence_table, deep_terminal_joint, random_bayes_tree,
+from oracles import (cooccurrence_table, deep_terminal_joint, random_bayes_tree, reference_em,
                      reference_bilinear, reference_normalize, tree_leaf_joint)
 from normalgraph.experiments import (
     build_deep_graph,
@@ -25,7 +25,7 @@ from normalgraph.graph import (
     save_graph,
     split_variable,
 )
-from normalgraph import learning
+from normalgraph import learning, propagation
 from normalgraph.learning import (
     ALGORITHMS,
     BlockDataset,
@@ -303,6 +303,8 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("epochs", -1), ("nit", 0), ("delta", -1e-9), ("delta", float("nan")),
         ("delta", float("inf")), ("delta", 1e101),
+        ("epochs", 2.5), ("epochs", True), ("nit", 2.5), ("nit", True), ("seed", -3),
+        ("seed", 1.0), ("tol", float("nan")), ("tol", -1.0), ("tol", 0.0), ("tol", float("inf")),
     ])
     def test_rejects_bad_settings(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -311,6 +313,10 @@ class TestTrainConfig:
     def test_zero_epochs_and_zero_delta_are_valid(self):
         cfg = TrainConfig(epochs=0, delta=0.0)
         assert (cfg.epochs, cfg.delta) == (0, 0.0)
+
+    def test_numpy_integers_and_a_positive_tol_are_valid(self):
+        cfg = TrainConfig(epochs=np.int64(3), nit=np.int32(2), seed=np.uint64(0), tol=1e-9)
+        assert (cfg.epochs, cfg.nit, cfg.seed, cfg.tol) == (3, 2, 0, 1e-9)
 
     def test_var_rejects_negative_delta(self):
         """Both counting rules reject a negative or non-finite delta."""
@@ -800,23 +806,31 @@ class TestBilinearKernel:
         evidence = ancestral_sample(generative, n, seed=seed).terminal_evidence(("X1", "X2", "X3"))
         cfg = TrainConfig("ml", epochs=200, seed=seed)
         library = em_train(learner, evidence, cfg, split_mask(n, split))
-        monkeypatch.setattr(learning, "_bilinear", reference_bilinear)
+        monkeypatch.setattr(learning, "_bilinear", lambda f, theta, b: np.array(
+            [reference_bilinear(*unit) for unit in zip(f, theta, b)]).reshape(f.shape[:-1]))
         reference = em_train(learner, evidence, cfg, split_mask(n, split))
         worst_ll, worst_param = assert_same_training(library, reference, epochs=200)
         print(f"{graph_name} N={n} split {split} seed {seed}: logliks within "
               f"{worst_ll:.2g} relative, parameters within {worst_param:.2g}")
 
 
-def recorded_fit_inputs(monkeypatch) -> list:
-    """Patch the learning kernel dispatch so each call's (f, b, w) is kept."""
+def recorded_unit_inputs(monkeypatch, units) -> list:
+    """Patch the ml kernel so that each unit's (f, b, w) in each call is
+    kept, cut from its stack to the unit's own width; also checks that the
+    padding around it is 0."""
     seen = []
-    fit = learning._fit
+    kernel = learning._ml
 
-    def recording(theta, f, b, w, cfg):
-        seen.append((f, b, w))
-        return fit(theta, f, b, w, cfg)
+    def recording(theta, f, b, w, nit, live):
+        for stacked_f, stacked_b in zip(f, b):
+            unit = units[len(seen)]
+            width_f = 1 if isinstance(unit, SourceBlock) else unit.theta.shape[0]
+            width_b = (unit.prior if isinstance(unit, SourceBlock) else unit.theta).shape[-1]
+            assert not stacked_f[:, width_f:].any() and not stacked_b[:, width_b:].any()
+            seen.append((stacked_f[:, :width_f], stacked_b[:, :width_b], w))
+        return kernel(theta, f, b, w, nit, live)
 
-    monkeypatch.setattr(learning, "_fit", recording)
+    monkeypatch.setattr(learning, "_ml", recording)
     return seen
 
 
@@ -824,28 +838,29 @@ class TestRandomStart:
     """em_train draws only the random-start slots its first M-step reads and
     skips the draws of the others in the generator's stream.  What the
     first M-step reads must still equal, bit for bit, the same slots of the
-    full ``initial_state``; this pins the skip arithmetic to numpy's
-    generator."""
+    full ``initial_state`` (floored at MESSAGE_FLOOR, as ml reads them);
+    this pins the skip arithmetic to numpy's generator."""
 
     @pytest.mark.parametrize("split", [None, 0.8])
-    @pytest.mark.parametrize("n", [1, 400])
+    @pytest.mark.parametrize("n", [1, 100, 400, 5000])
     @pytest.mark.parametrize("graph_name", ["star", "deep"])
     def test_first_m_step_reads_the_full_random_start(self, monkeypatch, graph_name, n, split):
         learner, generative = study_graphs(graph_name, seed=3)
         evidence = ancestral_sample(generative, n, seed=3).terminal_evidence(("X1", "X2", "X3"))
         mask = None if split is None else split_mask(n, split)
-        seen = recorded_fit_inputs(monkeypatch)
+        units = learner.trainable_units()
+        seen = recorded_unit_inputs(monkeypatch, units)
         em_train(learner, evidence, TrainConfig("ml", epochs=1, seed=5), mask)
         full = Propagator(learner).initial_state(evidence, rng=np.random.default_rng(5))
-        units = learner.trainable_units()
+        floored = lambda x: np.maximum(x, learning.MESSAGE_FLOOR)
         assert len(seen) == len(units)
         for unit, (f, b, w) in zip(units, seen):
             if isinstance(unit, SourceBlock):
                 assert np.array_equal(f, np.ones((n, 1)))
-                assert np.array_equal(b, full.backward[unit.variable])
+                assert np.array_equal(b, floored(full.backward[unit.variable]))
             else:
-                assert np.array_equal(f, full.forward[unit.from_var])
-                assert np.array_equal(b, full.backward[unit.to_var])
+                assert np.array_equal(f, floored(full.forward[unit.from_var]))
+                assert np.array_equal(b, floored(full.backward[unit.to_var]))
             assert np.array_equal(w, np.ones(n) if mask is None else mask)
 
 
@@ -1027,3 +1042,134 @@ class TestRandomLatentTrees:
                    for r in report.records]
         for epoch, (before, after) in enumerate(zip(logliks, logliks[1:]), start=2):
             assert after >= before - 1e-11 * abs(before), (epoch, before, after)
+
+
+def leaf_evidence(seed: int, n: int):
+    """A ``random_bayes_tree`` graph and ``n`` ancestral samples of its leaves."""
+    tree, graph, readout = random_bayes_tree(np.random.default_rng(seed))
+    leaves = [readout[v] for v in range(len(tree["sizes"])) if v not in tree["parent"]]
+    return graph, ancestral_sample(graph, n, seed=seed).terminal_evidence(leaves)
+
+
+class TestStackedEpochs:
+    """em_train trains every unit of an epoch in one stacked kernel call
+    (or one unpadded call per unit above ``STACK_ENTRIES``); the plain
+    unit-by-unit loop of ``oracles.reference_em`` must train the same way,
+    within the rounding bounds of ``assert_same_training``."""
+
+    @pytest.mark.parametrize("split", [1.0, 0.8])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("graph_name, n", [("star", 400), ("deep", 300)])
+    def test_study_graphs_train_like_the_reference(self, graph_name, n, algorithm, split):
+        learner, generative = study_graphs(graph_name, seed=2)
+        evidence = ancestral_sample(generative, n, seed=2).terminal_evidence(("X1", "X2", "X3"))
+        cfg = TrainConfig(algorithm, epochs=50, seed=2)
+        mask = split_mask(n, split)
+        assert_same_training(em_train(learner, evidence, cfg, mask),
+                             reference_em(learner, evidence, cfg, mask), epochs=50)
+
+    @pytest.mark.parametrize("split", [1.0, 0.8])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_trees_train_like_the_reference(self, seed, split):
+        graph, evidence = leaf_evidence(seed, 500)
+        mask = split_mask(500, split)
+        for algorithm in ALGORITHMS:
+            cfg = TrainConfig(algorithm, epochs=30, seed=seed)
+            assert_same_training(em_train(graph, evidence, cfg, mask),
+                                 reference_em(graph, evidence, cfg, mask), epochs=30)
+
+    def test_large_starts_train_unit_by_unit(self, monkeypatch):
+        """A per-sample start above STACK_ENTRIES trains one unit per
+        call; the distinct rows after it fit in one stacked call."""
+        learner, generative = study_graphs("deep", seed=1)
+        n = propagation.STACK_ENTRIES // (8 * 16) + 1
+        evidence = ancestral_sample(generative, n, seed=1).terminal_evidence(("X1", "X2", "X3"))
+        calls = []
+        kernel = learning._var
+
+        def counting(theta, f, b, w, delta, live):
+            calls.append(len(theta) if theta is not None else len(live))
+            return kernel(theta, f, b, w, delta, live)
+
+        monkeypatch.setattr(learning, "_var", counting)
+        em_train(learner, evidence, TrainConfig("var", epochs=3, seed=1))
+        assert calls == [1] * 8 + [8, 8]
+
+
+@st.composite
+def unit_stacks(draw):
+    """1-8 units, each a random row-stochastic (L, M) matrix (L 1-12, M 1-4;
+    about a third of them 1 x M sources with the constant input 1) and its
+    n messages (n 0-10).  Entries are uniform draws with a drawn share set
+    to 0 or MESSAGE_FLOOR; some input symbols carry no forward mass at all,
+    so their parameter rows are empty.  Rows are scaled to unit sum; the
+    weights are counts 0-3, a rule setting completes each case."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, special = draw(st.integers(0, 10)), draw(st.sampled_from([0.0, 0.3, 0.8]))
+
+    def rows(shape):
+        values = rng.uniform(size=shape)
+        planted = rng.uniform(size=shape) < special
+        values[planted] = rng.choice([0.0, learning.MESSAGE_FLOOR], size=int(planted.sum()))
+        values[values.sum(axis=-1) == 0.0, 0] = 1.0
+        return values / values.sum(axis=-1, keepdims=True)
+
+    units = []
+    for _ in range(draw(st.integers(1, 8))):
+        source = draw(st.booleans()) and draw(st.booleans())
+        l, m = 1 if source else draw(st.integers(1, 12)), draw(st.integers(1, 4))
+        f = np.ones((n, 1)) if source else rows((n, l))
+        if not source and l > 1:  # symbols no sample sends: empty parameter rows
+            f[:, rng.uniform(size=l) < 0.3] = 0.0
+            f[f.sum(axis=1) == 0.0, 0] = 1.0
+            f /= f.sum(axis=1, keepdims=True)
+        units.append((rows((l, m)), f, rows((n, m))))
+    weights = rng.integers(0, 4, size=n).astype(np.float64)
+    return units, weights, draw(st.sampled_from([0.0, 1e-6, 1.0])), draw(st.integers(1, 3))
+
+
+def stack(units, floor: float):
+    """The units' (theta, f, b, live) stacks, zero-padded to the widest."""
+    l_max = max(theta.shape[0] for theta, _, _ in units)
+    m_max = max(theta.shape[1] for theta, _, _ in units)
+    n = len(units[0][1])
+    theta_s, live = np.zeros((len(units), l_max, m_max)), np.zeros((len(units), l_max, m_max))
+    f_s, b_s = np.zeros((len(units), n, l_max)), np.zeros((len(units), n, m_max))
+    for u, (theta, f, b) in enumerate(units):
+        l, m = theta.shape
+        theta_s[u, :l, :m], live[u, :l, :m] = theta, 1.0
+        f_s[u, :, :l], b_s[u, :, :m] = np.maximum(f, floor), np.maximum(b, floor)
+    return theta_s, f_s, b_s, live
+
+
+class TestPaddedStacks:
+    """One kernel call on a zero-padded stack of units trains each unit as
+    ``train_block`` trains it alone (a stack of one, unpadded): vit's and
+    var's delta stays off the padding, vit's argmax never picks a padded
+    column, a padded row is never an empty row (0/0 would raise here, as
+    RuntimeWarnings are errors), and a real empty row keeps its value under
+    ml and kl and becomes uniform under vit and var."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_stacks())
+    def test_one_stacked_call_trains_like_one_call_per_unit(self, case):
+        units, weights, delta, nit = case
+        for algorithm in ALGORITHMS:
+            cfg = TrainConfig(algorithm, nit=nit, delta=delta)
+            kernel, setting, floor = learning._rule(cfg)
+            theta_s, f_s, b_s, live = stack(units, floor)
+            out = kernel(theta_s, f_s, b_s, weights, setting, live)
+            assert out.shape == live.shape
+            assert np.all(out[live == 0.0] == 0.0), algorithm
+            for u, (theta, f, b) in enumerate(units):
+                l, m = theta.shape
+                alone = train_block(theta, BlockDataset(f, b, weights), cfg)
+                np.testing.assert_allclose(out[u, :l, :m], alone, rtol=0, atol=1e-10,
+                                           err_msg=f"{algorithm} unit {u}")
+                np.testing.assert_allclose(out[u, :l, :m].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+                empty = weights @ np.maximum(f, floor) == 0.0  # floored: ml and kl need w = 0
+                if algorithm in ("ml", "kl"):
+                    np.testing.assert_allclose(out[u, :l, :m][empty], theta[empty], rtol=0,
+                                               atol=1e-12)
+                elif delta == 0.0:
+                    np.testing.assert_array_equal(out[u, :l, :m][empty], 1.0 / m)
