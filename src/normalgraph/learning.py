@@ -15,11 +15,11 @@ the training samples into a BlockDataset.  Four update rules are provided:
 * ``var_update``: soft co-occurrence counting (a variational one-shot
   estimate).
 
-``em_train`` wires their kernels into the expectation-maximization loop
-over a whole graph: propagate all samples, then update every block in one
-kernel call on a zero-padded stack of all of them (one call per block when
-the stack would hold more than ``propagation.STACK_ENTRIES`` message
-entries), repeat.
+Each rule is one kernel on a stack of blocks, which floors its own
+messages where its ratios need it.  ``em_train`` runs the
+expectation-maximization loop over a whole graph; each of its epochs
+(``propagation._Epochs.step``) updates every block through the rule's
+kernel, then propagates all samples and scores them.
 """
 
 from __future__ import annotations
@@ -138,11 +138,13 @@ def _rescaled(theta: np.ndarray, pair_mass: np.ndarray, row_mass: np.ndarray,
 
 
 # One kernel per rule, on a stack of U units: (U, L, M) parameters, (U, n, L)
-# forward and (U, n, M) backward messages (floored at MESSAGE_FLOOR for ml
-# and kl), n weights, and ``live``, 1.0 on the (U, L, M) entries that are not
-# zero padding.  Padded entries come out 0.
+# forward and (U, n, M) backward messages, n weights, and ``live``, 1.0 on the
+# (U, L, M) entries that are not zero padding.  ml and kl floor copies of their
+# messages; a floored padded message meets only padded, zero, parameters.
+# Padded entries come out 0.
 
 def _ml(theta, f, b, w, nit: int, live) -> np.ndarray:
+    f, b = np.maximum(f, MESSAGE_FLOOR), np.maximum(b, MESSAGE_FLOOR)
     row_mass = w @ f
     for _ in range(nit):
         theta = _rescaled(theta, _pair_mass(theta, f, b, w), row_mass, live)
@@ -150,6 +152,7 @@ def _ml(theta, f, b, w, nit: int, live) -> np.ndarray:
 
 
 def _kl(theta, f, b, w, nit: int, live) -> np.ndarray:
+    f, b = np.maximum(f, MESSAGE_FLOOR), np.maximum(b, MESSAGE_FLOOR)
     row_mass = w @ f
     weighted = np.swapaxes(w[:, None] * f, -1, -2)
     for _ in range(nit):
@@ -160,8 +163,11 @@ def _kl(theta, f, b, w, nit: int, live) -> np.ndarray:
 
 
 def _vit(theta, f, b, w, delta: float, live) -> np.ndarray:
-    hard_f = max_indicator(f, delta) * np.swapaxes(live[..., :1], -1, -2)
-    raw = np.swapaxes(w[:, None] * hard_f, -1, -2) @ (max_indicator(b, delta) * live[..., :1, :])
+    hard_f, hard_b = max_indicator(f), max_indicator(b)
+    for hard, real in ((hard_f, np.swapaxes(live[..., :1], -1, -2)), (hard_b, live[..., :1, :])):
+        hard += delta  # in place, then off the padding
+        hard *= real
+    raw = np.swapaxes(w[:, None] * hard_f, -1, -2) @ hard_b
     return _finish_rows(raw, live, live)
 
 
@@ -171,11 +177,9 @@ def _var(theta, f, b, w, delta: float, live) -> np.ndarray:
 
 
 def _rule(cfg: "TrainConfig"):
-    """The kernel of ``cfg``'s rule, the setting it takes (nit or delta),
-    and the floor of its messages."""
-    if cfg.algorithm in ("ml", "kl"):
-        return (_ml if cfg.algorithm == "ml" else _kl), cfg.nit, MESSAGE_FLOOR
-    return (_vit if cfg.algorithm == "vit" else _var), cfg.delta, 0.0
+    """The kernel of ``cfg``'s rule and the setting it takes (nit or delta)."""
+    return {"ml": (_ml, cfg.nit), "kl": (_kl, cfg.nit), "vit": (_vit, cfg.delta),
+            "var": (_var, cfg.delta)}[cfg.algorithm]
 
 
 def ml_update(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
@@ -257,8 +261,8 @@ def train_block(theta: np.ndarray, data: BlockDataset, cfg: "TrainConfig") -> np
     var) ignore it, and it may be None.  The rule's kernel sees the block
     as a stack of one unit without padding.
     """
-    kernel, setting, floor = _rule(cfg)
-    f, b = np.maximum(data.forward, floor)[None], np.maximum(data.backward, floor)[None]
+    kernel, setting = _rule(cfg)
+    f, b = data.forward[None], data.backward[None]
     theta = None if theta is None else np.asarray(theta, dtype=np.float64)[None]
     return kernel(theta, f, b, data.mask, setting, np.ones((1, f.shape[2], b.shape[2])))[0]
 
@@ -352,11 +356,10 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
     steps every block climbs its own likelihood as if no other block moved,
     and the joint can fall.  Samples with the same hard evidence get the same
     messages, so every propagation runs once per distinct evidence row
-    (``Propagator.distinct_rows``), and the updates and scores weight each
-    row by its count of samples.  Each epoch's M-step is one kernel call on
-    all blocks, zero-padded to the widest, while their U n (L_max + M_max)
-    stacked message entries stay within ``propagation.STACK_ENTRIES``, and
-    one unpadded call per block above it (a per-sample start at large N).
+    (``Propagator.distinct_rows``).  ``propagation._Epochs`` owns the
+    epochs: the rule's kernel, bound once; the weights, ``mask`` for the
+    first M-step and each row's count of training samples after it; and
+    both scores, from one set of terminal overlaps.
     """
     terminals = tuple(samples.keys())
     if not terminals:
@@ -367,24 +370,14 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
             raise ValueError("mask entries must be 0 or 1")
         if mask.size and not mask.any():
             raise ValueError("mask selects no training sample")
-    kernel, setting, floor = _rule(cfg)
-    epochs = _Epochs(Propagator(graph), samples, None if mask is None else len(mask),
-                     np.random.default_rng(cfg.seed), graph.trainable_units(), terminals, floor)
-    if mask is None:
-        mask = np.ones(len(epochs.inverse), dtype=np.float64)
-    train_weights = np.bincount(epochs.inverse, weights=mask > 0)
-    test_weights = np.bincount(epochs.inverse, weights=mask <= 0)
+    epochs = _Epochs(Propagator(graph), samples, mask, np.random.default_rng(cfg.seed),
+                     graph.trainable_units(), terminals, *_rule(cfg))
 
     records: list[EpochRecord] = []
     previous_ll = None
-    weights = mask  # the random start state is per sample
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
-        updates, score = epochs.step(
-            lambda theta, f, b, live: kernel(theta, f, b, weights, setting, live))
-        weights = train_weights
-        train_ll = score(train_weights)
-        test_ll = score(test_weights) if test_weights.any() else train_ll
+        updates, train_ll, test_ll = epochs.step()
         wall_ms = (time.perf_counter() - started) * 1e3
         records.append(EpochRecord(epoch, train_ll, test_ll, wall_ms, updates))
         if cfg.tol is not None and previous_ll is not None:

@@ -114,22 +114,19 @@ def sharpen(values: np.ndarray, exponent: float) -> np.ndarray:
     return normalize(np.exp(exponent * (logs - peak)))
 
 
-def max_indicator(values: np.ndarray, delta: float = 0.0) -> np.ndarray:
-    """One-hot indicator of each row's argmax, plus ``delta`` everywhere.
+def max_indicator(values: np.ndarray) -> np.ndarray:
+    """0/1 indicator of each row's argmax, as a new float array.
 
     Entries within ``TIE_RTOL`` (relative) of the row maximum count as
     tied, and ties resolve to the lowest index, so the choice does not
-    depend on how the last bits of a message were rounded.  The result is
-    intentionally left unnormalized; callers that need a distribution
-    normalize afterwards.
+    depend on how the last bits of a message were rounded.
     """
-    _require_delta(delta)
     values = np.asarray(values, dtype=np.float64)
     # The row peak column by column: a reduction over a short last axis costs per row.
     peak = functools.reduce(np.maximum, np.moveaxis(values, -1, 0))[..., None]
     best = np.argmax(values >= peak - TIE_RTOL * np.abs(peak), axis=-1)
-    out = np.full(values.shape, delta, dtype=np.float64)
-    np.put_along_axis(out, best[..., None], delta + 1.0, axis=-1)
+    out = np.zeros(values.shape)
+    np.put_along_axis(out, best[..., None], 1.0, axis=-1)
     return out
 
 

@@ -302,16 +302,19 @@ STACK_ENTRIES = 32768
 
 
 class _Epochs:
-    """``em_train``'s epochs, the evidence encoded once.  Unit u trains an
-    (L_u, M_u) matrix (a source's prior as a 1 x M row with input 1) on its
-    (n, L_u) forward and (n, M_u) backward port messages, floored at
-    ``floor``: first the random start of ``initial_state``, drawn at the
-    ports only, then the propagation of the ``distinct_rows``."""
+    """``em_train``'s epochs, the evidence encoded and the rule bound once.
+    Unit u trains an (L_u, M_u) matrix (a source's prior as a 1 x M row with
+    input 1) on its (n, L_u) forward and (n, M_u) backward port messages by
+    ``kernel(theta, f, b, weights, setting, live)``: first on the random
+    start of ``initial_state``, drawn at the ports only and weighted by
+    ``mask`` (None: all ones), then on the propagation of the
+    ``distinct_rows``, weighted by each row's count of training samples."""
 
-    def __init__(self, propagator: Propagator, evidence: Mapping, n_samples: int | None, rng,
-                 units, terminals, floor: float):
-        self._propagator, self._evidence, self._floor = propagator, evidence, floor
-        factors, n = propagator._evidence_factors(evidence, n_samples)
+    def __init__(self, propagator: Propagator, evidence: Mapping, mask: np.ndarray | None, rng,
+                 units, terminals, kernel, setting):
+        factors, n = propagator._evidence_factors(evidence, None if mask is None else len(mask))
+        self._propagator, self._evidence, self._n_samples = propagator, evidence, n
+        self._kernel, self._setting = kernel, setting
         slot = propagator._slot
         self._ports = [(None, slot[("B", u.variable)]) if isinstance(u, SourceBlock)
                        else (slot[("F", u.from_var)], slot[("B", u.to_var)]) for u in units]
@@ -324,18 +327,21 @@ class _Epochs:
         for u, (l, m) in enumerate(self._shapes):  # 1.0 on each unit's real entries
             self._live[u, :l, :m] = 1.0
         self._msgs = propagator._start(factors, n, rng, {k for pair in self._ports for k in pair})
-        self._n = self._n_samples = n
-        rows, self._n_rows, self.inverse = propagator.distinct_rows(evidence, n)
-        self._factors = (factors if self._n_rows == n
-                         else propagator._evidence_factors(rows, self._n_rows)[0])
+        self._weights = np.ones(n) if mask is None else mask
+        rows, n_rows, inverse = propagator.distinct_rows(evidence, n)
+        self._train = np.bincount(inverse, weights=self._weights > 0)
+        test = np.bincount(inverse, weights=self._weights <= 0)
+        self._splits = (self._train, test) if test.any() else (self._train,)
+        self._factors = factors if n_rows == n else propagator._evidence_factors(rows, n_rows)[0]
 
-    def step(self, train) -> tuple[dict, object]:
-        """One epoch: ``train(theta, f, b, live)`` maps stacked parameters and
-        messages to new parameters, for all units in one zero-padded stack
-        within ``STACK_ENTRIES``, else for one unpadded unit per call.
-        Returns the new parameters by unit name, and ``score(weights)``, the
-        terminals' ``aggregated_log_likelihood`` under them."""
-        n, live, msgs, floor = self._n, self._live, self._msgs, self._floor
+    def step(self) -> tuple[dict, float, float]:
+        """One epoch: the M-step on all units in one zero-padded stack within
+        ``STACK_ENTRIES``, else one unpadded unit per call, then propagation.
+        Returns the new parameters by unit name and the terminals'
+        ``aggregated_log_likelihood`` under them on the training rows and on
+        the held-out rows (the training score when none is held out)."""
+        kernel, setting, weights = self._kernel, self._setting, self._weights
+        live, msgs, n = self._live, self._msgs, len(weights)
         units = zip(self._ports, self._shapes, self.parameters.values())
         if len(live) > 1 and len(live) * n * sum(live.shape[1:]) <= STACK_ENTRIES:
             theta = np.zeros(live.shape)
@@ -343,28 +349,27 @@ class _Epochs:
             for u, ((kf, kb), (l, m), p) in enumerate(units):
                 theta[u, :l, :m], b[u, :, :m] = p, msgs[kb]
                 f[u, :, :l] = 1.0 if kf is None else msgs[kf]
-            if floor:
-                np.maximum(f, floor * np.swapaxes(live[..., :1], 1, 2), out=f)
-                np.maximum(b, floor * live[:, :1], out=b)
-            trained = train(theta, f, b, live)
+            trained = kernel(theta, f, b, weights, setting, live)
         else:
-            port = lambda k: np.maximum(msgs[k], floor)[None] if floor else msgs[k][None]
-            trained = [train(p.reshape(1, l, m), np.ones((1, n, 1)) if kf is None else port(kf),
-                             port(kb), np.ones((1, l, m)))[0]
+            trained = [kernel(p.reshape(1, l, m),
+                              np.ones((1, n, 1)) if kf is None else msgs[kf][None], msgs[kb][None],
+                              weights, setting, np.ones((1, l, m)))[0]
                        for (kf, kb), (l, m), p in units]
         updates = {name: theta[:l, :m].reshape(p.shape) for (name, p), theta, (l, m)
                    in zip(self.parameters.items(), trained, self._shapes)}
         self.parameters.update(updates)
         self._params.update(updates)
         try:
-            msgs = self._propagator._pass(self._factors, self._params, self._n_rows)
+            msgs = self._propagator._pass(self._factors, self._params, len(self._train))
         except ContradictoryEvidence:
-            if self._n_rows < self._n_samples:  # name the samples, not the merged rows
+            if len(self._train) < self._n_samples:  # name the samples, not the merged rows
                 factors = self._propagator._evidence_factors(self._evidence, self._n_samples)[0]
                 self._propagator._pass(factors, self._params, self._n_samples)
             raise
-        self._msgs, self._n = msgs, self._n_rows
-        return updates, lambda w: _log_overlap([(msgs[f], msgs[b]) for f, b in self._scored], w)
+        self._msgs, self._weights = msgs, self._train
+        overlaps = [np.sum(msgs[f] * msgs[b], axis=-1) for f, b in self._scored]
+        scores = [_log_overlap(overlaps, w) for w in self._splits]
+        return updates, scores[0], scores[-1]
 
 
 def _is_symbol_column(arr: np.ndarray) -> bool:
@@ -387,16 +392,16 @@ def aggregated_log_likelihood(state: MessageState, terminals: Sequence[str],
         if var not in state.forward:
             raise UnknownVariable(f"unknown terminal {var!r}")
     weights = None if mask is None else np.asarray(mask, dtype=np.float64)
-    return _log_overlap([(state.forward[v], state.backward[v]) for v in terminals], weights)
+    return _log_overlap([np.sum(state.forward[v] * state.backward[v], axis=-1)
+                         for v in terminals], weights)
 
 
-def _log_overlap(pairs, weights: np.ndarray | None) -> float:
-    """``aggregated_log_likelihood`` on (forward, backward) message pairs
-    and float weights."""
+def _log_overlap(overlaps, weights: np.ndarray | None) -> float:
+    """``aggregated_log_likelihood`` on each terminal's per-sample message
+    overlap and float weights."""
     total = 0.0
     sel = None if weights is None else weights > 0
-    for forward, backward in pairs:
-        overlap = np.sum(forward * backward, axis=-1)
+    for overlap in overlaps:
         if sel is not None:
             overlap = overlap[sel]
         if np.any(overlap <= 0.0):

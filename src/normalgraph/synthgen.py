@@ -33,6 +33,8 @@ __all__ = [
 
 def substream(seed: int, *labels) -> np.random.Generator:
     """Deterministic generator for (seed, labels), independent across labels."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     tag = hashlib.sha256("\x1f".join(str(x) for x in labels).encode("utf-8")).digest()
     entropy = (int(seed),) + tuple(int.from_bytes(tag[i : i + 8], "big") for i in range(0, 32, 8))
     return np.random.default_rng(np.random.SeedSequence(entropy))
@@ -87,6 +89,8 @@ def ancestral_sample(graph: GraphSpec, n_samples: int, seed: int = 1,
     Returns the terminal columns, or every variable's column with
     ``keep_all`` for diagnostics.
     """
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
     order = Propagator(graph).forward_order
     tails, heads = _ends(graph)
     sizes = graph.sizes

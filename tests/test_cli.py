@@ -254,7 +254,17 @@ BAD_STUDY_SETTINGS = [
     ["tree", "--n", "1", "--split", "0.4"],
     ["tree", "--ms-override", "0", "--epochs", "1", "--n", "20"],
     ["nit-sweep", "--ms-override", "0", "--epochs", "1", "--n", "20"],
+    ["single-block", "--seed", "-3"],
+    ["tree", "--seed", "-3", "--epochs", "1", "--n", "20"],
+    ["deep", "--seed", "-3", "--epochs", "1", "--n", "20"],
+    ["nit-sweep", "--seed", "-3", "--epochs", "1", "--n", "20"],
+    ["tree", "--n", "-5", "--epochs", "1"],
+    ["deep", "--n", "-5", "--epochs", "1"],
+    ["nit-sweep", "--n", "-5", "--epochs", "1"],
 ]
+
+# The setting a negative sampling flag's error message must name.
+SAMPLING_SETTINGS = {"--seed": "seed", "--n": "n_samples"}
 
 BAD_DATASETS = {
     "duplicate column": "X1,X1,X3\n1,2,1\n2,1,3\n",
@@ -349,6 +359,19 @@ class TestErrorReporting:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: data:"), err
+        if argv[1] in SAMPLING_SETTINGS and argv[2].startswith("-"):
+            assert f"{SAMPLING_SETTINGS[argv[1]]} must be nonnegative" in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-3"), ("--n", "-5")])
+    def test_negative_sampling_setting_in_generate_is_data(self, star_files, tmp_path, capsys,
+                                                           flag, value):
+        gen, _, _ = star_files
+        out = tmp_path / "samples.csv"
+        rc = main(["generate", "--graph", str(gen), flag, value, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: data: {SAMPLING_SETTINGS[flag]} must be nonnegative, got {value}"]
         assert not out.exists()
 
     def test_contradiction_is_evidence(self, star_files, tmp_path, capsys):

@@ -40,7 +40,7 @@ from normalgraph.learning import (
     var_update,
     vit_update,
 )
-from normalgraph.messages import _SUM_SLACK, MAX_DELTA, normalize, one_hot
+from normalgraph.messages import _SUM_SLACK, MAX_DELTA, _require_delta, normalize, one_hot
 from normalgraph.propagation import (
     ContradictoryEvidence,
     Propagator,
@@ -837,8 +837,8 @@ def recorded_unit_inputs(monkeypatch, units) -> list:
 class TestRandomStart:
     """em_train draws only the random-start slots its first M-step reads and
     skips the draws of the others in the generator's stream.  What the
-    first M-step reads must still equal, bit for bit, the same slots of the
-    full ``initial_state`` (floored at MESSAGE_FLOOR, as ml reads them);
+    first M-step's kernel is given must still equal, bit for bit, the same
+    slots of the full ``initial_state`` (the kernel floors its own copies);
     this pins the skip arithmetic to numpy's generator."""
 
     @pytest.mark.parametrize("split", [None, 0.8])
@@ -852,15 +852,14 @@ class TestRandomStart:
         seen = recorded_unit_inputs(monkeypatch, units)
         em_train(learner, evidence, TrainConfig("ml", epochs=1, seed=5), mask)
         full = Propagator(learner).initial_state(evidence, rng=np.random.default_rng(5))
-        floored = lambda x: np.maximum(x, learning.MESSAGE_FLOOR)
         assert len(seen) == len(units)
         for unit, (f, b, w) in zip(units, seen):
             if isinstance(unit, SourceBlock):
                 assert np.array_equal(f, np.ones((n, 1)))
-                assert np.array_equal(b, floored(full.backward[unit.variable]))
+                assert np.array_equal(b, full.backward[unit.variable])
             else:
-                assert np.array_equal(f, floored(full.forward[unit.from_var]))
-                assert np.array_equal(b, floored(full.backward[unit.to_var]))
+                assert np.array_equal(f, full.forward[unit.from_var])
+                assert np.array_equal(b, full.backward[unit.to_var])
             assert np.array_equal(w, np.ones(n) if mask is None else mask)
 
 
@@ -904,46 +903,55 @@ class TestRandomStartIsNumpys:
 
 
 class TestEpochLoopChecksNothing:
-    """Hard evidence is checked where it enters; the epochs of em_train then
-    build no BlockDataset and normalize nothing."""
+    """Hard evidence is checked where it enters, and a rule's delta where
+    its TrainConfig is built; the epochs of em_train then build no
+    BlockDataset, normalize nothing and check no delta."""
 
     @staticmethod
     def counters(monkeypatch) -> dict:
-        """Count BlockDataset constructions and calls of ``normalize`` through
-        any ``normalgraph`` module's binding."""
-        counts = {"datasets": 0, "normalize": 0}
+        """Count BlockDataset constructions and calls of ``normalize`` and
+        ``_require_delta`` through any ``normalgraph`` module's binding."""
+        counts = {"datasets": 0, "normalize": 0, "delta checks": 0}
         post_init = BlockDataset.__post_init__
 
         def counting_post_init(self):
             counts["datasets"] += 1
             post_init(self)
 
-        def counting_normalize(values):
-            counts["normalize"] += 1
-            return normalize(values)
+        def counting(key, function):
+            def counted(*args):
+                counts[key] += 1
+                return function(*args)
+            return counted
 
+        patched = ((normalize, counting("normalize", normalize)),
+                   (_require_delta, counting("delta checks", _require_delta)))
         monkeypatch.setattr(BlockDataset, "__post_init__", counting_post_init)
         for name, module in list(sys.modules.items()):
             if name == "normalgraph" or name.startswith("normalgraph."):
                 for key, value in list(vars(module).items()):
-                    if value is normalize:
-                        monkeypatch.setattr(module, key, counting_normalize)
+                    for original, replacement in patched:
+                        if value is original:
+                            monkeypatch.setattr(module, key, replacement)
         return counts
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_no_dataset_and_no_normalize(self, monkeypatch, algorithm):
         learner, generative = study_graphs("deep", seed=1)
         evidence = ancestral_sample(generative, 300, seed=1).terminal_evidence(("X1", "X2", "X3"))
-        counts = self.counters(monkeypatch)
         cfg = TrainConfig(algorithm, epochs=5, seed=1)
+        counts = self.counters(monkeypatch)
         em_train(learner, evidence, cfg, split_mask(300, 0.8))
-        assert counts == {"datasets": 0, "normalize": 0}
-        # The counters are live: soft evidence goes through normalize.
+        assert counts == {"datasets": 0, "normalize": 0, "delta checks": 0}
+        # The counters are live: soft evidence goes through normalize, and a
+        # TrainConfig checks its delta.
         soft = {v: one_hot(column, learner.sizes[v]) for v, column in evidence.items()}
         em_train(learner, soft, cfg)
         assert counts["normalize"] > 0
         BlockDataset(forward=[[1.0]], backward=[[1.0]])
         assert counts["datasets"] == 1
+        TrainConfig(algorithm)
+        assert counts["delta checks"] == 1
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_soft_evidence_is_normalized_once(self, monkeypatch, algorithm):
@@ -1128,8 +1136,9 @@ def unit_stacks(draw):
     return units, weights, draw(st.sampled_from([0.0, 1e-6, 1.0])), draw(st.integers(1, 3))
 
 
-def stack(units, floor: float):
-    """The units' (theta, f, b, live) stacks, zero-padded to the widest."""
+def stack(units):
+    """The units' (theta, f, b, live) stacks, zero-padded to the widest and
+    read-only, so a kernel that wrote into its inputs would raise."""
     l_max = max(theta.shape[0] for theta, _, _ in units)
     m_max = max(theta.shape[1] for theta, _, _ in units)
     n = len(units[0][1])
@@ -1138,7 +1147,9 @@ def stack(units, floor: float):
     for u, (theta, f, b) in enumerate(units):
         l, m = theta.shape
         theta_s[u, :l, :m], live[u, :l, :m] = theta, 1.0
-        f_s[u, :, :l], b_s[u, :, :m] = np.maximum(f, floor), np.maximum(b, floor)
+        f_s[u, :, :l], b_s[u, :, :m] = f, b
+    for array in (theta_s, f_s, b_s, live):
+        array.setflags(write=False)
     return theta_s, f_s, b_s, live
 
 
@@ -1148,7 +1159,9 @@ class TestPaddedStacks:
     var's delta stays off the padding, vit's argmax never picks a padded
     column, a padded row is never an empty row (0/0 would raise here, as
     RuntimeWarnings are errors), and a real empty row keeps its value under
-    ml and kl and becomes uniform under vit and var."""
+    ml and kl and becomes uniform under vit and var.  The stacks are not
+    floored: ml and kl floor their own messages, in copies, and train as if
+    given the real entries floored, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(unit_stacks())
@@ -1156,17 +1169,24 @@ class TestPaddedStacks:
         units, weights, delta, nit = case
         for algorithm in ALGORITHMS:
             cfg = TrainConfig(algorithm, nit=nit, delta=delta)
-            kernel, setting, floor = learning._rule(cfg)
-            theta_s, f_s, b_s, live = stack(units, floor)
+            kernel, setting = learning._rule(cfg)
+            theta_s, f_s, b_s, live = stack(units)
             out = kernel(theta_s, f_s, b_s, weights, setting, live)
             assert out.shape == live.shape
             assert np.all(out[live == 0.0] == 0.0), algorithm
+            if algorithm in ("ml", "kl"):  # the kernel's floor: as if given floored real entries
+                floored = [(theta, np.maximum(f, learning.MESSAGE_FLOOR),
+                            np.maximum(b, learning.MESSAGE_FLOOR)) for theta, f, b in units]
+                _, f_floored, b_floored, _ = stack(floored)
+                again = kernel(theta_s, f_floored, b_floored, weights, setting, live)
+                assert again.tobytes() == out.tobytes(), algorithm
             for u, (theta, f, b) in enumerate(units):
                 l, m = theta.shape
                 alone = train_block(theta, BlockDataset(f, b, weights), cfg)
                 np.testing.assert_allclose(out[u, :l, :m], alone, rtol=0, atol=1e-10,
                                            err_msg=f"{algorithm} unit {u}")
                 np.testing.assert_allclose(out[u, :l, :m].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+                floor = learning.MESSAGE_FLOOR if algorithm in ("ml", "kl") else 0.0
                 empty = weights @ np.maximum(f, floor) == 0.0  # floored: ml and kl need w = 0
                 if algorithm in ("ml", "kl"):
                     np.testing.assert_allclose(out[u, :l, :m][empty], theta[empty], rtol=0,
