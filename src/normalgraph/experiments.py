@@ -182,8 +182,12 @@ def split_mask(n_samples: int, split: float) -> np.ndarray:
     """0/1 mask putting the leading ``split`` fraction into the train set."""
     if not 0.0 < split <= 1.0:
         raise ValueError("split must be in (0, 1]")
+    n_train = int(round(split * n_samples))
+    if n_samples and (n_train == 0 or (n_train == n_samples and split < 1.0)):
+        side = "held-out" if n_train else "training"
+        raise ValueError(f"split {split} leaves no {side} sample among {n_samples}")
     mask = np.zeros(n_samples, dtype=np.float64)
-    mask[: int(round(split * n_samples))] = 1.0
+    mask[:n_train] = 1.0
     return mask
 
 

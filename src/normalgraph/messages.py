@@ -71,10 +71,12 @@ def normalize(values: np.ndarray) -> np.ndarray:
 def _normalize_in_place(values: np.ndarray) -> np.ndarray:
     """``normalize`` for a float64 array already known to be nonnegative,
     such as fresh uniform draws: the rows are scaled in ``values`` itself."""
-    sums = np.sum(values, axis=-1, keepdims=True)
+    sums = np.add.reduce(values, -1, keepdims=True)  # np.sum's own reduction
     if not sums.all():
         raise AllZeroVector("cannot normalize a vector with zero total mass")
-    sums[~(np.abs(sums - 1.0) > _SUM_SLACK)] = 1.0  # x / 1.0 is x, bit for bit
+    off = np.abs(sums - 1.0) > _SUM_SLACK
+    if not off.all():
+        sums[~off] = 1.0  # x / 1.0 is x, bit for bit
     return np.divide(values, sums, out=values)
 
 

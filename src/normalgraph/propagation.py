@@ -36,8 +36,7 @@ from .graph import (
     UnknownVariable,
     _ends,
 )
-from .messages import (AllZeroVector, _normalize_in_place, hadamard_posterior, normalize,
-                       one_hot, uniform)
+from .messages import AllZeroVector, _normalize_in_place, normalize, one_hot, uniform
 
 __all__ = [
     "ContradictoryEvidence",
@@ -66,10 +65,11 @@ class MessageState:
 
 
 def posterior(state: MessageState, variable: str) -> np.ndarray:
-    """Normalized elementwise product of the stored message pair."""
+    """Normalized elementwise product of the stored message pair, read as
+    built: a state's messages are nonnegative and size-matched."""
     if variable not in state.forward:
         raise UnknownVariable(f"unknown variable {variable!r}")
-    return hadamard_posterior(state.forward[variable], state.backward[variable])
+    return _normalize_in_place(state.forward[variable] * state.backward[variable])
 
 
 class Propagator:
@@ -155,7 +155,7 @@ class Propagator:
         factors = [None] * len(self._slots)
         for var, k in self._evidence_slots.items():
             factor = encoded[var] if var in encoded else uniform(self.sizes[var])
-            factors[k] = np.tile(factor, (n, 1)) if factor.ndim == 1 else factor
+            factors[k] = np.repeat(factor[None], n, 0) if factor.ndim == 1 else factor
         return factors, n
 
     def _encode(self, var: str, value) -> np.ndarray:
@@ -231,29 +231,33 @@ class Propagator:
 
     def _pass(self, factors: list, params: Mapping[str, np.ndarray], n: int) -> list:
         """Every message by slot number, from ``_evidence_factors`` and the
-        parameter of every node: the one-pass sweep of ``run``."""
+        parameter of every node: the one-pass sweep of ``run``.  Zero row sums
+        (NaN rows downstream) are checked once, after the sweep, in schedule order."""
         msgs = list(factors)
-        for out, kind, name, inputs in self._steps:
-            if kind == "prior":
-                msgs[out] = np.tile(params[name], (n, 1))
-                continue
-            if kind == "siso_f":
-                raw = msgs[inputs[0]] @ params[name]
-            elif kind == "siso_b":
-                raw = msgs[inputs[0]] @ params[name].T
-            else:
-                raw = msgs[inputs[0]].copy()
-                for k in inputs[1:]:
-                    raw *= msgs[k]
-            sums = raw.sum(axis=1, keepdims=True)
-            if not sums.all():
-                direction, var = self._slots[out]
-                bad = np.flatnonzero(sums[:, 0] == 0.0)[:5].tolist()
-                raise ContradictoryEvidence(
-                    f"no consistent {'forward' if direction == 'F' else 'backward'} message "
-                    f"at variable {var!r} for sample(s) {bad}")
-            raw /= sums
-            msgs[out] = raw
+        sums = {}  # each step's row sums by output slot, in schedule order
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for out, kind, name, inputs in self._steps:
+                if kind == "prior":
+                    msgs[out] = np.repeat(params[name][None], n, 0)
+                    continue
+                if kind == "siso_f":
+                    raw = msgs[inputs[0]] @ params[name]
+                elif kind == "siso_b":
+                    raw = msgs[inputs[0]] @ params[name].T
+                elif len(inputs) == 1:  # a copy: the division below is in place
+                    raw = msgs[inputs[0]].copy()
+                else:
+                    raw = msgs[inputs[0]] * msgs[inputs[1]]
+                    for k in inputs[2:]:
+                        raw *= msgs[k]
+                sums[out] = np.add.reduce(raw, 1, keepdims=True)
+                msgs[out] = np.divide(raw, sums[out], out=raw)
+        if sums and not np.concatenate([*sums.values()]).all():
+            out, zero = next((o, s[:, 0] == 0.0) for o, s in sums.items() if not s.all())
+            direction, var = self._slots[out]
+            raise ContradictoryEvidence(
+                f"no consistent {'forward' if direction == 'F' else 'backward'} message "
+                f"at variable {var!r} for sample(s) {np.flatnonzero(zero)[:5].tolist()}")
         return msgs
 
     def run(self, evidence: Mapping | None = None, n_samples: int | None = None) -> MessageState:

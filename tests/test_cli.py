@@ -252,6 +252,8 @@ BAD_STUDY_SETTINGS = [
     ["single-block", "--delta", "1e200"],
     ["tree", "--delta", "1e101", "--epochs", "1", "--n", "20"],
     ["tree", "--n", "1", "--split", "0.4"],
+    ["tree", "--n", "10", "--split", "0.96", "--epochs", "1"],
+    ["deep", "--n", "10", "--split", "0.04", "--epochs", "1"],
     ["tree", "--ms-override", "0", "--epochs", "1", "--n", "20"],
     ["nit-sweep", "--ms-override", "0", "--epochs", "1", "--n", "20"],
     ["single-block", "--seed", "-3"],
@@ -265,6 +267,9 @@ BAD_STUDY_SETTINGS = [
 
 # The setting a negative sampling flag's error message must name.
 SAMPLING_SETTINGS = {"--seed": "seed", "--n": "n_samples"}
+
+# A --split that leaves one side of a 10-sample dataset empty, and the side.
+EMPTY_SIDE_SPLITS = {"0.96": "held-out", "0.04": "training"}
 
 BAD_DATASETS = {
     "duplicate column": "X1,X1,X3\n1,2,1\n2,1,3\n",
@@ -332,6 +337,23 @@ class TestErrorReporting:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: data:"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize("split", list(EMPTY_SIDE_SPLITS))
+    def test_split_that_empties_a_side_is_data(self, star_files, tmp_path, capsys, command,
+                                               split):
+        gen, learner, _ = star_files
+        data, out = tmp_path / "ten.csv", tmp_path / "r.csv"
+        assert main(["generate", "--graph", str(gen), "--n", "10", "--out", str(data)]) == 0
+        capsys.readouterr()
+        argv = [command, "--graph", str(learner), "--data", str(data), "--split", split,
+                "--out", str(out)]
+        rc = main(argv + (["--epochs", "1"] if command == "train" else []))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: data: split {split} leaves no {EMPTY_SIDE_SPLITS[split]} "
+                       "sample among 10"]
         assert not out.exists()
 
     @pytest.mark.parametrize("algo, flag, value", [

@@ -215,6 +215,26 @@ class TestKernelsMatchReferenceFormulas:
         expected = reference_normalize(values, _SUM_SLACK)
         assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
 
+    def test_normalize_in_place_on_slack_nan_and_inf_rows(self):
+        """The slack assignment is skipped when no row is within the slack,
+        so the batches below mix rows within and beyond it, or hold one kind
+        alone.  A NaN row counts as within the slack, an inf row as beyond."""
+        row = np.array([0.25, 0.75])
+        inside, outside = row * (1 + 0.5e-13), row * (1 + 1.5e-13)
+        nan, inf = np.array([np.nan, 0.5]), np.array([np.inf, 1.0])
+        batches = [np.array(rows) for rows in (
+            [inside, outside], [outside, inside, outside], [inside, inside], [outside, outside],
+            [nan, outside], [nan, inside], [inf, inside], [inf, nan], [nan], [inf])]
+        with np.errstate(invalid="ignore"):  # inf / inf is NaN in both
+            for values in batches:
+                out = _normalize_in_place(values.copy())
+                expected = reference_normalize(values, _SUM_SLACK)
+                assert out.tobytes() == expected.tobytes(), values
+
+    def test_normalize_in_place_zero_row_raises(self):
+        with pytest.raises(AllZeroVector):
+            _normalize_in_place(np.array([[0.2, 0.8], [0.0, 0.0], [0.5, 0.7]]))
+
     def test_planted_rows_reach_both_sides_of_each_threshold(self):
         """The planted features do what the strategy says on fixed rows."""
         peak = 0.75

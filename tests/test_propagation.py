@@ -1,10 +1,17 @@
 """Unit tests for exact message passing and likelihood functionals."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from oracles import class_posteriors, flooding, random_bayes_tree, tree_posteriors
-from normalgraph.experiments import TREE_LEAF_CONDITIONALS, build_latent_star
+from normalgraph.experiments import (
+    TREE_LEAF_CONDITIONALS,
+    build_deep_graph,
+    build_latent_star,
+    deep_generative_parameters,
+)
 from normalgraph.graph import (
     DiverterNode,
     GraphError,
@@ -16,7 +23,7 @@ from normalgraph.graph import (
     split_variable,
 )
 from normalgraph.learning import BlockDataset, block_log_likelihood
-from normalgraph.messages import one_hot
+from normalgraph.messages import hadamard_posterior, one_hot
 from normalgraph.propagation import (
     ContradictoryEvidence,
     Propagator,
@@ -336,6 +343,29 @@ class TestEvidenceHandling:
         assert str(caught.value) == (
             "no consistent backward message at variable 'X' for sample(s) [1, 3, 4, 6, 7]")
 
+    def test_first_contradiction_in_schedule_order_is_reported(self):
+        """Sample 0 zeroes ("B", X) and ("F", X_cont), sample 1 only the
+        latter.  ("B", X) is scheduled first, though declared last, so it
+        is the one named; the NaN rows the pass makes on the way raise no
+        RuntimeWarning."""
+        reordered = GraphSpec(
+            variables=(("X_cont", 2), ("X_tap", 2), ("S", 2), ("X", 2)),
+            sources=(SourceBlock("prior_S", "S", np.array([1.0, 0.0])),),
+            blocks=(SisoBlock("P_X", "S", "X", np.eye(2)),),
+            diverters=(DiverterNode(inbound=("X",), taps=("X_cont", "X_tap")),),
+        )
+        evidence = {"X_cont": np.array([0, 1]), "X_tap": np.array([1, 1])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContradictoryEvidence) as caught:
+                Propagator(reordered).run(evidence)
+            with pytest.raises(ContradictoryEvidence) as later:
+                Propagator(reordered).run({"X_cont": np.array([1]), "X_tap": np.array([1])})
+        assert str(caught.value) == (
+            "no consistent backward message at variable 'X' for sample(s) [0]")
+        assert str(later.value) == (
+            "no consistent forward message at variable 'X_cont' for sample(s) [0]")
+
     def test_split_with_uniform_tap_changes_nothing(self):
         """A fresh tap fed uniform backward flow is invisible elsewhere."""
         graph = build_latent_star(generative=True)
@@ -350,6 +380,41 @@ class TestEvidenceHandling:
         np.testing.assert_allclose(
             posterior(after, "X2_cont"), posterior(before, "X2"), atol=1e-12
         )
+
+
+class TestPosteriorReadsStateAsBuilt:
+    """``posterior`` skips ``hadamard_posterior``'s checks of the messages
+    but must return the same bits."""
+
+    @pytest.mark.parametrize("rows", [1, 68, 4096])
+    def test_deep_graph_soft_evidence(self, rows):
+        graph = build_deep_graph().with_parameters(deep_generative_parameters(3))
+        rng = np.random.default_rng(rows)
+        state = Propagator(graph).run({x: rng.uniform(0.05, 1.0, size=(rows, graph.sizes[x]))
+                                       for x in ("X1", "X2", "X3")})
+        for var, _ in graph.variables:
+            expected = hadamard_posterior(state.forward[var], state.backward[var])
+            assert np.array_equal(posterior(state, var), expected), var
+
+    def test_row_within_slack_of_unit_sum_is_kept(self):
+        """A one-hot forward message times a near-deterministic backward one
+        sums to 1 - 1e-14: normalization leaves such a row as it is."""
+        state = Propagator(identity_chain(prior=(1.0, 0.0))).run(
+            {"X": np.array([[1.0 - 1e-14, 1e-14]] * 2)})
+        expected = hadamard_posterior(state.forward["X"], state.backward["X"])
+        assert expected[0, 0] == 1.0 - 1e-14
+        assert np.array_equal(posterior(state, "X"), expected)
+
+    def test_random_trees(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            _, graph, readout = random_bayes_tree(rng)
+            terminals = sorted(set(readout.values()))
+            state = Propagator(graph).run({v: rng.uniform(0.0, 1.0, size=(9, graph.sizes[v]))
+                                           for v in terminals[::2]}, n_samples=9)
+            for var, _ in graph.variables:
+                expected = hadamard_posterior(state.forward[var], state.backward[var])
+                assert np.array_equal(posterior(state, var), expected), var
 
 
 class TestDistinctRows:

@@ -6,7 +6,10 @@
 Each argument is a directory that holds the ``normalgraph`` package, such as
 a checkout's ``src``.  For each side, the latent star graphs are saved and
 every command of ``COMMANDS`` runs in a fresh interpreter, with that
-directory alone on ``PYTHONPATH``, inside a temporary directory of its own.
+directory alone on ``PYTHONPATH`` and a hash seed of its own (any
+``PYTHONHASHSEED`` is dropped), inside a temporary directory of its own.
+Given the same directory twice, it checks that the outputs do not change
+from one run to the next.
 The ``wall_ms`` column of every CSV is dropped, found by its header name.
 Then each file and each command's printed output (with its exit status) is
 reported as ``identical``, or with the largest absolute and relative
@@ -42,6 +45,9 @@ COMMANDS = (
      "--out", "tree_split"],
     ["experiment", "single-block", "--out", "single_block"],
     ["generate", "--graph", "star_gen.json", "--n", "300", "--seed", "4", "--out", "star.csv"],
+    ["eval", "--graph", "star_gen.json", "--data", "star.csv"],
+    ["eval", "--graph", "star_gen.json", "--data", "star.csv", "--split", "0.75",
+     "--out", "star_eval.csv"],
     ["train", "--graph", "star_learner.json", "--data", "star.csv", "--algo", "all",
      "--epochs", "40", "--split", "0.75", "--dump-coefficients", "--out", "star_results.csv"],
 )
@@ -69,6 +75,7 @@ def run_side(src: Path, workdir: Path) -> dict[str, str]:
     """Every output of one side by name: what each command printed, then
     the text of each file the commands wrote."""
     env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONHASHSEED", None)
     setup = subprocess.run([sys.executable, "-c", STAR_GRAPHS], cwd=workdir, env=env,
                            capture_output=True, text=True)
     if setup.returncode != 0 or not Path(setup.stdout.strip()).is_relative_to(src):
