@@ -8,19 +8,19 @@ blocks around the product spaces stay fixed throughout.
 import numpy as np
 
 from normalgraph.experiments import (
-    GraphExperimentConfig,
     build_deep_graph,
     deep_generative_parameters,
     run_deep_experiment,
 )
 from normalgraph.graph import build_expander
+from normalgraph.learning import TrainConfig
 from normalgraph.propagation import Propagator, aggregated_log_likelihood
 from normalgraph.synthgen import ancestral_sample
 
 
 def main():
-    cfg = GraphExperimentConfig(n_samples=100, epochs=600, nit=3, seed=1)
-    reports = run_deep_experiment(cfg)
+    train, n_samples = TrainConfig(epochs=600, nit=3, seed=1), 100
+    reports = run_deep_experiment(train, n_samples=n_samples)
 
     print("final aggregated train log-likelihood after 600 epochs")
     for algorithm, report in sorted(
@@ -29,11 +29,11 @@ def main():
         print(f"  {algorithm:>3}: {report.final_train_loglik:10.2f}")
 
     # Score the same data under the generative parameters for context.
-    truth = build_deep_graph().with_parameters(deep_generative_parameters(cfg.seed))
-    data = ancestral_sample(truth, cfg.n_samples, seed=cfg.seed)
+    truth = build_deep_graph().with_parameters(deep_generative_parameters(train.seed))
+    data = ancestral_sample(truth, n_samples, seed=train.seed)
     evidence = data.terminal_evidence(("X1", "X2", "X3"))
-    state = Propagator(truth).run(evidence, n_samples=cfg.n_samples)
-    mask = np.ones(cfg.n_samples, dtype=bool)
+    state = Propagator(truth).run(evidence, n_samples=n_samples)
+    mask = np.ones(n_samples, dtype=bool)
     print(f"  true model: {aggregated_log_likelihood(state, tuple(evidence), mask):10.2f}")
 
     fixed = reports["ml"].graph.block("join_S1S2_in1").theta

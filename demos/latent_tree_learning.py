@@ -8,12 +8,13 @@ the comparison metric is the aggregated log-likelihood of the terminals.
 
 import numpy as np
 
-from normalgraph.experiments import GraphExperimentConfig, build_latent_star, run_tree_experiment
+from normalgraph.experiments import build_latent_star, run_tree_experiment
+from normalgraph.learning import TrainConfig
 
 
 def main():
-    cfg = GraphExperimentConfig(n_samples=400, epochs=60, nit=3, seed=1)
-    reports = run_tree_experiment(cfg)
+    train = TrainConfig(epochs=60, nit=3, seed=1)
+    reports = run_tree_experiment(train, n_samples=400)
 
     print("aggregated train log-likelihood by epoch")
     header = "  epoch " + "".join(f"{a:>10}" for a in reports)
@@ -35,10 +36,8 @@ def main():
         print("   ", " ".join(f"{v:6.3f}" for v in row))
 
     print("\nwith a train/test split the same driver scores both halves")
-    cfg = GraphExperimentConfig(
-        n_samples=300, epochs=60, nit=3, split=0.5, seed=1, algorithms=("ml", "var")
-    )
-    for algorithm, report in run_tree_experiment(cfg).items():
+    split_run = run_tree_experiment(train, n_samples=300, split=0.5, algorithms=("ml", "var"))
+    for algorithm, report in split_run.items():
         print(
             f"  {algorithm}: train {report.final_train_loglik:8.1f}   "
             f"test {report.final_test_loglik:8.1f}"

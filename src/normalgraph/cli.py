@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .graph import GraphError, graph_digest, load_graph, save_graph
-from .learning import ALGORITHMS
+from .learning import ALGORITHMS, TrainConfig
 from .propagation import ContradictoryEvidence, Propagator, aggregated_log_likelihood
 from .synthgen import ancestral_sample
 from . import experiments as exp
@@ -39,15 +38,15 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--algo", type=_algorithms, default=None, metavar="NAME",
                         help="ml, kl, vit, var, or all")
     parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--nit", type=int, default=3,
+    parser.add_argument("--nit", type=int, default=TrainConfig.nit,
                         help="per-epoch update count for the iterative rules")
-    parser.add_argument("--delta", type=float, default=1e-6,
+    parser.add_argument("--delta", type=float, default=TrainConfig.delta,
                         help="pseudocount floor for the batch rules")
     parser.add_argument("--split", type=float, default=1.0,
                         help="leading fraction of samples used for training")
     parser.add_argument("--tol", type=float, default=None,
                         help="stop early once the train loglik moves less than this")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=TrainConfig.seed)
     parser.add_argument("--dump-coefficients", action="store_true",
                         help="also write every epoch's parameters")
     parser.add_argument("--emit-plot", action="store_true",
@@ -133,8 +132,7 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     graph = load_graph(args.graph)
     evidence, mask = _load_evidence(graph, args.data, args.split)
-    cfg = _graph_config(args, n_samples=len(mask), epochs_default=60)
-    reports = exp.train_rules(graph, evidence, cfg, mask)
+    reports = exp.train_rules(graph, evidence, _train_config(args), mask, args.algo or ALGORITHMS)
     meta = {"seed": args.seed, "graph": graph_digest(graph), "split": args.split}
     _write_reports(args, reports, Path(args.out), meta, "training trajectory")
     return 0
@@ -177,17 +175,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _graph_config(args, n_samples: int, epochs_default: int) -> exp.GraphExperimentConfig:
-    return exp.GraphExperimentConfig(
-        n_samples=n_samples,
-        epochs=args.epochs if args.epochs is not None else epochs_default,
-        nit=args.nit,
-        delta=args.delta,
-        split=args.split,
-        seed=args.seed,
-        tol=args.tol,
-        algorithms=args.algo if args.algo is not None else ALGORITHMS,
-    )
+def _train_config(args, epochs_default: int = TrainConfig.epochs) -> TrainConfig:
+    epochs = args.epochs if args.epochs is not None else epochs_default
+    return TrainConfig(epochs=epochs, nit=args.nit, delta=args.delta, seed=args.seed, tol=args.tol)
 
 
 def cmd_experiment(args) -> int:
@@ -215,32 +205,26 @@ def cmd_experiment(args) -> int:
             print(f"{algorithm}: final loglik {finals[algorithm]:.6f}")
         return 0
 
+    train = _train_config(args, 600) if args.name == "deep" else _train_config(args)
+    algorithms = args.algo or (("ml",) if args.name == "nit-sweep" else ALGORITHMS)
+    study = {"n_samples": n_samples, "split": args.split, "algorithms": algorithms}
+    # The deep graph has no latent star: its results record the default size.
+    m_latent = 4 if args.ms_override is None or args.name == "deep" else args.ms_override
     if args.name == "nit-sweep":
-        cfg = _graph_config(args, n_samples, epochs_default=60)
-        if args.algo is None:
-            cfg = replace(cfg, algorithms=("ml",))
-        if args.ms_override is not None:
-            cfg = replace(cfg, m_latent=args.ms_override)
-        rows = exp.run_nit_sweep(cfg)
+        rows = exp.run_nit_sweep(train, m_latent=m_latent, **study)
         out_dir.mkdir(parents=True, exist_ok=True)
         results = out_dir / "nit_sweep.csv"
         exp.write_csv(results, ["nit", "repetition", "algorithm", "final_train_loglik"],
-                      rows, meta={"seed": cfg.seed})
+                      rows, meta={"seed": train.seed})
         print(f"wrote {len(rows)} sweep rows to {results}")
         return 0
 
     if args.name == "tree":
-        cfg = _graph_config(args, n_samples, epochs_default=60)
-        if args.ms_override is not None:
-            cfg = replace(cfg, m_latent=args.ms_override)
-        reports = exp.run_tree_experiment(cfg)
-        results = out_dir / "tree.csv"
+        reports = exp.run_tree_experiment(train, m_latent=m_latent, **study)
     else:
-        cfg = _graph_config(args, n_samples, epochs_default=600)
-        reports = exp.run_deep_experiment(cfg)
-        results = out_dir / "deep.csv"
-
-    meta = {"seed": cfg.seed, "split": cfg.split, "m_latent": cfg.m_latent}
+        reports = exp.run_deep_experiment(train, **study)
+    meta = {"seed": train.seed, "split": args.split, "m_latent": m_latent}
+    results = out_dir / f"{args.name}.csv"
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_reports(args, reports, results, meta, f"{args.name} training")
     return 0

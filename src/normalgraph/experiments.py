@@ -56,7 +56,6 @@ __all__ = [
     "SingleBlockConfig",
     "random_message_pairs",
     "run_single_block",
-    "GraphExperimentConfig",
     "train_rules",
     "run_tree_experiment",
     "run_deep_experiment",
@@ -206,8 +205,8 @@ class SingleBlockConfig:
     sharp_in: float = 1.0
     sharp_out: float = 1.0
     iterations: int = 100
-    delta: float = 1e-6
-    seed: int = 1
+    delta: float = TrainConfig.delta
+    seed: int = TrainConfig.seed
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -263,34 +262,15 @@ def run_single_block(cfg: SingleBlockConfig) -> list[tuple[str, int, float]]:
 # Graph studies
 
 
-@dataclass
-class GraphExperimentConfig:
-    n_samples: int = 400
-    m_latent: int = 4
-    epochs: int = 60
-    nit: int = 3
-    delta: float = 1e-6
-    split: float = 1.0
-    seed: int = 1
-    tol: float | None = None
-    algorithms: tuple[str, ...] = ALGORITHMS
-
-
-def train_rules(graph: GraphSpec, evidence, cfg: GraphExperimentConfig,
-                mask: np.ndarray) -> dict[str, TrainReport]:
-    """em_train once per rule in ``cfg.algorithms``, with shared settings."""
+def train_rules(graph: GraphSpec, evidence, train: TrainConfig, mask: np.ndarray,
+                algorithms: tuple[str, ...] = ALGORITHMS) -> dict[str, TrainReport]:
+    """em_train once per rule in ``algorithms``, on ``train`` with the rule
+    as its ``algorithm``."""
     reports: dict[str, TrainReport] = {}
-    for algorithm in cfg.algorithms:
-        train_cfg = TrainConfig(
-            algorithm=algorithm,
-            epochs=cfg.epochs,
-            nit=cfg.nit,
-            delta=cfg.delta,
-            seed=cfg.seed,
-            tol=cfg.tol,
-        )
+    for algorithm in algorithms:
         try:
-            reports[algorithm] = em_train(graph, evidence, train_cfg, mask)
+            reports[algorithm] = em_train(graph, evidence, replace(train, algorithm=algorithm),
+                                          mask)
         except ContradictoryEvidence as error:
             remedy = ("use vit or var, or train on the full data" if algorithm in ("ml", "kl")
                       else "use a positive --delta")
@@ -301,49 +281,59 @@ def train_rules(graph: GraphSpec, evidence, cfg: GraphExperimentConfig,
     return reports
 
 
-def _sample_terminals(generative: GraphSpec, cfg: GraphExperimentConfig):
-    """Terminal evidence of ``cfg.n_samples`` ancestral samples of
+def _sample_terminals(generative: GraphSpec, seed: int, n_samples: int, split: float):
+    """Terminal evidence of ``n_samples`` ancestral samples of
     ``generative``, and the mask of their training split."""
-    data = ancestral_sample(generative, cfg.n_samples, seed=cfg.seed)
-    return data.terminal_evidence(("X1", "X2", "X3")), split_mask(cfg.n_samples, cfg.split)
+    data = ancestral_sample(generative, n_samples, seed=seed)
+    return data.terminal_evidence(("X1", "X2", "X3")), split_mask(n_samples, split)
 
 
-def run_tree_experiment(cfg: GraphExperimentConfig) -> dict[str, TrainReport]:
+def run_tree_experiment(train: TrainConfig, *, n_samples: int = 400, m_latent: int = 4,
+                        split: float = 1.0,
+                        algorithms: tuple[str, ...] = ALGORITHMS) -> dict[str, TrainReport]:
     """Latent-star study: sample the reference model, learn from scratch.
 
-    ``cfg.m_latent`` sets the latent alphabet of the learned graph (the
-    generative one always has four states); ``cfg.split`` < 1 holds out the
-    trailing samples as a test set.
+    ``train.seed`` also draws the samples; ``train_rules`` sets each rule
+    as ``train.algorithm``.  ``m_latent`` sets the latent alphabet of the
+    learned graph (the generative one always has four states); ``split``
+    < 1 holds out the trailing samples as a test set.
     """
-    evidence, mask = _sample_terminals(build_latent_star(generative=True), cfg)
-    learner = build_latent_star(m_latent=cfg.m_latent)
-    return train_rules(learner, evidence, cfg, mask)
+    star = build_latent_star(generative=True)
+    evidence, mask = _sample_terminals(star, train.seed, n_samples, split)
+    return train_rules(build_latent_star(m_latent), evidence, train, mask, algorithms)
 
 
-def run_deep_experiment(cfg: GraphExperimentConfig) -> dict[str, TrainReport]:
-    """Deep-graph study: random ground truth, learned from 100 samples."""
+def run_deep_experiment(train: TrainConfig, *, n_samples: int = 100, split: float = 1.0,
+                        algorithms: tuple[str, ...] = ALGORITHMS) -> dict[str, TrainReport]:
+    """Deep-graph study: random ground truth, learned from 100 samples.
+    ``train.seed`` also draws the ground truth and the samples;
+    ``train_rules`` sets each rule as ``train.algorithm``."""
     structure = build_deep_graph()
-    generative = structure.with_parameters(deep_generative_parameters(cfg.seed))
-    evidence, mask = _sample_terminals(generative, cfg)
-    return train_rules(structure, evidence, cfg, mask)
+    generative = structure.with_parameters(deep_generative_parameters(train.seed))
+    evidence, mask = _sample_terminals(generative, train.seed, n_samples, split)
+    return train_rules(structure, evidence, train, mask, algorithms)
 
 
-def run_nit_sweep(cfg: GraphExperimentConfig, nits=(1, 3, 5, 10, 20),
+def run_nit_sweep(train: TrainConfig, *, n_samples: int = 400, m_latent: int = 4,
+                  split: float = 1.0, algorithms: tuple[str, ...] = ALGORITHMS,
+                  nits=(1, 3, 5, 10, 20),
                   repetitions: int = 10) -> list[tuple[int, int, str, float]]:
     """Final likelihood as a function of the per-epoch update count.
 
-    The dataset is fixed by ``cfg.seed``; each repetition reruns training
-    from a different random message initialization.  Returns rows of
-    (nit, repetition, algorithm, final_train_loglik).
+    ``train.seed`` fixes the dataset.  Each repetition reruns training from
+    a different random message initialization: ``train`` with the swept
+    ``nit`` and ``seed`` = ``train.seed`` * 1000 + repetition.  Returns rows
+    of (nit, repetition, algorithm, final_train_loglik).
     """
-    evidence, mask = _sample_terminals(build_latent_star(generative=True), cfg)
-    learner = build_latent_star(m_latent=cfg.m_latent)
+    star = build_latent_star(generative=True)
+    evidence, mask = _sample_terminals(star, train.seed, n_samples, split)
+    learner = build_latent_star(m_latent)
     rows: list[tuple[int, int, str, float]] = []
     for nit in nits:
         for rep in range(1, repetitions + 1):
-            sweep_cfg = replace(cfg, nit=nit, seed=cfg.seed * 1000 + rep)
-            for algorithm, report in train_rules(learner, evidence, sweep_cfg, mask).items():
-                rows.append((nit, rep, algorithm, report.final_train_loglik))
+            sweep = replace(train, nit=nit, seed=train.seed * 1000 + rep)
+            reports = train_rules(learner, evidence, sweep, mask, algorithms)
+            rows += [(nit, rep, a, report.final_train_loglik) for a, report in reports.items()]
     return rows
 
 
@@ -387,6 +377,8 @@ def load_samples(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             if header is None:
                 header = [c.strip() for c in cells]
                 continue
+            if len(cells) != len(header):
+                raise ValueError(f"{path}: ragged rows")
             rows.append([int(c) for c in cells])
     if header is None:
         raise ValueError(f"{path}: no header row")
@@ -394,13 +386,9 @@ def load_samples(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     if duplicates:
         raise ValueError(f"{path}: duplicate columns {duplicates}")
     try:
-        data = np.asarray(rows, dtype=np.int64)
+        data = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(header))
     except OverflowError as exc:
         raise ValueError(f"{path}: symbol index out of range ({exc})") from exc
-    if not rows:
-        data = data.reshape(0, len(header))
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ValueError(f"{path}: ragged rows")
     if np.any(data < 1):
         raise ValueError(f"{path}: symbol indices are 1-based")
     columns = {name: data[:, i] - 1 for i, name in enumerate(header)}

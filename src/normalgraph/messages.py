@@ -58,13 +58,14 @@ def _require_delta(delta: float) -> None:
 def normalize(values: np.ndarray) -> np.ndarray:
     """Scale each row to unit sum.
 
-    Raises AllZeroVector if any row sums to zero.  Rows already within
+    Raises ValueError on a negative or non-finite entry, and
+    AllZeroVector if any row sums to zero.  Rows already within
     1e-13 of unit sum are passed through untouched, so the function is
     exactly idempotent.
     """
     values = np.asarray(values, dtype=np.float64)
-    if np.any(values < 0.0):
-        raise ValueError("messages must be nonnegative")
+    if not np.all((values >= 0.0) & (values < np.inf)):
+        raise ValueError("messages must be nonnegative and finite")
     return _normalize_in_place(values.copy())
 
 

@@ -172,6 +172,8 @@ class Propagator:
             raise GraphError(f"evidence at non-terminal variable {var!r}; split it first")
         size = self.sizes[var]
         arr = np.asarray(value)
+        if arr.ndim == 0 and not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"scalar evidence for {var!r} is not an integer symbol: {value!r}")
         if arr.ndim == 0 or _is_symbol_column(arr):
             idx = arr.astype(np.int64)
             if np.any(idx < 0) or np.any(idx >= size):
@@ -184,6 +186,8 @@ class Propagator:
             return normalize(np.asarray(arr, dtype=np.float64))
         except AllZeroVector as exc:
             raise ContradictoryEvidence(f"all-zero soft evidence at {var!r}") from exc
+        except ValueError as exc:
+            raise ValueError(f"soft evidence for {var!r}: {exc}") from None
 
     def distinct_rows(self, evidence: Mapping, n_samples: int):
         """Merge the samples whose hard evidence is the same.
@@ -396,6 +400,8 @@ def aggregated_log_likelihood(state: MessageState, terminals: Sequence[str],
         if var not in state.forward:
             raise UnknownVariable(f"unknown terminal {var!r}")
     weights = None if mask is None else np.asarray(mask, dtype=np.float64)
+    if weights is not None and weights.shape != (state.n_samples,):
+        raise ValueError(f"mask has shape {weights.shape} for {state.n_samples} samples")
     return _log_overlap([np.sum(state.forward[v] * state.backward[v], axis=-1)
                          for v in terminals], weights)
 

@@ -13,7 +13,6 @@ import numpy as np
 from oracles import cooccurrence_table, random_bayes_tree, tree_posteriors
 from normalgraph.cli import main
 from normalgraph.experiments import (
-    GraphExperimentConfig,
     SingleBlockConfig,
     build_latent_star,
     run_deep_experiment,
@@ -24,6 +23,7 @@ from normalgraph.experiments import (
 from normalgraph.graph import build_expander, build_projector
 from normalgraph.learning import (
     BlockDataset,
+    TrainConfig,
     block_log_likelihood,
     kkt_multipliers,
     kl_update,
@@ -249,8 +249,7 @@ def test_criterion_08_latent_star_ordering():
     exact_wins, close = 0, 0
     orderings = []
     for seed in range(1, 6):
-        cfg = GraphExperimentConfig(n_samples=400, epochs=60, nit=3, seed=seed)
-        reports = run_tree_experiment(cfg)
+        reports = run_tree_experiment(TrainConfig(epochs=60, nit=3, seed=seed), n_samples=400)
         final = {a: r.final_train_loglik for a, r in reports.items()}
         if min(final["ml"], final["kl"]) > max(final["vit"], final["var"]):
             exact_wins += 1
@@ -278,12 +277,13 @@ def test_criterion_08_latent_star_ordering():
 def test_criterion_09_latent_size_mismatch():
     wins = 0
     for seed in range(1, 6):
-        small = run_tree_experiment(GraphExperimentConfig(
-            n_samples=400, epochs=60, nit=3, seed=seed, m_latent=2, algorithms=("ml",)
-        ))["ml"].final_train_loglik
-        full = run_tree_experiment(GraphExperimentConfig(
-            n_samples=400, epochs=60, nit=3, seed=seed, m_latent=4, algorithms=("ml",)
-        ))["ml"].final_train_loglik
+        train = TrainConfig(epochs=60, nit=3, seed=seed)
+        small = run_tree_experiment(
+            train, n_samples=400, m_latent=2, algorithms=("ml",)
+        )["ml"].final_train_loglik
+        full = run_tree_experiment(
+            train, n_samples=400, m_latent=4, algorithms=("ml",)
+        )["ml"].final_train_loglik
         if small < full:
             wins += 1
     ok = wins >= 4
@@ -298,21 +298,21 @@ def test_criterion_10_generalization():
     generative = build_latent_star(generative=True)
     counts = {}
     details = []
+    n_samples, split = 300, 0.5
     for m_latent in (4, 9):
         good = 0
         for seed in range(1, 6):
-            cfg = GraphExperimentConfig(
-                n_samples=300, epochs=60, nit=3, split=0.5, seed=seed,
+            record_list = run_tree_experiment(
+                TrainConfig(epochs=60, nit=3, seed=seed), n_samples=n_samples, split=split,
                 m_latent=m_latent, algorithms=("ml",),
-            )
-            record_list = run_tree_experiment(cfg)["ml"].records
+            )["ml"].records
             tests = [r.test_loglik for r in record_list]
             finite = len(tests) == 60 and all(np.isfinite(tests))
             evidence = ancestral_sample(
-                generative, cfg.n_samples, seed=seed
+                generative, n_samples, seed=seed
             ).terminal_evidence(terminals)
-            held_out = split_mask(cfg.n_samples, cfg.split) <= 0
-            state = Propagator(generative).run(evidence, n_samples=cfg.n_samples)
+            held_out = split_mask(n_samples, split) <= 0
+            state = Propagator(generative).run(evidence, n_samples=n_samples)
             true_test = aggregated_log_likelihood(state, terminals, held_out)
             excess = abs(true_test - tests[-1]) / abs(true_test)
             if finite and excess <= 0.15:
@@ -329,11 +329,10 @@ def test_criterion_11_deep_graph():
     wins = 0
     fixed_ok = True
     for seed in range(1, 6):
-        cfg = GraphExperimentConfig(
-            n_samples=100, epochs=600, nit=3, seed=seed,
+        reports = run_deep_experiment(
+            TrainConfig(epochs=600, nit=3, seed=seed), n_samples=100,
             algorithms=("ml", "kl", "vit"),
         )
-        reports = run_deep_experiment(cfg)
         final = {a: r.final_train_loglik for a, r in reports.items()}
         if final["ml"] >= final["vit"] and final["kl"] >= final["vit"]:
             wins += 1

@@ -263,6 +263,7 @@ BAD_STUDY_SETTINGS = [
     ["tree", "--n", "-5", "--epochs", "1"],
     ["deep", "--n", "-5", "--epochs", "1"],
     ["nit-sweep", "--n", "-5", "--epochs", "1"],
+    ["nit-sweep", "--nit", "0", "--epochs", "1", "--n", "20"],
 ]
 
 # The setting a negative sampling flag's error message must name.

@@ -6,7 +6,6 @@ import pytest
 from normalgraph.experiments import (
     TREE_LEAF_CONDITIONALS,
     TREE_PRIOR,
-    GraphExperimentConfig,
     SingleBlockConfig,
     build_deep_graph,
     build_latent_star,
@@ -25,6 +24,7 @@ from normalgraph.experiments import (
     write_training_rows,
 )
 from normalgraph.graph import build_expander, graph_digest
+from normalgraph.learning import TrainConfig
 from normalgraph.synthgen import ancestral_sample
 
 
@@ -156,10 +156,12 @@ class TestSampleCsv:
             load_samples(path)
 
     def test_ragged_file_rejected(self, tmp_path):
+        """Rows of unequal length, and rows all one cell short."""
         path = tmp_path / "ragged.csv"
-        path.write_text("X1,X2\n1,2\n1\n")
-        with pytest.raises(ValueError):
-            load_samples(path)
+        for text in ("X1,X2\n1,2\n1\n", "X1,X2\n1\n2\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=f"{path}: ragged rows"):
+                load_samples(path)
 
     def test_headerless_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -209,10 +211,8 @@ class TestResultCsv:
         assert body.startswith("0.33333333333333331,")
 
     def test_training_rows_wall_clock_is_last(self, tmp_path):
-        cfg = GraphExperimentConfig(
-            n_samples=30, epochs=2, algorithms=("ml",), seed=1
-        )
-        reports = run_tree_experiment(cfg)
+        reports = run_tree_experiment(TrainConfig(epochs=2, seed=1), n_samples=30,
+                                      algorithms=("ml",))
         with_test = tmp_path / "with_test.csv"
         write_training_rows(reports, with_test, include_test=True)
         header = with_test.read_text().splitlines()[0].split(",")
@@ -224,10 +224,8 @@ class TestResultCsv:
         assert len(bare.read_text().splitlines()) == 1 + 2
 
     def test_coefficient_rows_cover_all_entries(self, tmp_path):
-        cfg = GraphExperimentConfig(
-            n_samples=20, epochs=2, algorithms=("var",), seed=1,
-        )
-        reports = run_tree_experiment(cfg)
+        reports = run_tree_experiment(TrainConfig(epochs=2, seed=1), n_samples=20,
+                                      algorithms=("var",))
         path = tmp_path / "coeffs.csv"
         write_coefficient_rows(reports, path)
         lines = path.read_text().splitlines()
@@ -248,10 +246,8 @@ class TestResultCsv:
 
 class TestGraphRunners:
     def test_tree_experiment_smoke(self):
-        cfg = GraphExperimentConfig(
-            n_samples=40, epochs=3, algorithms=("ml", "vit"), seed=1, split=0.75
-        )
-        reports = run_tree_experiment(cfg)
+        reports = run_tree_experiment(TrainConfig(epochs=3, seed=1), n_samples=40, split=0.75,
+                                      algorithms=("ml", "vit"))
         assert set(reports) == {"ml", "vit"}
         for report in reports.values():
             assert len(report.records) == 3
@@ -259,15 +255,13 @@ class TestGraphRunners:
             assert np.isfinite(report.final_test_loglik)
 
     def test_tree_experiment_respects_latent_size(self):
-        cfg = GraphExperimentConfig(
-            n_samples=20, epochs=1, algorithms=("vit",), m_latent=2, seed=1
-        )
-        reports = run_tree_experiment(cfg)
+        reports = run_tree_experiment(TrainConfig(epochs=1, seed=1), n_samples=20, m_latent=2,
+                                      algorithms=("vit",))
         assert reports["vit"].graph.sizes["S0"] == 2
 
     def test_deep_experiment_smoke(self):
-        cfg = GraphExperimentConfig(n_samples=20, epochs=2, algorithms=("vit",), seed=1)
-        reports = run_deep_experiment(cfg)
+        reports = run_deep_experiment(TrainConfig(epochs=2, seed=1), n_samples=20,
+                                      algorithms=("vit",))
         report = reports["vit"]
         assert len(report.records) == 2
         assert np.isfinite(report.final_train_loglik)
@@ -277,21 +271,20 @@ class TestGraphRunners:
         )
 
     def test_nit_sweep_layout(self):
-        cfg = GraphExperimentConfig(
-            n_samples=20, epochs=2, algorithms=("ml",), seed=1
-        )
-        rows = run_nit_sweep(cfg, nits=(1, 2), repetitions=2)
+        train = TrainConfig(epochs=2, seed=1)
+        study = {"n_samples": 20, "algorithms": ("ml",), "nits": (1, 2), "repetitions": 2}
+        rows = run_nit_sweep(train, **study)
         assert len(rows) == 4
         assert [(r[0], r[1]) for r in rows] == [(1, 1), (1, 2), (2, 1), (2, 2)]
         assert all(r[2] == "ml" for r in rows)
         assert all(np.isfinite(r[3]) for r in rows)
-        again = run_nit_sweep(cfg, nits=(1, 2), repetitions=2)
+        again = run_nit_sweep(train, **study)
         assert rows == again
 
     def test_nit_sweep_repetitions_differ(self):
         """Each repetition restarts from different random messages, so the
         final likelihoods are not all identical."""
-        cfg = GraphExperimentConfig(n_samples=30, epochs=2, algorithms=("ml",), seed=1)
-        rows = run_nit_sweep(cfg, nits=(3,), repetitions=3)
+        rows = run_nit_sweep(TrainConfig(epochs=2, seed=1), n_samples=30, algorithms=("ml",),
+                             nits=(3,), repetitions=3)
         finals = [r[3] for r in rows]
         assert len(set(finals)) > 1

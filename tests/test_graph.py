@@ -182,6 +182,10 @@ class TestValidate:
             ("'LONE' dangles", lambda: replace(star, variables=star.variables + (("LONE", 2),))),
             ("attaches the same variable twice", lambda: replace(
                 star, diverters=(DiverterNode(inbound=("S0",), taps=("S1", "S1", "S3")),))),
+            ("'S1' has multiple consumers", lambda: with_block(1, from_var="S1")),
+            ("'LOOP' loops node 'loop' to itself", lambda: replace(
+                star, variables=star.variables + (("LOOP", 2),),
+                blocks=star.blocks + (SisoBlock("loop", "LOOP", "LOOP", np.eye(2)),))),
         ]
         for problem, build in corruptions:
             with pytest.raises(GraphError, match=problem):

@@ -298,6 +298,15 @@ class TestTrainBlock:
         with pytest.raises(ValueError, match="unknown algorithm"):
             TrainConfig(algorithm="adam")
 
+    @pytest.mark.parametrize("arrays, problem", [
+        ((np.full(3, 0.5), np.full((3, 2), 0.5)), r"expected \(n_samples, alphabet\)"),
+        ((np.full((3, 2), 0.5), np.full((4, 2), 0.5)), "sample counts differ"),
+        ((np.full((3, 2), 0.5), np.full((3, 2), 0.5), np.ones(4)), "mask length"),
+    ], ids=["1-d", "sample counts", "mask length"])
+    def test_dataset_rejects_mismatched_arrays(self, arrays, problem):
+        with pytest.raises(ValueError, match=problem):
+            BlockDataset(*arrays)
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
@@ -678,19 +687,23 @@ class TestCountedRows:
 
     def test_contradiction_names_samples(self):
         """A merged run that meets contradictory evidence reports the
-        sample indices, not the merged row indices."""
+        sample indices, not the merged row indices, as does an unmerged
+        run on the same evidence in one-hot soft form."""
         generative = build_latent_star(generative=True)
         evidence = ancestral_sample(generative, 60, seed=1).terminal_evidence(("X1", "X2", "X3"))
         x1 = evidence["X1"].copy()
         x1[:40][x1[:40] == 1] = 0  # X1 = 1 only among the held-out samples
         evidence["X1"] = x1
-        assert Propagator(build_latent_star()).distinct_rows(evidence, 60)[1] < 60
-        with pytest.raises(ContradictoryEvidence) as caught:
-            em_train(build_latent_star(), evidence, TrainConfig("ml", epochs=3),
-                     split_mask(60, 40 / 60))
-        assert str(caught.value) == (
-            "no consistent backward message at variable 'S1' for sample(s) [40, 46, 47, 50, 54]"
-        )
+        learner = build_latent_star()
+        soft = {v: one_hot(column, learner.sizes[v]) for v, column in evidence.items()}
+        assert Propagator(learner).distinct_rows(evidence, 60)[1] < 60
+        assert Propagator(learner).distinct_rows(soft, 60)[1] == 60
+        for form in (evidence, soft):
+            with pytest.raises(ContradictoryEvidence) as caught:
+                em_train(learner, form, TrainConfig("ml", epochs=3), split_mask(60, 40 / 60))
+            assert str(caught.value) == (
+                "no consistent backward message at variable 'S1' for sample(s) [40, 46, 47, 50, 54]"
+            )
 
     def test_out_of_range_symbol_is_reported_before_merging(self):
         evidence = {"X1": np.array([0, 1, 1, 2]), "X2": np.array([0, 0, 0, 0])}

@@ -60,6 +60,11 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize(np.array([0.5, -0.1, 0.6]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_raise(self, bad):
+        with pytest.raises(ValueError, match="messages must be nonnegative and finite"):
+            normalize(np.array([[0.5, 0.5], [bad, 0.6]]))
+
 
 class TestHadamardPosterior:
     def test_hand_example(self):
@@ -143,6 +148,14 @@ class TestSharpen:
     def test_non_finite_exponent_raises(self, exponent):
         with pytest.raises(ValueError, match="exponent must be nonnegative and finite"):
             sharpen(np.array([[0.2, 0.8]]), exponent)
+
+    @pytest.mark.parametrize("row, problem", [
+        ([0.0, 0.0], "zero total mass"),
+        ([0.5, -0.1], "messages must be nonnegative"),
+    ], ids=["all-zero row", "negative entry"])
+    def test_bad_rows_raise_like_normalize(self, row, problem):
+        with pytest.raises(ValueError, match=problem):
+            sharpen(np.array([[0.2, 0.8], row]), 3.0)
 
 
 class TestMaxIndicator:

@@ -1,5 +1,6 @@
 """Unit tests for exact message passing and likelihood functionals."""
 
+import re
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from normalgraph.graph import (
     build_expander,
     split_variable,
 )
-from normalgraph.learning import BlockDataset, block_log_likelihood
+from normalgraph.learning import BlockDataset, TrainConfig, block_log_likelihood, em_train
 from normalgraph.messages import hadamard_posterior, one_hot
 from normalgraph.propagation import (
     ContradictoryEvidence,
@@ -310,6 +311,40 @@ class TestEvidenceHandling:
         with pytest.raises(ValueError):
             Propagator(graph).run({"X1": 2})
 
+    @pytest.mark.parametrize("value, problem", [
+        (1.7, "is not an integer symbol: 1.7"),
+        (True, "is not an integer symbol: True"),
+        (np.float64(1.0), "is not an integer symbol"),
+        (np.ones((2, 3)), r"has shape \(2, 3\), expected \(N, 2\) or \(2,\)"),
+        (np.ones((1, 2, 2)), r"has shape \(1, 2, 2\)"),
+        ([[np.nan, 1.0], [0.5, 0.5]], "nonnegative and finite"),
+        ([[np.inf, 1.0], [0.5, 0.5]], "nonnegative and finite"),
+        ([0.5, -0.1], "nonnegative and finite"),
+    ], ids=["float", "bool", "numpy float", "wrong size", "3-d", "nan", "inf", "negative"])
+    def test_malformed_evidence_names_variable(self, value, problem):
+        with pytest.raises(ValueError, match=problem) as caught:
+            Propagator(build_latent_star(generative=True)).run({"X1": value})
+        assert "'X1'" in str(caught.value)
+
+    @pytest.mark.parametrize("entry", ["run", "initial_state", "em_train"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_soft_evidence_raises_before_any_pass(self, monkeypatch, bad, entry):
+        evidence = {"X1": np.array([[bad, 1.0], [0.5, 0.5]])}
+        calls = {
+            "run": lambda: Propagator(build_latent_star(generative=True)).run(evidence),
+            "initial_state": lambda: Propagator(build_latent_star()).initial_state(
+                evidence, rng=np.random.default_rng(1)),
+            "em_train": lambda: em_train(build_latent_star(), evidence, TrainConfig(epochs=3)),
+        }
+
+        def no_pass(*args):
+            raise AssertionError("a propagation pass ran")
+
+        monkeypatch.setattr(Propagator, "_pass", no_pass)
+        with pytest.raises(ValueError, match="soft evidence for 'X1': messages must be "
+                                             "nonnegative and finite"):
+            calls[entry]()
+
     def test_all_zero_soft_evidence(self):
         graph = build_latent_star(generative=True)
         with pytest.raises(ContradictoryEvidence):
@@ -517,6 +552,15 @@ class TestLikelihoods:
         state = Propagator(identity_chain()).run()
         with pytest.raises(UnknownVariable):
             aggregated_log_likelihood(state, ("Q",))
+        with pytest.raises(UnknownVariable):
+            posterior(state, "Q")
+
+    @pytest.mark.parametrize("mask", [np.ones(2), np.ones(4, dtype=bool), np.ones((3, 1))],
+                             ids=["short", "long", "2-d"])
+    def test_aggregated_mask_must_match_samples(self, mask):
+        state = Propagator(identity_chain()).run({"X": np.array([0, 1, 1])})
+        with pytest.raises(ValueError, match=re.escape(f"mask has shape {mask.shape} for 3 samples")):
+            aggregated_log_likelihood(state, ("X",), mask)
 
     def test_block_log_likelihood_values(self):
         theta = np.full((3, 2), 0.5)

@@ -42,7 +42,8 @@ COMMANDS = (
     ["experiment", "deep", "--epochs", "50", "--split", "0.8", "--n", "300", "--out", "deep_split"],
     ["experiment", "tree", "--epochs", "60", "--dump-coefficients", "--out", "tree"],
     ["experiment", "tree", "--epochs", "30", "--split", "0.7", "--ms-override", "6",
-     "--out", "tree_split"],
+     "--emit-plot", "--out", "tree_split"],
+    ["experiment", "nit-sweep", "--epochs", "10", "--n", "100", "--out", "nit_sweep"],
     ["experiment", "single-block", "--out", "single_block"],
     ["generate", "--graph", "star_gen.json", "--n", "300", "--seed", "4", "--out", "star.csv"],
     ["eval", "--graph", "star_gen.json", "--data", "star.csv"],
