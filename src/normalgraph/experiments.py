@@ -364,7 +364,7 @@ def load_samples(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = []
         header: list[str] | None = None
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -379,7 +379,10 @@ def load_samples(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
                 continue
             if len(cells) != len(header):
                 raise ValueError(f"{path}: ragged rows")
-            rows.append([int(c) for c in cells])
+            try:
+                rows.append([int(c) for c in cells])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {number}: cell not an integer ({exc})") from None
     if header is None:
         raise ValueError(f"{path}: no header row")
     duplicates = sorted({name for name in header if header.count(name) > 1})

@@ -9,9 +9,9 @@ the training samples into a BlockDataset.  Four update rules are provided:
   decreases that likelihood.
 * ``kl_update``: multiplicative descent on a generalized divergence
   between the backward messages and the block's forward prediction.
-* ``vit_update``: hard-decision counting in the style of Viterbi training;
-  each message pair is collapsed to its argmax before co-occurrence
-  counting.
+* ``vit_update``: hard decisions in the style of Viterbi training, a
+  count of argmax pairs: each message pair is collapsed to its pair of
+  argmax symbols (l, m), and the pairs are counted.
 * ``var_update``: soft co-occurrence counting (a variational one-shot
   estimate).
 
@@ -31,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .graph import GraphSpec
-from .messages import _require_delta, max_indicator, normalize
+from .messages import _first_peak, _require_delta, normalize
 from .propagation import Propagator, _Epochs
 
 __all__ = [
@@ -163,12 +163,15 @@ def _kl(theta, f, b, w, nit: int, live) -> np.ndarray:
 
 
 def _vit(theta, f, b, w, delta: float, live) -> np.ndarray:
-    hard_f, hard_b = max_indicator(f), max_indicator(b)
-    for hard, real in ((hard_f, np.swapaxes(live[..., :1], -1, -2)), (hard_b, live[..., :1, :])):
-        hard += delta  # in place, then off the padding
-        hard *= real
-    raw = np.swapaxes(w[:, None] * hard_f, -1, -2) @ hard_b
-    return _finish_rows(raw, live, live)
+    # C, the weighted count of each unit's argmax pairs (l, m), from one bincount; the
+    # delta-padded indicators' products sum to C + delta (r 1' + 1 c') + delta**2 sum(w).
+    units, (size_l, size_m) = np.arange(len(live))[:, None], live.shape[1:]
+    cells = ((units * size_l + _first_peak(f)) * size_m + _first_peak(b)).ravel()
+    count = np.bincount(cells, np.broadcast_to(w, f.shape[:2]).ravel(), live.size)
+    count = count.reshape(live.shape)
+    raw = count + delta * (count.sum(-1)[..., None] + count.sum(-2)[..., None, :])
+    raw += delta * delta * w.sum()
+    return _finish_rows(raw * live, live, live)
 
 
 def _var(theta, f, b, w, delta: float, live) -> np.ndarray:
@@ -205,11 +208,12 @@ def kl_update(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
 
 
 def vit_update(data: BlockDataset, delta: float = 1e-6) -> np.ndarray:
-    """Hard-decision co-occurrence estimate.
+    """Hard-decision co-occurrence estimate: a count of argmax pairs.
 
-    Every message pair is collapsed to argmax indicators (ties to the
-    lowest index) padded by ``delta``, and the indicator outer products are
-    accumulated over the masked samples and row-normalized.
+    Each sample's pair of argmax symbols (l, m) (ties to the lowest index)
+    is counted with its mask weight.  Indicators padded by ``delta`` add
+    delta (r_l + c_m) + delta**2 sum(mask) to count (l, m), for r and c the
+    count's row and column sums; the rows are then normalized.
     """
     return train_block(None, data, TrainConfig("vit", delta=delta))
 

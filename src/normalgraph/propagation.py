@@ -36,7 +36,8 @@ from .graph import (
     UnknownVariable,
     _ends,
 )
-from .messages import AllZeroVector, _normalize_in_place, normalize, one_hot, uniform
+from .messages import (COLUMN_ROWS, AllZeroVector, _normalize_in_place, _row_sums, normalize,
+                       one_hot, uniform)
 
 __all__ = [
     "ContradictoryEvidence",
@@ -174,6 +175,8 @@ class Propagator:
         arr = np.asarray(value)
         if arr.ndim == 0 and not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"scalar evidence for {var!r} is not an integer symbol: {value!r}")
+        if arr.dtype == bool:
+            raise ValueError(f"evidence for {var!r} is boolean, not symbols or soft factors")
         if arr.ndim == 0 or _is_symbol_column(arr):
             idx = arr.astype(np.int64)
             if np.any(idx < 0) or np.any(idx >= size):
@@ -239,6 +242,7 @@ class Propagator:
         (NaN rows downstream) are checked once, after the sweep, in schedule order."""
         msgs = list(factors)
         sums = {}  # each step's row sums by output slot, in schedule order
+        by_column = n >= COLUMN_ROWS  # below it _row_sums is np.add.reduce: spare its call
         with np.errstate(divide="ignore", invalid="ignore"):
             for out, kind, name, inputs in self._steps:
                 if kind == "prior":
@@ -254,7 +258,7 @@ class Propagator:
                     raw = msgs[inputs[0]] * msgs[inputs[1]]
                     for k in inputs[2:]:
                         raw *= msgs[k]
-                sums[out] = np.add.reduce(raw, 1, keepdims=True)
+                sums[out] = _row_sums(raw) if by_column else np.add.reduce(raw, 1, keepdims=True)
                 msgs[out] = np.divide(raw, sums[out], out=raw)
         if sums and not np.concatenate([*sums.values()]).all():
             out, zero = next((o, s[:, 0] == 0.0) for o, s in sums.items() if not s.all())

@@ -17,6 +17,7 @@ import numpy as np
 
 from normalgraph.graph import DiverterNode, GraphSpec, SisoBlock, SourceBlock
 from normalgraph.learning import BlockDataset, EpochRecord, TrainReport, train_block
+from normalgraph.messages import TIE_RTOL
 from normalgraph.propagation import Propagator, aggregated_log_likelihood
 
 
@@ -223,7 +224,7 @@ def flooding(graph: GraphSpec, evidence: dict, init: dict) -> dict:
 
 # The formulas the library's message kernels had before they were rewritten
 # for speed; the rewrites must agree with them bit for bit, except the
-# bilinear score, which must agree within a stated rounding bound.
+# bilinear score and vit, which must agree within a stated rounding bound.
 
 def reference_max_indicator(values: np.ndarray, delta: float, tie_rtol: float) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
@@ -232,6 +233,22 @@ def reference_max_indicator(values: np.ndarray, delta: float, tie_rtol: float) -
     best = np.argmax(values >= peak - tie_rtol * np.abs(peak), axis=-1)
     np.put_along_axis(out, np.expand_dims(best, axis=-1), delta + 1.0, axis=-1)
     return out
+
+
+def reference_vit(f: np.ndarray, b: np.ndarray, w: np.ndarray, delta: float,
+                  live: np.ndarray) -> np.ndarray:
+    """vit on a zero-padded (U, n, L) / (U, n, M) stack as a matrix product:
+    delta-padded argmax indicators, cut to each unit's real entries by
+    ``live``, multiplied over the weighted samples; rows are then scaled to
+    unit sum, an empty one becoming uniform over its unit's real entries and
+    a padded one staying 0.  It rounds differently from the library's pair
+    count, so it is held to a rounding bound rather than to the bits."""
+    hard_f = reference_max_indicator(f, delta, TIE_RTOL) * np.swapaxes(live[..., :1], -1, -2)
+    hard_b = reference_max_indicator(b, delta, TIE_RTOL) * live[..., :1, :]
+    raw = np.swapaxes(w[:, None] * hard_f, -1, -2) @ hard_b
+    raw = np.where(raw.sum(axis=-1, keepdims=True) > 0.0, raw, live)
+    sums = raw.sum(axis=-1, keepdims=True)
+    return np.divide(raw, sums, out=np.zeros_like(raw), where=sums > 0.0)
 
 
 def reference_normalize(values: np.ndarray, sum_slack: float) -> np.ndarray:

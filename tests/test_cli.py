@@ -340,6 +340,20 @@ class TestErrorReporting:
         assert len(err) == 1 and err[0].startswith("error: data:"), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("row, cell", [("1,a,1", "'a'"), ("1,,1", "''")],
+                             ids=["letter", "empty cell"])
+    def test_cell_not_an_integer_names_path_and_line(self, star_files, tmp_path, capsys, row,
+                                                      cell):
+        _, learner, _ = star_files
+        bad = tmp_path / "cells.csv"
+        bad.write_text(f"# seed: 1\nX1,X2,X3\n1,2,1\n{row}\n")
+        rc = main(["train", "--graph", str(learner), "--data", str(bad), "--epochs", "1",
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: data: {bad}: line 4: "), err
+        assert "not an integer" in err[0] and cell in err[0], err
+
     @pytest.mark.parametrize("command", ["eval", "train"])
     @pytest.mark.parametrize("split", list(EMPTY_SIDE_SPLITS))
     def test_split_that_empties_a_side_is_data(self, star_files, tmp_path, capsys, command,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (cooccurrence_table, deep_terminal_joint, random_bayes_tree, reference_em,
-                     reference_bilinear, reference_normalize, tree_leaf_joint)
+                     reference_bilinear, reference_normalize, reference_vit, tree_leaf_joint)
 from normalgraph.experiments import (
     build_deep_graph,
     build_latent_star,
@@ -896,7 +896,7 @@ class TestRandomStartIsNumpys:
     formula.  Evidence slots draw nothing."""
 
     @pytest.mark.parametrize("observed", [("X1", "X2", "X3"), ("X2",)])
-    @pytest.mark.parametrize("n", [1, 400])
+    @pytest.mark.parametrize("n", [1, 400, 5000])
     @pytest.mark.parametrize("graph_name", ["star", "deep"])
     def test_draws_match_an_independent_recomputation(self, graph_name, n, observed):
         learner, generative = study_graphs(graph_name, seed=4)
@@ -1208,3 +1208,58 @@ class TestPaddedStacks:
                                                atol=1e-12)
                 elif delta == 0.0:
                     np.testing.assert_array_equal(out[u, :l, :m][empty], 1.0 / m)
+
+
+def tied_rows(rng, shape) -> np.ndarray:
+    """Uniform rows scaled to unit sum.  Most get a forced tie: an entry set
+    to the row's peak, just inside the ``TIE_RTOL`` tie band or just outside
+    it, so the lowest-index rule decides the argmax."""
+    values = rng.uniform(size=shape)
+    for row in values.reshape(-1, shape[-1]):
+        if row.size > 1 and rng.uniform() < 0.7:
+            row[rng.integers(row.size)] = row.max() * (1.0 - rng.choice([0.0, 0.5e-12, 2e-12]))
+    return values / values.sum(axis=-1, keepdims=True)
+
+
+@st.composite
+def vit_stacks(draw):
+    """1-8 units, each with its (l, m) shape, n tied message pairs (n 0-12;
+    a source has l = 1 and the constant input 1), weights that are counts
+    0-3 or reals in [0, 3), and delta in {0, 1e-6, 0.5}."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 12))
+    units = []
+    for _ in range(draw(st.integers(1, 8))):
+        source = draw(st.booleans()) and draw(st.booleans())
+        l, m = 1 if source else draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        f = np.ones((n, 1)) if source else tied_rows(rng, (n, l))
+        units.append((np.full((l, m), 1.0 / m), f, tied_rows(rng, (n, m))))
+    weights = rng.integers(0, 4, size=n) if draw(st.booleans()) else rng.uniform(0, 3, size=n)
+    return units, weights.astype(np.float64), draw(st.sampled_from([0.0, 1e-6, 0.5]))
+
+
+class TestVitCountsArgmaxPairs:
+    """``_vit`` counts each unit's argmax pairs with one bincount and adds
+    delta's terms in closed form, where the rule used to multiply
+    delta-padded indicator matrices (``oracles.reference_vit``).  Against
+    exact arithmetic the count side rounds at most n + 2 times per entry
+    and the product side n + 3 times; the row sums add M - 1 roundings and
+    the division one, so the two agree within (4 n + 2 M + 12) u relative,
+    u = 2**-53, on a padded stack and on each unit alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(vit_stacks())
+    def test_matches_the_indicator_product(self, case):
+        units, weights, delta = case
+        _, f, b, live = stack(units)
+        n, m_max = f.shape[1], live.shape[2]
+        out = learning._vit(None, f, b, weights, delta, live)
+        rtol = (4 * n + 2 * m_max + 12) * 2.0**-53
+        np.testing.assert_allclose(out, reference_vit(f, b, weights, delta, live), rtol=rtol,
+                                   atol=0)
+        for u, (theta, f_u, b_u) in enumerate(units):
+            alone = learning._vit(None, f_u[None], b_u[None], weights, delta,
+                                  np.ones((1, *theta.shape)))
+            expected = reference_vit(f_u[None], b_u[None], weights, delta,
+                                     np.ones((1, *theta.shape)))
+            np.testing.assert_allclose(alone, expected, rtol=rtol, atol=0, err_msg=f"unit {u}")

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from oracles import reference_max_indicator, reference_normalize
 from normalgraph.messages import (
     _SUM_SLACK,
+    COLUMN_ROWS,
     TIE_RTOL,
     AllZeroVector,
     _normalize_in_place,
+    _row_sums,
     hadamard_posterior,
     is_normalized,
     max_indicator,
@@ -64,6 +66,22 @@ class TestNormalize:
     def test_non_finite_entries_raise(self, bad):
         with pytest.raises(ValueError, match="messages must be nonnegative and finite"):
             normalize(np.array([[0.5, 0.5], [bad, 0.6]]))
+
+    @pytest.mark.parametrize("n_rows", [4, COLUMN_ROWS + 4])
+    def test_row_whose_sum_overflows_is_scaled_by_its_maximum_first(self, n_rows):
+        """Only rows whose sum overflows are divided by their maximum; the
+        others, huge entries with a finite sum included, keep their bits."""
+        finite = np.array([[0.2, 0.8], [1e308, 5e307], [3.0, 5.0], [1e-310, 0.0]])
+        values = np.tile(finite, (n_rows // 4, 1))
+        values[1::4] = [1e308, 1e308]
+        values[3::4] = [np.finfo(float).max, 1e300]
+        out = normalize(values)
+        np.testing.assert_array_equal(out[1::4], 0.5)
+        scaled = values[3::4] / np.finfo(float).max
+        assert out[3::4].tobytes() == reference_normalize(scaled, _SUM_SLACK).tobytes()
+        kept = np.ones(n_rows, dtype=bool)
+        kept[1::4] = kept[3::4] = False
+        assert out[kept].tobytes() == reference_normalize(values[kept], _SUM_SLACK).tobytes()
 
 
 class TestHadamardPosterior:
@@ -220,6 +238,15 @@ class TestKernelsMatchReferenceFormulas:
         expected = reference_max_indicator(values, delta, TIE_RTOL)
         assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(values=planted_rows())
+    def test_max_indicator_on_many_rows(self, values):
+        """From ``COLUMN_ROWS`` rows on the row peak is taken column by
+        column; the indicator keeps its bits."""
+        many = np.tile(np.atleast_2d(values), (COLUMN_ROWS, 1))
+        expected = reference_max_indicator(many, 0.0, TIE_RTOL)
+        assert max_indicator(many).tobytes() == expected.tobytes()
+
     @settings(max_examples=400, deadline=None)
     @given(values=planted_rows())
     def test_normalize_in_place(self, values):
@@ -243,6 +270,29 @@ class TestKernelsMatchReferenceFormulas:
                 out = _normalize_in_place(values.copy())
                 expected = reference_normalize(values, _SUM_SLACK)
                 assert out.tobytes() == expected.tobytes(), values
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_row_sums_are_numpys_reduction(self, data):
+        """``_row_sums`` adds rows narrower than 8 by column from
+        ``COLUMN_ROWS`` rows on, and equals numpy's own row reduction bit
+        for bit on every shape: widths 1-12, row counts on both sides of
+        ``COLUMN_ROWS``, one or two leading axes, C or Fortran order, and
+        entries that are 0, subnormal or as large as 1e300 (whose sums may
+        overflow to inf, in both)."""
+        width = data.draw(st.integers(1, 12), label="width")
+        n_rows = data.draw(st.sampled_from([0, 1, 7, COLUMN_ROWS - 1, COLUMN_ROWS,
+                                            COLUMN_ROWS + 1, 3 * COLUMN_ROWS]), label="rows")
+        shape = data.draw(st.sampled_from([(n_rows, width), (2, n_rows // 2, width)]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = rng.uniform(size=shape) * 10.0 ** rng.integers(-320, 301, size=shape)
+        for special in (0.0, 5e-324, 2e-310, 1e300):
+            values[rng.uniform(size=shape) < data.draw(st.sampled_from([0.0, 0.1, 0.5]))] = special
+        if data.draw(st.booleans(), label="fortran"):
+            values = np.asfortranarray(values)
+        with np.errstate(over="ignore"):
+            out, expected = _row_sums(values), np.add.reduce(values, -1, keepdims=True)
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
 
     def test_normalize_in_place_zero_row_raises(self):
         with pytest.raises(AllZeroVector):

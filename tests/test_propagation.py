@@ -24,7 +24,8 @@ from normalgraph.graph import (
     split_variable,
 )
 from normalgraph.learning import BlockDataset, TrainConfig, block_log_likelihood, em_train
-from normalgraph.messages import hadamard_posterior, one_hot
+from normalgraph import messages, propagation
+from normalgraph.messages import COLUMN_ROWS, hadamard_posterior, one_hot
 from normalgraph.propagation import (
     ContradictoryEvidence,
     Propagator,
@@ -216,6 +217,27 @@ class TestBatchingAndSchedules:
                     posterior(batch, var)[n], posterior(single, var)[0], atol=1e-15
                 )
 
+    @pytest.mark.parametrize("n", [COLUMN_ROWS - 1, COLUMN_ROWS, 3 * COLUMN_ROWS])
+    def test_column_sums_change_no_bit(self, monkeypatch, n):
+        """From ``COLUMN_ROWS`` rows on, ``run`` and ``posterior`` sum rows
+        narrower than 8 by column.  Every message and posterior keeps the bits
+        it gets when every sum is numpy's row reduction."""
+        deep = build_deep_graph().with_parameters(deep_generative_parameters(1))
+        rng = np.random.default_rng(n)
+        evidence = {"X1": rng.dirichlet(np.ones(3), n), "X2": rng.integers(2, size=n),
+                    "X3": rng.uniform(size=(n, 3))}
+
+        def outputs():
+            state = Propagator(deep).run(evidence)
+            return [a.tobytes() for var in deep.sizes for a in (
+                state.forward[var], state.backward[var], posterior(state, var))]
+
+        by_column = outputs()
+        row_reduction = lambda values: np.add.reduce(values, -1, keepdims=True)  # noqa: E731
+        monkeypatch.setattr(messages, "_row_sums", row_reduction)
+        monkeypatch.setattr(propagation, "_row_sums", row_reduction)
+        assert by_column == outputs()
+
     def test_flooding_settles_to_exact(self):
         """Jacobi flooding, written from the GraphSpec alone, settles on the
         one-pass sweep from uniform and from random starting messages
@@ -320,7 +342,11 @@ class TestEvidenceHandling:
         ([[np.nan, 1.0], [0.5, 0.5]], "nonnegative and finite"),
         ([[np.inf, 1.0], [0.5, 0.5]], "nonnegative and finite"),
         ([0.5, -0.1], "nonnegative and finite"),
-    ], ids=["float", "bool", "numpy float", "wrong size", "3-d", "nan", "inf", "negative"])
+        (np.array([True, False]), "is boolean"),
+        (np.array([True, False, True]), "is boolean"),
+        (np.array([[True, False], [False, True]]), "is boolean"),
+    ], ids=["float", "bool", "numpy float", "wrong size", "3-d", "nan", "inf", "negative",
+            "bool vector", "bool column", "bool rows"])
     def test_malformed_evidence_names_variable(self, value, problem):
         with pytest.raises(ValueError, match=problem) as caught:
             Propagator(build_latent_star(generative=True)).run({"X1": value})
@@ -344,6 +370,22 @@ class TestEvidenceHandling:
         with pytest.raises(ValueError, match="soft evidence for 'X1': messages must be "
                                              "nonnegative and finite"):
             calls[entry]()
+
+    def test_overflowing_soft_row_reads_as_uniform(self):
+        """[1e308, 1e308] is proportional to uniform although its sum
+        overflows: run and em_train read it exactly as [0.5, 0.5]."""
+        hard = {"X2": np.array([0, 1, 1, 0]), "X3": np.array([2, 0, 1, 1])}
+        huge, plain = ({**hard, "X1": np.array([row, [0.2, 0.8], [1e308, 1e300], [1.0, 0.0]])}
+                       for row in ([1e308, 1e308], [0.5, 0.5]))
+        graph = build_latent_star(generative=True)
+        states = [Propagator(graph).run(evidence) for evidence in (huge, plain)]
+        for var in graph.sizes:
+            assert posterior(states[0], var).tobytes() == posterior(states[1], var).tobytes()
+        cfg = TrainConfig("ml", epochs=4, seed=2)
+        reports = [em_train(build_latent_star(), evidence, cfg) for evidence in (huge, plain)]
+        for a, b in zip(*(report.records for report in reports)):
+            assert (a.train_loglik, a.test_loglik) == (b.train_loglik, b.test_loglik)
+            assert all(np.array_equal(a.parameters[k], b.parameters[k]) for k in a.parameters)
 
     def test_all_zero_soft_evidence(self):
         graph = build_latent_star(generative=True)

@@ -40,6 +40,9 @@ print(normalgraph.__file__)
 COMMANDS = (
     ["experiment", "deep", "--epochs", "200", "--out", "deep"],
     ["experiment", "deep", "--epochs", "50", "--split", "0.8", "--n", "300", "--out", "deep_split"],
+    # Above messages.COLUMN_ROWS samples: the random start sums its rows by column.
+    ["experiment", "deep", "--epochs", "20", "--split", "0.8", "--n", "2000", "--out",
+     "deep_large"],
     ["experiment", "tree", "--epochs", "60", "--dump-coefficients", "--out", "tree"],
     ["experiment", "tree", "--epochs", "30", "--split", "0.7", "--ms-override", "6",
      "--emit-plot", "--out", "tree_split"],
