@@ -572,7 +572,10 @@ def graph_to_dict(graph: GraphSpec) -> dict:
 
 def load_graph(path) -> GraphSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes not UTF-8
+            raise GraphError(f"{path}: not a JSON document: {exc}") from None
     return graph_from_dict(data)
 
 

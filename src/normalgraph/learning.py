@@ -351,7 +351,8 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
 
     The first M-step consumes the random start of ``Propagator.initial_state``
     with ``rng=np.random.default_rng(cfg.seed)``, of which only the slots it
-    reads are drawn: the other slots' draws are skipped in the stream.  Each
+    reads are drawn, at the training samples' rows only: the other draws are
+    skipped in the stream, and no held-out sample is read.  Each
     subsequent epoch consumes the exact propagation of the previous
     epoch's parameters, and the per-epoch log-likelihoods are measured
     after the update.  All blocks within an epoch see the same frozen
@@ -361,9 +362,9 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
     and the joint can fall.  Samples with the same hard evidence get the same
     messages, so every propagation runs once per distinct evidence row
     (``Propagator.distinct_rows``).  ``propagation._Epochs`` owns the
-    epochs: the rule's kernel, bound once; the weights, ``mask`` for the
-    first M-step and each row's count of training samples after it; and
-    both scores, from one set of terminal overlaps.
+    epochs: the rule's kernel, bound once; the weights, ones over the
+    training rows for the first M-step and each row's count of training
+    samples after it; and both scores, from one set of terminal overlaps.
     """
     terminals = tuple(samples.keys())
     if not terminals:

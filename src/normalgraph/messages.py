@@ -155,6 +155,8 @@ def max_indicator(values: np.ndarray) -> np.ndarray:
 def _first_peak(values: np.ndarray) -> np.ndarray:
     """Each row's first index within ``TIE_RTOL`` of its maximum, which is taken
     by column from ``COLUMN_ROWS`` rows on (a reduction costs per row)."""
+    if values.shape[-1] == 1:  # a source's input: nothing to compare
+        return np.zeros(values.shape[:-1], dtype=np.intp)
     if values.size >= COLUMN_ROWS * values.shape[-1]:
         peak = functools.reduce(np.maximum, np.moveaxis(values, -1, 0))[..., None]
     else:

@@ -282,19 +282,29 @@ class Propagator:
         factors, n = self._evidence_factors(evidence, n_samples)
         return self._to_state(self._start(factors, n, rng, range(len(self._slots))), n)
 
-    def _start(self, factors: list, n: int, rng, slots) -> list:
+    def _start(self, factors: list, n: int, rng, slots, keep=None) -> list:
         """``initial_state`` by slot number, drawn at the slot numbers in
         ``slots`` only (None at the others); PCG64 spends one 64-bit output
-        per double, so skipping n * size outputs skips a slot."""
-        msgs = list(factors)
+        per double, so skipping n * size outputs skips a slot.  With a row
+        mask ``keep``, every slot holds only the kept rows, and the others'
+        draws are skipped too: rows scale one by one, so each keeps its bits."""
+        msgs = list(factors) if keep is None else [f if f is None else f[keep] for f in factors]
+        if keep is not None:
+            lo, hi = (np.flatnonzero(keep)[[0, -1]] + (0, 1)).tolist()
+            inside = None if keep[lo:hi].all() else keep[lo:hi]
         for k, (_, var) in enumerate(self._slots):
             if factors[k] is not None:
                 continue
             size = self.sizes[var]
-            if k in slots:
+            if k not in slots:
+                rng.bit_generator.advance(n * size)
+            elif keep is None:
                 msgs[k] = _normalize_in_place(rng.random((n, size)))
             else:
-                rng.bit_generator.advance(n * size)
+                rng.bit_generator.advance(lo * size)
+                draw = rng.random((hi - lo, size))
+                rng.bit_generator.advance((n - hi) * size)
+                msgs[k] = _normalize_in_place(draw if inside is None else draw[inside])
         return msgs
 
     def _to_state(self, msgs: list, n: int) -> MessageState:
@@ -317,10 +327,10 @@ class _Epochs:
     """``em_train``'s epochs, the evidence encoded and the rule bound once.
     Unit u trains an (L_u, M_u) matrix (a source's prior as a 1 x M row with
     input 1) on its (n, L_u) forward and (n, M_u) backward port messages by
-    ``kernel(theta, f, b, weights, setting, live)``: first on the random
-    start of ``initial_state``, drawn at the ports only and weighted by
-    ``mask`` (None: all ones), then on the propagation of the
-    ``distinct_rows``, weighted by each row's count of training samples."""
+    ``kernel(theta, f, b, weights, setting, live)``: first on the random start
+    of ``initial_state``, drawn at the ports and training rows (``mask`` > 0)
+    only, weighted by ones, then on the propagation of the ``distinct_rows``,
+    weighted by each row's count of training samples."""
 
     def __init__(self, propagator: Propagator, evidence: Mapping, mask: np.ndarray | None, rng,
                  units, terminals, kernel, setting):
@@ -338,11 +348,13 @@ class _Epochs:
         self._live = np.zeros((len(units), *np.max([(1, 1), *self._shapes], axis=0)))
         for u, (l, m) in enumerate(self._shapes):  # 1.0 on each unit's real entries
             self._live[u, :l, :m] = 1.0
-        self._msgs = propagator._start(factors, n, rng, {k for pair in self._ports for k in pair})
-        self._weights = np.ones(n) if mask is None else mask
+        mask = np.ones(n) if mask is None else mask
+        keep = None if mask.all() else mask > 0  # the rows the first M-step reads
+        self._msgs = propagator._start(factors, n, rng, {k for u in self._ports for k in u}, keep)
+        self._weights = np.ones(np.count_nonzero(mask))
         rows, n_rows, inverse = propagator.distinct_rows(evidence, n)
-        self._train = np.bincount(inverse, weights=self._weights > 0)
-        test = np.bincount(inverse, weights=self._weights <= 0)
+        self._train = np.bincount(inverse, weights=mask > 0)
+        test = np.bincount(inverse, weights=mask <= 0)
         self._splits = (self._train, test) if test.any() else (self._train,)
         self._factors = factors if n_rows == n else propagator._evidence_factors(rows, n_rows)[0]
 

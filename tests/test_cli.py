@@ -241,6 +241,10 @@ MALFORMED_GRAPHS = {
     "source trainable a number": _set(("sources", 0, "trainable"), 1),
 }
 
+# Graph files that are no JSON document at all, by their bytes.
+NOT_JSON_GRAPHS = {"empty file": b"", "not json": b"not json",
+                   "not UTF-8": b'{"variables": "\xff\xfe"}'}
+
 # Study settings outside their range; each must leave no --out directory behind.
 BAD_STUDY_SETTINGS = [
     ["single-block", "--iterations", "0"],
@@ -325,6 +329,17 @@ class TestErrorReporting:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: graph:"), err
+
+    @pytest.mark.parametrize("case", list(NOT_JSON_GRAPHS))
+    def test_graph_file_not_json_is_graph_with_path(self, star_files, tmp_path, capsys, case):
+        _, _, data = star_files
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(NOT_JSON_GRAPHS[case])
+        rc = main(["eval", "--graph", str(bad), "--data", str(data)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: graph: {bad}: not a JSON document: "), err
 
     @pytest.mark.parametrize("command", ["eval", "train"])
     @pytest.mark.parametrize("defect", list(BAD_DATASETS))

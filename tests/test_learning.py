@@ -847,35 +847,97 @@ def recorded_unit_inputs(monkeypatch, units) -> list:
     return seen
 
 
-class TestRandomStart:
-    """em_train draws only the random-start slots its first M-step reads and
-    skips the draws of the others in the generator's stream.  What the
-    first M-step's kernel is given must still equal, bit for bit, the same
-    slots of the full ``initial_state`` (the kernel floors its own copies);
-    this pins the skip arithmetic to numpy's generator."""
+def first_step_mask(kind, n: int) -> np.ndarray | None:
+    """A 0/1 training mask over n samples: None, the leading round(0.8 n)
+    (at n = 1 that is every sample), a trailing block (from n // 4 on), a
+    scattered random mask (at least one sample), a single sample in the middle,
+    or all ones."""
+    rows = np.arange(n)
+    if kind is None:
+        return None
+    if kind == 0.8:
+        chosen = rows < round(0.8 * n)
+    elif kind == "trailing":
+        chosen = rows >= n // 4
+    elif kind == "scattered":
+        chosen = np.random.default_rng(n).random(n) < 0.7
+        chosen[n // 3] = True
+    elif kind == "single":
+        chosen = rows == n // 2
+    else:
+        chosen = np.ones(n, dtype=bool)
+    return chosen.astype(float)
 
-    @pytest.mark.parametrize("split", [None, 0.8])
-    @pytest.mark.parametrize("n", [1, 100, 400, 5000])
-    @pytest.mark.parametrize("graph_name", ["star", "deep"])
+
+class TestRandomStart:
+    """em_train draws only the random-start slots its first M-step reads,
+    and of those only the training rows (mask > 0), skipping every other
+    draw in the generator's stream.  What the first M-step's kernel is given
+    must still equal, bit for bit, the training rows of the same slots of
+    the full ``initial_state`` (the kernel floors its own copies), weighted
+    by ones; this pins the skip arithmetic to numpy's generator."""
+
+    @pytest.mark.parametrize("graph_name, n, split", [
+        (graph_name, n, split) for graph_name in ("star", "deep")
+        for n in (0, 1, 100, 400, 5000)
+        for split in (None, 0.8, "trailing", "scattered", "single", "ones")
+        if n > 0 or split in (None, "ones")])
     def test_first_m_step_reads_the_full_random_start(self, monkeypatch, graph_name, n, split):
         learner, generative = study_graphs(graph_name, seed=3)
         evidence = ancestral_sample(generative, n, seed=3).terminal_evidence(("X1", "X2", "X3"))
-        # The leading round(split * n) samples train: at n = 1 that is all of
-        # them, a mask that split_mask rejects for holding no sample out.
-        mask = None if split is None else (np.arange(n) < round(split * n)).astype(float)
+        mask = first_step_mask(split, n)
         units = learner.trainable_units()
         seen = recorded_unit_inputs(monkeypatch, units)
-        em_train(learner, evidence, TrainConfig("ml", epochs=1, seed=5), mask)
-        full = Propagator(learner).initial_state(evidence, rng=np.random.default_rng(5))
+        try:
+            em_train(learner, evidence, TrainConfig("ml", epochs=1, seed=5), mask)
+        except ContradictoryEvidence:  # after the M-step: one sample seen, a held-out one not
+            assert split == "single"
+        full = Propagator(learner).initial_state(evidence, n, rng=np.random.default_rng(5))
+        train = np.ones(n, dtype=bool) if mask is None else mask > 0
         assert len(seen) == len(units)
         for unit, (f, b, w) in zip(units, seen):
             if isinstance(unit, SourceBlock):
-                assert np.array_equal(f, np.ones((n, 1)))
-                assert np.array_equal(b, full.backward[unit.variable])
+                assert np.array_equal(f, np.ones((train.sum(), 1)))
+                assert np.array_equal(b, full.backward[unit.variable][train])
             else:
-                assert np.array_equal(f, full.forward[unit.from_var])
-                assert np.array_equal(b, full.backward[unit.to_var])
-            assert np.array_equal(w, np.ones(n) if mask is None else mask)
+                assert np.array_equal(f, full.forward[unit.from_var][train])
+                assert np.array_equal(b, full.backward[unit.to_var][train])
+            assert np.array_equal(w, np.ones(train.sum()))
+
+    @pytest.mark.parametrize("split", [0.8, "scattered"])
+    @pytest.mark.parametrize("n", [300, 5000])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("graph_name", ["star", "deep"])
+    def test_first_epoch_trains_like_the_weighted_full_start(self, graph_name, algorithm, n,
+                                                            split):
+        """Epoch 1 on the training rows alone matches ``train_block`` on all
+        rows of the full random start under the 0/1 mask, and the scores of
+        those parameters, within 1e-12 relative on log-likelihoods and 1e-10
+        absolute on parameters."""
+        learner, generative = study_graphs(graph_name, seed=6)
+        evidence = ancestral_sample(generative, n, seed=6).terminal_evidence(("X1", "X2", "X3"))
+        mask = first_step_mask(split, n)
+        cfg = TrainConfig(algorithm, epochs=1, seed=7)
+        record = em_train(learner, evidence, cfg, mask).records[0]
+        full = Propagator(learner).initial_state(evidence, n, rng=np.random.default_rng(7))
+        expected = {}
+        for unit in learner.trainable_units():
+            if isinstance(unit, SourceBlock):
+                m = unit.prior.size
+                data = BlockDataset(np.ones((n, 1)), full.backward[unit.variable], mask)
+                expected[unit.name] = train_block(np.full((1, m), 1.0 / m), data, cfg)[0]
+            else:
+                l, m = unit.theta.shape
+                data = BlockDataset(full.forward[unit.from_var], full.backward[unit.to_var], mask)
+                expected[unit.name] = train_block(np.full((l, m), 1.0 / m), data, cfg)
+        assert record.parameters.keys() == expected.keys()
+        for name, value in expected.items():
+            np.testing.assert_allclose(record.parameters[name], value, rtol=0, atol=1e-10,
+                                       err_msg=name)
+        state = Propagator(learner.with_parameters(expected)).run(evidence)
+        for score, weights in ((record.train_loglik, mask), (record.test_loglik, 1.0 - mask)):
+            np.testing.assert_allclose(
+                score, aggregated_log_likelihood(state, tuple(evidence), weights), rtol=1e-12)
 
 
 def open_ends(graph: GraphSpec) -> set[tuple[str, str]]:
