@@ -288,8 +288,9 @@ class Propagator:
         per double, so skipping n * size outputs skips a slot.  With a row
         mask ``keep``, every slot holds only the kept rows, and the others'
         draws are skipped too: rows scale one by one, so each keeps its bits."""
-        msgs = list(factors) if keep is None else [f if f is None else f[keep] for f in factors]
+        msgs, lo, hi, inside = list(factors), 0, n, None
         if keep is not None:
+            msgs = [f if f is None else f[keep] for f in factors]
             lo, hi = (np.flatnonzero(keep)[[0, -1]] + (0, 1)).tolist()
             inside = None if keep[lo:hi].all() else keep[lo:hi]
         for k, (_, var) in enumerate(self._slots):
@@ -298,8 +299,6 @@ class Propagator:
             size = self.sizes[var]
             if k not in slots:
                 rng.bit_generator.advance(n * size)
-            elif keep is None:
-                msgs[k] = _normalize_in_place(rng.random((n, size)))
             else:
                 rng.bit_generator.advance(lo * size)
                 draw = rng.random((hi - lo, size))
