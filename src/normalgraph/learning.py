@@ -64,7 +64,7 @@ class BlockDataset:
 
     ``forward[n]`` is the normalized message entering the input edge,
     ``backward[n]`` the one entering from the output side, and ``mask[n]``
-    a 0/1 weight selecting the training samples.
+    the sample's nonnegative, finite weight: 0 leaves it out of training.
     """
 
     forward: np.ndarray
@@ -84,6 +84,8 @@ class BlockDataset:
             self.mask = np.asarray(self.mask, dtype=np.float64).reshape(-1)
             if self.mask.shape[0] != self.forward.shape[0]:
                 raise ValueError("mask length does not match sample count")
+            if not np.all(np.isfinite(self.mask) & (self.mask >= 0.0)):
+                raise ValueError("mask entries must be finite and nonnegative")
 
 
 def _finish_rows(raw: np.ndarray, fallback, live: np.ndarray) -> np.ndarray:
@@ -352,7 +354,8 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
     The first M-step consumes the random start of ``Propagator.initial_state``
     with ``rng=np.random.default_rng(cfg.seed)``, of which only the slots it
     reads are drawn, at the training samples' rows only: the other draws are
-    skipped in the stream, and no held-out sample is read.  Each
+    skipped in the stream, and no held-out sample is read; a unit's slots
+    are drawn, with those bits, just before it trains or its stack does.  Each
     subsequent epoch consumes the exact propagation of the previous
     epoch's parameters, and the per-epoch log-likelihoods are measured
     after the update.  All blocks within an epoch see the same frozen

@@ -23,6 +23,7 @@ one vectorized pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -278,32 +279,37 @@ class Propagator:
         """Unpropagated state: evidence factors in place, and one (N, size)
         uniform draw from ``rng`` at every other slot, rows scaled to unit
         sum.  Slots are drawn in declaration order, ("F", v) then ("B", v)
-        for each variable v in turn."""
+        for each variable v in turn, and ``rng`` is left after the last."""
         factors, n = self._evidence_factors(evidence, n_samples)
-        return self._to_state(self._start(factors, n, rng, range(len(self._slots))), n)
+        draws = self._start(factors, n, rng, range(len(self._slots)))
+        return self._to_state([_drawn(msg) for msg in draws], n)
 
     def _start(self, factors: list, n: int, rng, slots, keep=None) -> list:
-        """``initial_state`` by slot number, drawn at the slot numbers in
-        ``slots`` only (None at the others); PCG64 spends one 64-bit output
-        per double, so skipping n * size outputs skips a slot.  With a row
-        mask ``keep``, every slot holds only the kept rows, and the others'
-        draws are skipped too: rows scale one by one, so each keeps its bits."""
+        """``initial_state`` by slot number, with a draw at each slot in ``slots``
+        (None at the other slots): a function that draws the slot when called.  A
+        slot owns the n * size outputs of ``rng``'s stream (one per double) after
+        the slots before it, and a draw advances the stream to them modulo 2**128,
+        so any order of draws gives ``initial_state``'s bits.  With a row mask
+        ``keep``, every slot holds only the kept rows (evidence as a view where it
+        can): rows scale one by one, so each keeps its bits."""
         msgs, lo, hi, inside = list(factors), 0, n, None
         if keep is not None:
-            msgs = [f if f is None else f[keep] for f in factors]
             lo, hi = (np.flatnonzero(keep)[[0, -1]] + (0, 1)).tolist()
             inside = None if keep[lo:hi].all() else keep[lo:hi]
+            msgs = [f if f is None else f[lo:hi] if inside is None else f[lo:hi][inside]
+                    for f in factors]
+        stream, offset, position = rng.bit_generator, 0, [0]
+
+        def draw(start: int, size: int) -> np.ndarray:
+            stream.advance((start + lo * size - position[0]) % 2**128)
+            position[0] = start + hi * size
+            rows = rng.random((hi - lo, size))
+            return _normalize_in_place(rows if inside is None else rows[inside])
+
         for k, (_, var) in enumerate(self._slots):
-            if factors[k] is not None:
-                continue
-            size = self.sizes[var]
-            if k not in slots:
-                rng.bit_generator.advance(n * size)
-            else:
-                rng.bit_generator.advance(lo * size)
-                draw = rng.random((hi - lo, size))
-                rng.bit_generator.advance((n - hi) * size)
-                msgs[k] = _normalize_in_place(draw if inside is None else draw[inside])
+            if factors[k] is None:
+                msgs[k] = partial(draw, offset, self.sizes[var]) if k in slots else None
+                offset += n * self.sizes[var]
         return msgs
 
     def _to_state(self, msgs: list, n: int) -> MessageState:
@@ -329,7 +335,9 @@ class _Epochs:
     ``kernel(theta, f, b, weights, setting, live)``: first on the random start
     of ``initial_state``, drawn at the ports and training rows (``mask`` > 0)
     only, weighted by ones, then on the propagation of the ``distinct_rows``,
-    weighted by each row's count of training samples."""
+    weighted by each row's count of training samples.  Each port slot of the
+    start is drawn with ``initial_state``'s bits just before its unit's kernel
+    call, or before the one stacked call, and is not kept after it."""
 
     def __init__(self, propagator: Propagator, evidence: Mapping, mask: np.ndarray | None, rng,
                  units, terminals, kernel, setting):
@@ -367,6 +375,7 @@ class _Epochs:
         live, msgs, n = self._live, self._msgs, len(weights)
         units = zip(self._ports, self._shapes, self.parameters.values())
         if len(live) > 1 and len(live) * n * sum(live.shape[1:]) <= STACK_ENTRIES:
+            msgs = [_drawn(msg) for msg in msgs]  # epoch 1: every draw, in slot order
             theta = np.zeros(live.shape)
             f, b = np.zeros((len(live), n, live.shape[1])), np.zeros((len(live), n, live.shape[2]))
             for u, ((kf, kb), (l, m), p) in enumerate(units):
@@ -374,8 +383,8 @@ class _Epochs:
                 f[u, :, :l] = 1.0 if kf is None else msgs[kf]
             trained = kernel(theta, f, b, weights, setting, live)
         else:
-            trained = [kernel(p.reshape(1, l, m),
-                              np.ones((1, n, 1)) if kf is None else msgs[kf][None], msgs[kb][None],
+            trained = [kernel(p.reshape(1, l, m), np.ones((1, n, 1)) if kf is None
+                              else _drawn(msgs[kf])[None], _drawn(msgs[kb])[None],
                               weights, setting, np.ones((1, l, m)))[0]
                        for (kf, kb), (l, m), p in units]
         updates = {name: theta[:l, :m].reshape(p.shape) for (name, p), theta, (l, m)
@@ -393,6 +402,11 @@ class _Epochs:
         overlaps = [np.sum(msgs[f] * msgs[b], axis=-1) for f, b in self._scored]
         scores = [_log_overlap(overlaps, w) for w in self._splits]
         return updates, scores[0], scores[-1]
+
+
+def _drawn(msg):
+    """A message slot's array: ``msg`` itself, or the draw ``_start`` left there, made now."""
+    return msg() if callable(msg) else msg
 
 
 def _is_symbol_column(arr: np.ndarray) -> bool:

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import class_posteriors, flooding, random_bayes_tree, tree_posteriors
 from normalgraph.experiments import (
@@ -631,3 +633,97 @@ class TestLikelihoods:
             forward=data.forward, backward=data.backward, mask=np.array([0.0, 1.0])
         )
         np.testing.assert_allclose(block_log_likelihood(theta, masked), 0.0, atol=0)
+
+
+# Soft-evidence entries: valid ones (zero, subnormals, huge) weighted above
+# the invalid NaN, inf and negative ones.
+FUZZ_ENTRIES = (0.0, 5e-324, 1e-310, 0.25, 0.5, 1.0, 1e308) * 2 + (np.nan, np.inf, -1.0)
+CONTRACT_ERRORS = (UnknownVariable, GraphError, ValueError, ContradictoryEvidence)
+
+
+@st.composite
+def fuzzed_evidence(draw):
+    """A ``random_bayes_tree`` graph, evidence at one to three of its
+    variables (mostly terminals, sometimes an inner or unknown one) in every
+    form, sometimes with a row count or width off by one, and a 0/1 mask
+    over the N samples: None, leading or scattered."""
+    _, graph, _ = random_bayes_tree(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                                    max_nodes=5, max_size=3)
+    n = draw(st.integers(0, 5), label="N")
+    names = list(graph.terminals()) * 4 + [graph.variables[0][0], "nowhere"]
+    evidence = {}
+    at = st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)
+    for var in draw(at, label="at"):
+        size = graph.sizes.get(var, 2)
+        rows = n + draw(st.sampled_from([0, 0, 0, 1]), label="extra row")
+        width = size + draw(st.sampled_from([0, 0, 0, 1]), label="extra column")
+        symbols = st.sampled_from(list(range(size)) * 3 + [-1, size])
+        form = draw(st.sampled_from(["symbols", "scalar", "shared", "soft"]), label="form")
+        if form == "symbols":
+            value = np.array(draw(st.lists(symbols, min_size=rows, max_size=rows)), dtype=np.int64)
+        elif form == "scalar":
+            value = np.int64(draw(symbols))
+        else:
+            shape = (width,) if form == "shared" else (rows, width)
+            entries = st.lists(st.sampled_from(FUZZ_ENTRIES), min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape)))
+            value = np.array(draw(entries), dtype=np.float64).reshape(shape)
+        evidence[var] = value
+    kind = draw(st.sampled_from([None, "leading", "scattered"]), label="mask")
+    if kind is None:
+        mask = None
+    elif kind == "leading":
+        mask = (np.arange(n) < max(1, round(0.8 * n))).astype(float)
+    else:
+        mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=float)
+    return graph, evidence, mask
+
+
+def assert_row_stochastic(values: np.ndarray, what: str):
+    assert np.all(np.isfinite(values)) and np.all(values >= 0.0), what
+    np.testing.assert_allclose(values.sum(axis=-1), 1.0, rtol=0, atol=1e-12, err_msg=what)
+
+
+class TestLibraryContract:
+    """The library's error contract under fuzzed evidence: ``run`` returns
+    finite row-stochastic posteriors with a finite or -inf score, and
+    ``em_train`` finite row-stochastic parameters, or each raises
+    ``UnknownVariable``, ``GraphError``, ``ValueError`` or
+    ``ContradictoryEvidence``.  Only ``ContradictoryEvidence`` may come after
+    em_train's first epoch has begun: a sample held out of the first M-step
+    can contradict the parameters it returns."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(fuzzed_evidence(), st.sampled_from(("ml", "kl", "vit", "var")))
+    def test_run_and_em_train_keep_the_contract(self, case, algorithm):
+        graph, evidence, mask = case
+        n_samples = None if mask is None else len(mask)
+        try:
+            state = Propagator(graph).run(evidence, n_samples)
+        except CONTRACT_ERRORS:
+            pass
+        else:
+            for var in state.forward:
+                assert_row_stochastic(posterior(state, var), f"posterior of {var!r}")
+            score = aggregated_log_likelihood(state, graph.terminals(), mask)
+            assert np.isfinite(score) or score == -np.inf, score
+
+        epochs_begun = []
+        step = propagation._Epochs.step
+
+        def watched(epochs):
+            epochs_begun.append(True)
+            return step(epochs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(propagation._Epochs, "step", watched)
+            try:
+                report = em_train(graph, evidence, TrainConfig(algorithm, epochs=2, seed=1), mask)
+            except ContradictoryEvidence:
+                return
+            except (UnknownVariable, GraphError, ValueError):
+                assert not epochs_begun
+                return
+        for unit in report.graph.trainable_units():
+            values = unit.prior if isinstance(unit, SourceBlock) else unit.theta
+            assert_row_stochastic(values, unit.name)
