@@ -66,6 +66,15 @@ class MessageState:
     n_samples: int
 
 
+def _merge_keys(keys: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` for int64 keys in [0, radix),
+    taken from a count of every key when the radix is at most the key count."""
+    if radix > len(keys):
+        return np.unique(keys, return_inverse=True)
+    present = np.bincount(keys, minlength=radix) > 0
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
+
+
 def posterior(state: MessageState, variable: str) -> np.ndarray:
     """Normalized elementwise product of the stored message pair, read as
     built: a state's messages are nonnegative and size-matched."""
@@ -220,7 +229,7 @@ class Propagator:
         keys = np.zeros(n_samples, dtype=np.int64)
         for var, column in columns.items():
             keys = keys * self.sizes[var] + column
-        keys, inverse = np.unique(keys, return_inverse=True)
+        keys, inverse = _merge_keys(keys, radix)
         n_rows = len(keys)
         if n_rows == n_samples:
             return unmerged
@@ -419,9 +428,10 @@ def aggregated_log_likelihood(state: MessageState, terminals: Sequence[str],
     """Sum over terminals and samples of log of the message pair overlap.
 
     Hard evidence makes each term the log-probability the rest of the
-    graph assigns to the observed symbol.  ``mask`` holds nonnegative
+    graph assigns to the observed symbol.  ``mask`` holds finite, nonnegative
     per-sample weights (a 0/1 or boolean mask, or counts of merged rows):
     samples with weight > 0 count, each term multiplied by its weight.
+    Any other weight raises ValueError.
     Returns -inf when any counted sample has an impossible evidence
     combination.
     """
@@ -431,6 +441,8 @@ def aggregated_log_likelihood(state: MessageState, terminals: Sequence[str],
     weights = None if mask is None else np.asarray(mask, dtype=np.float64)
     if weights is not None and weights.shape != (state.n_samples,):
         raise ValueError(f"mask has shape {weights.shape} for {state.n_samples} samples")
+    if weights is not None and not np.all((weights >= 0.0) & (weights < np.inf)):
+        raise ValueError("mask entries must be finite and nonnegative")
     return _log_overlap([np.sum(state.forward[v] * state.backward[v], axis=-1)
                          for v in terminals], weights)
 

@@ -5,7 +5,10 @@ terminals, drawing each variable from the row of its producing block.
 Replicas joined by equality nodes, directly or through a chain of them,
 share one draw from the normalized product of their producing rows,
 which for product-space joins built from expander blocks is exactly the
-deterministic tuple combination.
+deterministic tuple combination.  Draws read per-state tables (a prior, a
+block matrix, the product rows of the input combinations that occur)
+through each sample's row index, so memory is O(N) plus those
+combinations.
 
 Every draw site gets its own deterministic random substream keyed by the
 controlling seed and the site's name, so adding an unrelated block to a
@@ -21,7 +24,7 @@ import numpy as np
 
 from .graph import DiverterNode, GraphSpec, GraphError, SourceBlock, _ends
 from .messages import normalize
-from .propagation import Propagator
+from .propagation import Propagator, _merge_keys
 
 __all__ = [
     "SampleSet",
@@ -55,11 +58,13 @@ class SampleSet:
         return {v: self.columns[v] for v in terminals}
 
 
-def _draw(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw per sample; rows[n] is sample n's distribution."""
-    cdf = np.cumsum(rows, axis=1)
-    cdf[:, -1] = 1.0
-    return np.sum(uniforms[:, None] > cdf, axis=1).astype(np.int64)
+def _draw(table: np.ndarray, index: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per sample from its distribution ``table[index[n]]``:
+    the count of CDF entries below its uniform, the last entry read as 1."""
+    drawn = np.zeros(len(uniforms), dtype=np.int64)
+    for column in np.cumsum(table, axis=1).T[:-1]:
+        drawn += uniforms > column[index]
+    return drawn
 
 
 def _equality_clusters(graph: GraphSpec) -> dict[str, tuple[DiverterNode, ...]]:
@@ -87,7 +92,10 @@ def ancestral_sample(graph: GraphSpec, n_samples: int, seed: int = 1,
     diverter whose inbound edges all come from blocks or sources, so
     splitting an inbound edge of a join keeps the unsplit graph's draws.
     Returns the terminal columns, or every variable's column with
-    ``keep_all`` for diagnostics.
+    ``keep_all`` for diagnostics.  Each draw reads a per-state table
+    through the samples' row indexes; a cluster's table holds the product
+    rows of the inbound combinations that occur, multiplied in inbound
+    order, so memory is O(N) plus those combinations.
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
@@ -101,12 +109,13 @@ def ancestral_sample(graph: GraphSpec, n_samples: int, seed: int = 1,
 
     symbols: dict[str, np.ndarray] = {}
 
-    def producing_rows(variable: str) -> np.ndarray:
-        """Distribution rows for a variable, given its tail's sampled input."""
+    def producing_rows(variable: str) -> tuple[np.ndarray, np.ndarray]:
+        """A variable's distribution table, and each sample's row in it
+        given its tail's sampled input."""
         node = tails[variable]
         if isinstance(node, SourceBlock):
-            return np.tile(node.prior, (n_samples, 1))
-        return np.asarray(node.theta)[symbols[node.from_var]]
+            return node.prior[None], np.zeros(n_samples, dtype=np.intp)
+        return np.asarray(node.theta), symbols[node.from_var]
 
     for variable in order:
         if variable in symbols or isinstance(heads.get(variable), DiverterNode):
@@ -117,17 +126,19 @@ def ancestral_sample(graph: GraphSpec, n_samples: int, seed: int = 1,
             inbound = [v for div in cluster for v in div.inbound
                        if not isinstance(tails[v], DiverterNode)]
             root = next(div for div in cluster if set(div.inbound) <= set(inbound))
-            joint = producing_rows(inbound[0])
-            for v in inbound[1:]:
-                joint = joint * producing_rows(v)
+            joint, rows = producing_rows(inbound[0])
+            for v in inbound[1:]:  # merging as it goes keeps every key below N * size
+                table, index = producing_rows(v)
+                pairs, rows = _merge_keys(rows * len(table) + index, len(joint) * len(table))
+                joint = joint[pairs // len(table)] * table[pairs % len(table)]
             u = substream(seed, "draw", root.name).uniform(size=n_samples)
-            common = _draw(normalize(joint), u)
+            common = _draw(normalize(joint), rows, u)
             for div in cluster:
                 for v in div.edges:
                     symbols[v] = common
         else:
             u = substream(seed, "draw", variable).uniform(size=n_samples)
-            symbols[variable] = _draw(producing_rows(variable), u)
+            symbols[variable] = _draw(*producing_rows(variable), u)
 
     keep = set(sizes) if keep_all else set(graph.terminals())
     columns = {v: symbols[v] for v in sizes if v in keep}

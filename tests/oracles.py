@@ -4,9 +4,11 @@ Everything here recomputes quantities by brute force and stays away from
 the library's message-passing and learning code paths: posteriors come
 from explicit joint-table enumeration, learned tables from direct pair
 counting.  Agreement between these oracles and the library is what the
-exactness tests assert.  The one exception is ``reference_em``, the EM
-loop written plainly on the library's public per-block pieces, against
-which ``em_train``'s stacked epochs are checked.
+exactness tests assert.  Two exceptions are written on library pieces:
+``reference_em``, the EM loop written plainly on the public per-block
+pieces, against which ``em_train``'s stacked epochs are checked, and
+``reference_ancestral_sample``, the sampler that builds every sample's
+distribution row, against whose bits ``ancestral_sample`` is checked.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ import itertools
 
 import numpy as np
 
-from normalgraph.graph import DiverterNode, GraphSpec, SisoBlock, SourceBlock
+from normalgraph.graph import DiverterNode, GraphSpec, SisoBlock, SourceBlock, _ends
 from normalgraph.learning import BlockDataset, EpochRecord, TrainReport, train_block
-from normalgraph.messages import TIE_RTOL
+from normalgraph.messages import TIE_RTOL, normalize
 from normalgraph.propagation import Propagator, aggregated_log_likelihood
+from normalgraph.synthgen import SampleSet, _equality_clusters, substream
 
 
 def cooccurrence_table(x, y, m_in: int, m_out: int) -> np.ndarray:
@@ -297,3 +300,46 @@ def reference_em(graph: GraphSpec, evidence: dict, cfg, mask: np.ndarray | None 
                    if np.any(weights == 0.0) else train_ll)
         records.append(EpochRecord(epoch, train_ll, test_ll, 0.0, updates))
     return TrainReport(records, graph.with_parameters(params))
+
+
+def reference_ancestral_sample(graph: GraphSpec, n_samples: int, seed: int = 1) -> SampleSet:
+    """``ancestral_sample(..., keep_all=True)`` drawn from one (N, size)
+    distribution row per sample and variable: a tiled prior, block rows
+    indexed by the parent's symbols, and a cluster's per-sample product of
+    its inbound rows, left to right, normalized row by row.  A sample draws
+    the count of its CDF entries below its uniform, the last read as 1."""
+    tails, heads = _ends(graph)
+    clusters = _equality_clusters(graph)
+    symbols: dict[str, np.ndarray] = {}
+
+    def rows_of(variable):
+        node = tails[variable]
+        if isinstance(node, SourceBlock):
+            return np.tile(node.prior, (n_samples, 1))
+        return np.asarray(node.theta)[symbols[node.from_var]]
+
+    def draw(rows, uniforms):
+        cdf = np.cumsum(rows, axis=1)
+        cdf[:, -1] = 1.0
+        return np.sum(uniforms[:, None] > cdf, axis=1).astype(np.int64)
+
+    for variable in Propagator(graph).forward_order:
+        if variable in symbols or isinstance(heads.get(variable), DiverterNode):
+            continue
+        if isinstance(tails[variable], DiverterNode):
+            cluster = clusters[variable]
+            inbound = [v for div in cluster for v in div.inbound
+                       if not isinstance(tails[v], DiverterNode)]
+            root = next(div for div in cluster if set(div.inbound) <= set(inbound))
+            joint = rows_of(inbound[0])
+            for v in inbound[1:]:
+                joint = joint * rows_of(v)
+            u = substream(seed, "draw", root.name).uniform(size=n_samples)
+            common = draw(normalize(joint), u)
+            for div in cluster:
+                for v in div.edges:
+                    symbols[v] = common
+        else:
+            symbols[variable] = draw(rows_of(variable),
+                                     substream(seed, "draw", variable).uniform(size=n_samples))
+    return SampleSet({v: symbols[v] for v in graph.sizes}, n_samples, seed)

@@ -537,6 +537,17 @@ class TestDistinctRows:
         evidence = {var: np.zeros(2, dtype=int) for var in graph.sizes}
         assert Propagator(graph).distinct_rows(evidence, 2)[1] == n_rows
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(radix=st.integers(1, 64), keys=st.lists(st.integers(0, 63), max_size=100))
+    def test_merged_keys_are_numpys_unique(self, radix, keys):
+        """Counted (radix at most the key count) or sorted, the distinct keys
+        and the inverse are ``np.unique``'s, dtypes included."""
+        keys = np.array(keys, dtype=np.int64) % radix
+        distinct, inverse = propagation._merge_keys(keys, radix)
+        want_distinct, want_inverse = np.unique(keys, return_inverse=True)
+        for got, want in ((distinct, want_distinct), (inverse, want_inverse)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
 
 class TestLikelihoods:
     def test_aggregated_trivial_values(self):
@@ -605,6 +616,15 @@ class TestLikelihoods:
         state = Propagator(identity_chain()).run({"X": np.array([0, 1, 1])})
         with pytest.raises(ValueError, match=re.escape(f"mask has shape {mask.shape} for 3 samples")):
             aggregated_log_likelihood(state, ("X",), mask)
+
+    @pytest.mark.parametrize("weight", [np.inf, np.nan, -1.0], ids=["inf", "nan", "negative"])
+    def test_aggregated_rejects_weight_outside_finite_nonnegative(self, weight):
+        """Such a weight would read as -inf or silently drop its sample."""
+        graph = build_latent_star(generative=True)
+        evidence = {"X1": np.array([0, 1, 1]), "X2": np.array([1, 0, 1])}
+        state = Propagator(graph).run(evidence)
+        with pytest.raises(ValueError, match="mask entries must be finite and nonnegative"):
+            aggregated_log_likelihood(state, tuple(evidence), np.array([weight, 1.0, 1.0]))
 
     def test_block_log_likelihood_values(self):
         theta = np.full((3, 2), 0.5)

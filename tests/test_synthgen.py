@@ -1,15 +1,21 @@
 """Tests for deterministic ancestral sampling and synthetic factories."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normalgraph.graph import (
+    DiverterNode,
     GraphError,
     GraphSpec,
     SisoBlock,
     SourceBlock,
     split_variable,
 )
+from normalgraph.messages import COLUMN_ROWS, AllZeroVector, normalize
 from normalgraph.experiments import (
     TREE_LEAF_CONDITIONALS,
     TREE_PRIOR,
@@ -23,6 +29,7 @@ from normalgraph.synthgen import (
     random_row_stochastic,
     substream,
 )
+from oracles import random_bayes_tree, reference_ancestral_sample
 
 
 def identity_chain(prior=(0.3, 0.7)):
@@ -194,6 +201,141 @@ class TestAncestralSampling:
         evidence = data.terminal_evidence(("X1", "X3"))
         assert set(evidence) == {"X1", "X3"}
         assert np.array_equal(evidence["X1"], data["X1"])
+
+
+def join_graph(priors, thetas, out_theta=None):
+    """Sources ``S<i>`` feeding, each through ``thetas[i]`` when that is not
+    None and directly otherwise, one join of inbound edges ``E<i>``; the
+    join's taps are the terminal ``Z`` and, given ``out_theta``, ``W``
+    into the block to terminal ``X``."""
+    width = len(priors[0]) if thetas[0] is None else len(thetas[0][0])
+    variables, sources, blocks, inbound = [], [], [], []
+    for i, (prior, theta) in enumerate(zip(priors, thetas)):
+        edge = f"E{i}"
+        inbound.append(edge)
+        if theta is None:
+            variables.append((edge, width))
+            sources.append(SourceBlock(f"prior_S{i}", edge, prior))
+        else:
+            variables += [(f"S{i}", len(prior)), (edge, width)]
+            sources.append(SourceBlock(f"prior_S{i}", f"S{i}", prior))
+            blocks.append(SisoBlock(f"J{i}", f"S{i}", edge, theta))
+    taps = ["Z"]
+    if out_theta is not None:
+        variables += [("W", width), ("X", len(out_theta[0]))]
+        taps.append("W")
+        blocks.append(SisoBlock("P_X", "W", "X", out_theta))
+    variables.append(("Z", width))
+    return GraphSpec(tuple(variables), tuple(sources), tuple(blocks),
+                     (DiverterNode(tuple(inbound), tuple(taps)),))
+
+
+def sparse_rows(rng, rows, cols, zeros=0.35):
+    """Row-stochastic, with about a share ``zeros`` of the entries zero but
+    none of the rows."""
+    draws = rng.uniform(0.1, 1.0, size=(rows, cols)) * (rng.uniform(size=(rows, cols)) >= zeros)
+    draws[np.arange(rows), rng.integers(0, cols, size=rows)] += 0.5
+    return normalize(draws)
+
+
+def random_join(rng):
+    width = int(rng.integers(2, 5))
+    priors, thetas = [], []
+    for _ in range(int(rng.integers(1, 5))):
+        if rng.uniform() < 0.25:
+            priors.append(sparse_rows(rng, 1, width)[0])
+            thetas.append(None)
+        else:
+            parent = int(rng.integers(1, 5))
+            priors.append(sparse_rows(rng, 1, parent)[0])
+            thetas.append(sparse_rows(rng, parent, width))
+    return join_graph(priors, thetas, sparse_rows(rng, width, 3))
+
+
+def assert_same_bits(graph, n, seed):
+    """Every column of ``ancestral_sample(..., keep_all=True)`` has the
+    reference's dtype and bytes, or both raise ``AllZeroVector``."""
+    try:
+        expected = reference_ancestral_sample(graph, n, seed=seed)
+    except AllZeroVector:
+        with pytest.raises(AllZeroVector):
+            ancestral_sample(graph, n, seed=seed, keep_all=True)
+        return
+    data = ancestral_sample(graph, n, seed=seed, keep_all=True)
+    assert list(data.columns) == list(expected.columns)
+    for variable, column in expected.columns.items():
+        assert data[variable].dtype == column.dtype, variable
+        assert data[variable].tobytes() == column.tobytes(), variable
+
+
+class TestTableDraws:
+    """``ancestral_sample`` draws from per-state tables the bits that the
+    per-sample rows of ``oracles.reference_ancestral_sample`` draw."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["tree", "deep", "star", "join"]),
+           seed=st.integers(0, 2**32 - 1),
+           n=st.integers(0, 40) | st.integers(COLUMN_ROWS - 3, COLUMN_ROWS + 3),
+           splits=st.integers(0, 2))
+    def test_columns_match_reference(self, kind, seed, n, splits):
+        rng = np.random.default_rng(seed)
+        if kind == "tree":
+            graph = random_bayes_tree(rng)[1]
+        elif kind == "deep":
+            graph = build_deep_graph().with_parameters(deep_generative_parameters(seed % 7 + 1))
+        elif kind == "star":
+            graph = build_latent_star(generative=True)
+        else:
+            graph = random_join(rng)
+        for _ in range(splits):
+            taps = {v for div in graph.diverters for v in div.taps}
+            free = [v for v in graph.sizes if v not in taps]
+            graph = split_variable(graph, str(rng.choice(free)))
+        assert_same_bits(graph, n, seed % 1000)
+
+    def test_three_inbound_join_multiplies_left_to_right(self):
+        """The priors put seed 2's first uniform between the normalized
+        products taken left to right and right to left, so only the
+        reference's left-to-right order draws its bits."""
+        x = float.fromhex("0x1.a72c49b1f97f6p-2")
+        a, b, c = np.array([x, 1.0 - x]), np.array([0.3, 0.7]), np.array([0.6, 0.4])
+        u = substream(2, "draw", "=E0").uniform(size=1)[0]
+        left, right = normalize(a * b * c)[0], normalize(a * (b * c))[0]
+        assert left < u <= right
+        graph = join_graph([a, b, c], [None, None, None])
+        assert ancestral_sample(graph, 1, seed=2)["Z"][0] == 1
+        assert_same_bits(graph, 200, 2)
+
+    def test_zero_mass_combination_fails_only_when_drawn(self):
+        """S0 = 0 forces the join to 0 and S1 = 0 forces it to 1, so the
+        product row of (S0, S1) = (0, 0) has no mass."""
+        thetas = [np.array([[1.0, 0.0], [0.5, 0.5]]), np.array([[0.0, 1.0], [0.5, 0.5]])]
+        never = join_graph([np.array([0.0, 1.0]), np.array([0.5, 0.5])], thetas)
+        assert_same_bits(never, 300, 2)
+        drawn = join_graph([np.array([0.5, 0.5]), np.array([0.5, 0.5])], thetas)
+        with pytest.raises(AllZeroVector):
+            ancestral_sample(drawn, 300, seed=2)
+
+    def test_cluster_radix_past_int64(self):
+        """Seven inbound edges of 1 024 table rows each: 2**70 combinations,
+        and every key still fits in int64."""
+        rng = np.random.default_rng(5)
+        graph = join_graph([sparse_rows(rng, 1, 1024, zeros=0.0)[0] for _ in range(7)],
+                           [sparse_rows(rng, 1024, 3, zeros=0.0) for _ in range(7)])
+        assert_same_bits(graph, 500, 3)
+
+    def test_deep_graph_memory_is_linear_in_samples(self):
+        """The drawn columns and O(1) transient columns per draw: below 20
+        doubles per sample at N = 1e5, where per-sample rows take 46."""
+        graph = build_deep_graph().with_parameters(deep_generative_parameters(seed=1))
+        n = 100_000
+        tracemalloc.start()
+        try:
+            ancestral_sample(graph, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 8 * n
 
 
 class TestFactories:

@@ -4,7 +4,8 @@
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 Each argument is a directory that holds the ``normalgraph`` package, such as
-a checkout's ``src``.  For each side, the latent star graphs are saved and
+a checkout's ``src``.  For each side, the latent star graphs and the deep
+generative graph are saved and
 every command of ``COMMANDS`` runs in a fresh interpreter, with that
 directory alone on ``PYTHONPATH`` and a hash seed of its own (any
 ``PYTHONHASHSEED`` is dropped), inside a temporary directory of its own.
@@ -27,13 +28,15 @@ import sys
 import tempfile
 from pathlib import Path
 
-# Saves the generative and the learner star, and names the package it ran.
-STAR_GRAPHS = """
+# Saves the generative and the learner star and the deep generative graph
+# (seed 1), and names the package it ran.
+GRAPHS = """
 import normalgraph
-from normalgraph.experiments import build_latent_star
+from normalgraph.experiments import build_deep_graph, build_latent_star, deep_generative_parameters
 from normalgraph.graph import save_graph
 save_graph(build_latent_star(generative=True), "star_gen.json")
 save_graph(build_latent_star(), "star_learner.json")
+save_graph(build_deep_graph().with_parameters(deep_generative_parameters(seed=1)), "deep_gen.json")
 print(normalgraph.__file__)
 """
 
@@ -49,6 +52,8 @@ COMMANDS = (
     ["experiment", "nit-sweep", "--epochs", "10", "--n", "100", "--out", "nit_sweep"],
     ["experiment", "single-block", "--out", "single_block"],
     ["generate", "--graph", "star_gen.json", "--n", "300", "--seed", "4", "--out", "star.csv"],
+    # Both joins of the deep graph, at more than messages.COLUMN_ROWS samples.
+    ["generate", "--graph", "deep_gen.json", "--n", "20000", "--out", "deep.csv"],
     ["eval", "--graph", "star_gen.json", "--data", "star.csv"],
     ["eval", "--graph", "star_gen.json", "--data", "star.csv", "--split", "0.75",
      "--out", "star_eval.csv"],
@@ -80,7 +85,7 @@ def run_side(src: Path, workdir: Path) -> dict[str, str]:
     the text of each file the commands wrote."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     env.pop("PYTHONHASHSEED", None)
-    setup = subprocess.run([sys.executable, "-c", STAR_GRAPHS], cwd=workdir, env=env,
+    setup = subprocess.run([sys.executable, "-c", GRAPHS], cwd=workdir, env=env,
                            capture_output=True, text=True)
     if setup.returncode != 0 or not Path(setup.stdout.strip()).is_relative_to(src):
         raise SystemExit(f"cannot run normalgraph from {src}:\n{setup.stdout}{setup.stderr}")
