@@ -15,8 +15,10 @@ the training samples into a BlockDataset.  Four update rules are provided:
 * ``var_update``: soft co-occurrence counting (a variational one-shot
   estimate).
 
-Each rule is one kernel on a stack of blocks, which floors its own
-messages where its ratios need it.  ``em_train`` runs the
+Each rule is one kernel on a stack of blocks.  The kernels allocate only
+what they read: ml and kl floor a copy of a message only when it has an
+entry below MESSAGE_FLOOR, and kl and var skip the multiply by weights that
+are all 1.0, as in em_train's first epoch.  ``em_train`` runs the
 expectation-maximization loop over a whole graph; each of its epochs
 (``propagation._Epochs.step``) updates every block through the rule's
 kernel, then propagates all samples and scores them.
@@ -139,14 +141,27 @@ def _rescaled(theta: np.ndarray, pair_mass: np.ndarray, row_mass: np.ndarray,
     return _finish_rows(raw, theta, live)
 
 
+def _floored(x: np.ndarray) -> np.ndarray:
+    """``x`` with its entries below MESSAGE_FLOOR raised to it: a copy only
+    when there is such an entry, else ``x`` itself."""
+    return np.maximum(x, MESSAGE_FLOOR) if np.min(x, initial=np.inf) < MESSAGE_FLOOR else x
+
+
+def _weighted(f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The (U, L, n) transpose of f's rows scaled by w: of f itself when every
+    weight is 1.0, as 1.0 x is x."""
+    return np.swapaxes(f if np.all(w == 1.0) else w[:, None] * f, -1, -2)
+
+
 # One kernel per rule, on a stack of U units: (U, L, M) parameters, (U, n, L)
 # forward and (U, n, M) backward messages, n weights, and ``live``, 1.0 on the
-# (U, L, M) entries that are not zero padding.  ml and kl floor copies of their
-# messages; a floored padded message meets only padded, zero, parameters.
-# Padded entries come out 0.
+# (U, L, M) entries that are not zero padding.  No kernel writes into its
+# inputs: ml and kl floor copies of their messages where an entry is below the
+# floor, and read them as given otherwise; a floored padded message meets only
+# padded, zero, parameters.  Padded entries come out 0.
 
 def _ml(theta, f, b, w, nit: int, live) -> np.ndarray:
-    f, b = np.maximum(f, MESSAGE_FLOOR), np.maximum(b, MESSAGE_FLOOR)
+    f, b = _floored(f), _floored(b)
     row_mass = w @ f
     for _ in range(nit):
         theta = _rescaled(theta, _pair_mass(theta, f, b, w), row_mass, live)
@@ -154,12 +169,10 @@ def _ml(theta, f, b, w, nit: int, live) -> np.ndarray:
 
 
 def _kl(theta, f, b, w, nit: int, live) -> np.ndarray:
-    f, b = np.maximum(f, MESSAGE_FLOOR), np.maximum(b, MESSAGE_FLOOR)
-    row_mass = w @ f
-    weighted = np.swapaxes(w[:, None] * f, -1, -2)
+    f, b = _floored(f), _floored(b)
+    row_mass, weighted, ratio = w @ f, _weighted(f, w), np.empty(b.shape)
     for _ in range(nit):
-        ratio = f @ theta
-        np.maximum(ratio, MESSAGE_FLOOR, out=ratio)
+        np.maximum(np.matmul(f, theta, out=ratio), MESSAGE_FLOOR, out=ratio)
         theta = _rescaled(theta, weighted @ np.divide(b, ratio, out=ratio), row_mass, live)
     return theta
 
@@ -177,7 +190,7 @@ def _vit(theta, f, b, w, delta: float, live) -> np.ndarray:
 
 
 def _var(theta, f, b, w, delta: float, live) -> np.ndarray:
-    raw = np.swapaxes(w[:, None] * f, -1, -2) @ b + delta * live
+    raw = _weighted(f, w) @ b + delta * live
     return _finish_rows(raw, live, live)
 
 
@@ -237,7 +250,7 @@ def generalized_divergence(theta: np.ndarray, data: BlockDataset) -> float:
     kl_update descends; on row-stochastic theta the regularizer is constant.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    f, b = np.maximum(data.forward, MESSAGE_FLOOR), np.maximum(data.backward, MESSAGE_FLOOR)
+    f, b = _floored(data.forward), _floored(data.backward)
     predicted = f @ theta
     if np.any((b > 0) & (predicted == 0.0) & (data.mask[:, None] > 0)):
         return float("inf")
@@ -254,7 +267,7 @@ def kkt_multipliers(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
     slackness), which is what the stationarity tests check.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    f, b = np.maximum(data.forward, MESSAGE_FLOOR), np.maximum(data.backward, MESSAGE_FLOOR)
+    f, b = _floored(data.forward), _floored(data.backward)
     return (data.mask @ f)[:, None] - _pair_mass(theta, f, b, data.mask)
 
 
@@ -355,7 +368,9 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
     with ``rng=np.random.default_rng(cfg.seed)``, of which only the slots it
     reads are drawn, at the training samples' rows only: the other draws are
     skipped in the stream, and no held-out sample is read; a unit's slots
-    are drawn, with those bits, just before it trains or its stack does.  Each
+    are drawn, with those bits, just before it trains or its stack does, and
+    its evidence ports are gathered then from the factors of the distinct
+    rows, so that no symbol column is one-hot encoded per sample.  Each
     subsequent epoch consumes the exact propagation of the previous
     epoch's parameters, and the per-epoch log-likelihoods are measured
     after the update.  All blocks within an epoch see the same frozen

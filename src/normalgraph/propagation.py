@@ -150,32 +150,34 @@ class Propagator:
 
     # -- evidence handling --------------------------------------------------
 
-    def _evidence_factors(self, evidence: Mapping | None, n_samples: int | None):
-        """The (N, size) factor at every evidence slot number (None at the
-        other slots), and the sample count N.
+    def _evidence_factors(self, evidence: Mapping | None, n_samples: int | None, merge=False):
+        """The factor at every evidence slot number (None at the other slots),
+        the sample count N, and the rows: without ``merge``, (N, size) factors
+        and None; with it, the factors of the ``distinct_rows`` and each
+        sample's row, so that merged symbol columns are encoded per row only.
 
         Every per-sample factor must have N rows: ``n_samples`` when given,
         else the row count of the first per-sample factor, else 1.
         """
-        encoded = {var: self._encode(var, value) for var, value in (evidence or {}).items()}
-        rows = {var: f.shape[0] for var, f in encoded.items() if f.ndim == 2}
+        checked = {var: self._encode(var, value) for var, value in (evidence or {}).items()}
+        rows = {var: len(f) for var, f in checked.items() if f.ndim == 2 or _is_symbol_column(f)}
         n = next(iter(rows.values()), 1) if n_samples is None else n_samples
         for var, count in rows.items():
             if count != n:
                 raise ValueError(f"evidence for {var!r} has {count} samples, expected {n}")
+        checked, n_rows, inverse = self.distinct_rows(checked, n) if merge else (checked, n, None)
         factors = [None] * len(self._slots)
         for var, k in self._evidence_slots.items():
-            factor = encoded[var] if var in encoded else uniform(self.sizes[var])
-            factors[k] = np.repeat(factor[None], n, 0) if factor.ndim == 1 else factor
-        return factors, n
+            factor = checked[var] if var in checked else uniform(self.sizes[var])
+            factor = one_hot(factor, self.sizes[var]) if _is_symbol_column(factor) else factor
+            factors[k] = np.repeat(factor[None], n_rows, 0) if factor.ndim == 1 else factor
+        return factors, n, inverse
 
     def _encode(self, var: str, value) -> np.ndarray:
-        """One terminal's evidence as a factor.
-
-        An integer vector (one symbol per sample) or a 2-d float array (one
-        soft factor per sample) gives an (N, size) factor; an integer
-        scalar or a 1-d float vector gives one (size,) factor shared by all
-        samples.
+        """One terminal's evidence, checked: an integer vector (one symbol per
+        sample) as its int64 column, a 2-d float array (one soft factor per
+        sample) as an (N, size) factor, and an integer scalar or a 1-d float
+        vector as one (size,) factor shared by all samples.
         """
         if var not in self.sizes:
             raise UnknownVariable(f"evidence for unknown variable {var!r}")
@@ -188,10 +190,10 @@ class Propagator:
         if arr.dtype == bool:
             raise ValueError(f"evidence for {var!r} is boolean, not symbols or soft factors")
         if arr.ndim == 0 or _is_symbol_column(arr):
-            idx = arr.astype(np.int64)
+            idx = arr.astype(np.int64, copy=False)
             if np.any(idx < 0) or np.any(idx >= size):
                 raise ValueError(f"evidence symbol out of range for variable {var!r}")
-            return one_hot(idx, size)
+            return idx if arr.ndim else one_hot(idx, size)
         if arr.ndim > 2 or arr.shape[-1] != size:
             raise ValueError(f"evidence for {var!r} has shape {arr.shape}, "
                              f"expected (N, {size}) or ({size},)")
@@ -222,7 +224,7 @@ class Propagator:
             if arr.ndim == 2:
                 return unmerged
             if _is_symbol_column(arr):
-                columns[var] = arr.astype(np.int64)
+                columns[var] = arr.astype(np.int64, copy=False)
                 radix *= self.sizes[var]
         if radix > 2**62:
             return unmerged
@@ -280,7 +282,7 @@ class Propagator:
 
     def run(self, evidence: Mapping | None = None, n_samples: int | None = None) -> MessageState:
         """Propagate evidence and return the complete message state."""
-        factors, n = self._evidence_factors(evidence, n_samples)
+        factors, n, _ = self._evidence_factors(evidence, n_samples)
         return self._to_state(self._pass(factors, self._parameters(), n), n)
 
     def initial_state(self, evidence: Mapping | None = None, n_samples: int | None = None, *,
@@ -289,24 +291,27 @@ class Propagator:
         uniform draw from ``rng`` at every other slot, rows scaled to unit
         sum.  Slots are drawn in declaration order, ("F", v) then ("B", v)
         for each variable v in turn, and ``rng`` is left after the last."""
-        factors, n = self._evidence_factors(evidence, n_samples)
+        factors, n, _ = self._evidence_factors(evidence, n_samples)
         draws = self._start(factors, n, rng, range(len(self._slots)))
         return self._to_state([_drawn(msg) for msg in draws], n)
 
-    def _start(self, factors: list, n: int, rng, slots, keep=None) -> list:
+    def _start(self, factors: list, n: int, rng, slots, keep=None, rows=None) -> list:
         """``initial_state`` by slot number, with a draw at each slot in ``slots``
         (None at the other slots): a function that draws the slot when called.  A
         slot owns the n * size outputs of ``rng``'s stream (one per double) after
         the slots before it, and a draw advances the stream to them modulo 2**128,
         so any order of draws gives ``initial_state``'s bits.  With a row mask
-        ``keep``, every slot holds only the kept rows (evidence as a view where it
-        can): rows scale one by one, so each keeps its bits."""
+        ``keep``, every draw holds only the kept rows: rows scale one by one, so
+        each keeps its bits.  With ``rows``, each sample's row of the factors,
+        every evidence slot is a function too, that gathers the kept samples'
+        rows; a ``keep`` comes with ``rows``."""
         msgs, lo, hi, inside = list(factors), 0, n, None
         if keep is not None:
             lo, hi = (np.flatnonzero(keep)[[0, -1]] + (0, 1)).tolist()
             inside = None if keep[lo:hi].all() else keep[lo:hi]
-            msgs = [f if f is None else f[lo:hi] if inside is None else f[lo:hi][inside]
-                    for f in factors]
+        if rows is not None:
+            rows = rows[lo:hi] if inside is None else rows[lo:hi][inside]
+            msgs = [f if f is None else partial(np.take, f, rows, 0) for f in factors]
         stream, offset, position = rng.bit_generator, 0, [0]
 
         def draw(start: int, size: int) -> np.ndarray:
@@ -338,19 +343,21 @@ STACK_ENTRIES = 32768
 
 
 class _Epochs:
-    """``em_train``'s epochs, the evidence encoded and the rule bound once.
-    Unit u trains an (L_u, M_u) matrix (a source's prior as a 1 x M row with
-    input 1) on its (n, L_u) forward and (n, M_u) backward port messages by
-    ``kernel(theta, f, b, weights, setting, live)``: first on the random start
-    of ``initial_state``, drawn at the ports and training rows (``mask`` > 0)
-    only, weighted by ones, then on the propagation of the ``distinct_rows``,
-    weighted by each row's count of training samples.  Each port slot of the
-    start is drawn with ``initial_state``'s bits just before its unit's kernel
+    """``em_train``'s epochs, the evidence encoded on its ``distinct_rows`` and
+    the rule bound once.  Unit u trains an (L_u, M_u) matrix (a source's prior
+    as a 1 x M row with input 1) on its (n, L_u) forward and (n, M_u) backward
+    port messages by ``kernel(theta, f, b, weights, setting, live)``: first on
+    the random start of ``initial_state``, drawn at the ports and training rows
+    (``mask`` > 0) only, weighted by ones, then on the propagation of the
+    distinct rows, weighted by each row's count of training samples.  Each
+    port slot of the start is drawn with ``initial_state``'s bits, or gathered
+    from its distinct rows' evidence factor, just before its unit's kernel
     call, or before the one stacked call, and is not kept after it."""
 
     def __init__(self, propagator: Propagator, evidence: Mapping, mask: np.ndarray | None, rng,
                  units, terminals, kernel, setting):
-        factors, n = propagator._evidence_factors(evidence, None if mask is None else len(mask))
+        factors, n, inverse = propagator._evidence_factors(
+            evidence, None if mask is None else len(mask), merge=True)
         self._propagator, self._evidence, self._n_samples = propagator, evidence, n
         self._kernel, self._setting = kernel, setting
         slot = propagator._slot
@@ -366,13 +373,13 @@ class _Epochs:
             self._live[u, :l, :m] = 1.0
         mask = np.ones(n) if mask is None else mask
         keep = None if mask.all() else mask > 0  # the rows the first M-step reads
-        self._msgs = propagator._start(factors, n, rng, {k for u in self._ports for k in u}, keep)
+        ports = {k for u in self._ports for k in u}
+        self._msgs = propagator._start(factors, n, rng, ports, keep, inverse)
         self._weights = np.ones(np.count_nonzero(mask))
-        rows, n_rows, inverse = propagator.distinct_rows(evidence, n)
         self._train = np.bincount(inverse, weights=mask > 0)
         test = np.bincount(inverse, weights=mask <= 0)
         self._splits = (self._train, test) if test.any() else (self._train,)
-        self._factors = factors if n_rows == n else propagator._evidence_factors(rows, n_rows)[0]
+        self._factors = factors
 
     def step(self) -> tuple[dict, float, float]:
         """One epoch: the M-step on all units in one zero-padded stack within

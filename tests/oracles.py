@@ -4,11 +4,14 @@ Everything here recomputes quantities by brute force and stays away from
 the library's message-passing and learning code paths: posteriors come
 from explicit joint-table enumeration, learned tables from direct pair
 counting.  Agreement between these oracles and the library is what the
-exactness tests assert.  Two exceptions are written on library pieces:
+exactness tests assert.  Three exceptions are written on library pieces:
 ``reference_em``, the EM loop written plainly on the public per-block
-pieces, against which ``em_train``'s stacked epochs are checked, and
+pieces, against which ``em_train``'s stacked epochs are checked,
 ``reference_ancestral_sample``, the sampler that builds every sample's
-distribution row, against whose bits ``ancestral_sample`` is checked.
+distribution row, against whose bits ``ancestral_sample`` is checked, and
+``reference_ml``, ``reference_kl`` and ``reference_var``, the kernels that
+copy and weight their messages on every call, against whose bytes the
+learning kernels' copy-free paths are checked.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import itertools
 import numpy as np
 
 from normalgraph.graph import DiverterNode, GraphSpec, SisoBlock, SourceBlock, _ends
-from normalgraph.learning import BlockDataset, EpochRecord, TrainReport, train_block
+from normalgraph.learning import (MESSAGE_FLOOR, BlockDataset, EpochRecord, TrainReport,
+                                  _finish_rows, _pair_mass, _rescaled, train_block)
 from normalgraph.messages import TIE_RTOL, normalize
 from normalgraph.propagation import Propagator, aggregated_log_likelihood
 from normalgraph.synthgen import SampleSet, _equality_clusters, substream
@@ -252,6 +256,35 @@ def reference_vit(f: np.ndarray, b: np.ndarray, w: np.ndarray, delta: float,
     raw = np.where(raw.sum(axis=-1, keepdims=True) > 0.0, raw, live)
     sums = raw.sum(axis=-1, keepdims=True)
     return np.divide(raw, sums, out=np.zeros_like(raw), where=sums > 0.0)
+
+
+# The ml, kl and var kernels on a (U, L, M) / (U, n, L) / (U, n, M) stack as
+# they read before they skipped copies: ml and kl floor copies of both
+# messages, kl allocates a ratio array per step, kl and var scale f by the
+# weights even when every weight is 1.0.
+
+def reference_ml(theta, f, b, w, nit: int, live) -> np.ndarray:
+    f, b = np.maximum(f, MESSAGE_FLOOR), np.maximum(b, MESSAGE_FLOOR)
+    row_mass = w @ f
+    for _ in range(nit):
+        theta = _rescaled(theta, _pair_mass(theta, f, b, w), row_mass, live)
+    return theta
+
+
+def reference_kl(theta, f, b, w, nit: int, live) -> np.ndarray:
+    f, b = np.maximum(f, MESSAGE_FLOOR), np.maximum(b, MESSAGE_FLOOR)
+    row_mass = w @ f
+    weighted = np.swapaxes(w[:, None] * f, -1, -2)
+    for _ in range(nit):
+        ratio = f @ theta
+        np.maximum(ratio, MESSAGE_FLOOR, out=ratio)
+        theta = _rescaled(theta, weighted @ np.divide(b, ratio, out=ratio), row_mass, live)
+    return theta
+
+
+def reference_var(theta, f, b, w, delta: float, live) -> np.ndarray:
+    raw = np.swapaxes(w[:, None] * f, -1, -2) @ b + delta * live
+    return _finish_rows(raw, live, live)
 
 
 def reference_normalize(values: np.ndarray, sum_slack: float) -> np.ndarray:

@@ -5,7 +5,7 @@
 
 Each argument is a directory that holds the ``normalgraph`` package, such as
 a checkout's ``src``.  For each side, the latent star graphs and the deep
-generative graph are saved and
+generative and learner graphs are saved and
 every command of ``COMMANDS`` runs in a fresh interpreter, with that
 directory alone on ``PYTHONPATH`` and a hash seed of its own (any
 ``PYTHONHASHSEED`` is dropped), inside a temporary directory of its own.
@@ -28,8 +28,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-# Saves the generative and the learner star and the deep generative graph
-# (seed 1), and names the package it ran.
+# Saves the generative and the learner star, the deep generative graph (seed
+# 1) and the deep learner graph, and names the package it ran.
 GRAPHS = """
 import normalgraph
 from normalgraph.experiments import build_deep_graph, build_latent_star, deep_generative_parameters
@@ -37,6 +37,7 @@ from normalgraph.graph import save_graph
 save_graph(build_latent_star(generative=True), "star_gen.json")
 save_graph(build_latent_star(), "star_learner.json")
 save_graph(build_deep_graph().with_parameters(deep_generative_parameters(seed=1)), "deep_gen.json")
+save_graph(build_deep_graph(), "deep_learner.json")
 print(normalgraph.__file__)
 """
 
@@ -54,6 +55,10 @@ COMMANDS = (
     ["generate", "--graph", "star_gen.json", "--n", "300", "--seed", "4", "--out", "star.csv"],
     # Both joins of the deep graph, at more than messages.COLUMN_ROWS samples.
     ["generate", "--graph", "deep_gen.json", "--n", "20000", "--out", "deep.csv"],
+    # Epoch 1 at 16 000 training rows that merge to 18: each unit trains
+    # alone, on gathered evidence ports and messages the kernels floor or not.
+    ["train", "--graph", "deep_learner.json", "--data", "deep.csv", "--algo", "all",
+     "--epochs", "3", "--split", "0.8", "--out", "deep_results.csv"],
     ["eval", "--graph", "star_gen.json", "--data", "star.csv"],
     ["eval", "--graph", "star_gen.json", "--data", "star.csv", "--split", "0.75",
      "--out", "star_eval.csv"],
