@@ -9,11 +9,13 @@ Four subcommands cover the full loop:
 * ``experiment`` runs one of the built-in studies end to end.
 
 Every handled error exits nonzero with a single categorized line on stderr.
+``main`` builds one parser per process, on its first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -237,10 +239,11 @@ _ERROR_CATEGORIES = (
     (OSError, "io"),
     (ValueError, "data"),
 )
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except tuple(t for t, _ in _ERROR_CATEGORIES) as error:

@@ -61,12 +61,12 @@ class InvalidIndex(GraphError):
     """A component index is outside its valid range."""
 
 
-def _frozen_array(values, shape_hint: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != len(shape_hint):
-        raise GraphError(f"expected a {len(shape_hint)}-d array for {shape_hint}")
+def _freeze(unit, field_name: str, ndim: int, owner: str) -> None:
+    arr = np.array(getattr(unit, field_name), dtype=np.float64)
+    if arr.ndim != ndim:
+        raise GraphError(f"{owner} must be {ndim}-d, got shape {arr.shape}")
     arr.setflags(write=False)
-    return arr
+    object.__setattr__(unit, field_name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +84,7 @@ class SisoBlock:
     trainable: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _frozen_array(self.theta, "lm"))
+        _freeze(self, "theta", 2, f"block {self.name!r}: matrix")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +97,7 @@ class SourceBlock:
     trainable: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "prior", _frozen_array(self.prior, "m"))
+        _freeze(self, "prior", 1, f"source {self.name!r}: prior")
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,8 @@ class DiverterNode:
 
 @dataclass(frozen=True, eq=False)
 class GraphSpec:
-    """Immutable description of a normal-form factor graph, checked when
-    built: construction raises GraphError listing every structural problem."""
+    """Immutable normal-form factor graph, checked when built: GraphError lists every
+    structural problem.  ``with_parameters`` checks only the parameters it swaps in."""
 
     variables: tuple[tuple[str, int], ...]
     sources: tuple[SourceBlock, ...] = ()
@@ -179,16 +179,23 @@ class GraphSpec:
         return tuple(units)
 
     def with_parameters(self, updates: Mapping[str, np.ndarray]) -> "GraphSpec":
-        """New graph with the named blocks' matrices / priors replaced."""
+        """This graph's structure with the named priors / matrices swapped in, checked alone."""
         missing = set(updates) - {unit.name for unit in (*self.sources, *self.blocks)}
         if missing:
             raise GraphError(f"no such blocks: {sorted(missing)}")
 
         def swap(units, field_name):
-            return tuple(replace(u, **{field_name: np.asarray(updates[u.name], dtype=np.float64)})
-                         if u.name in updates else u for u in units)
+            return tuple(replace(u, **{field_name: updates[u.name]}) if u.name in updates else u
+                         for u in units)
 
-        return replace(self, sources=swap(self.sources, "prior"), blocks=swap(self.blocks, "theta"))
+        graph = object.__new__(type(self))
+        graph.__dict__.update(vars(self), sources=swap(self.sources, "prior"),
+                              blocks=swap(self.blocks, "theta"))
+        problems = [problem for unit in (*graph.sources, *graph.blocks)
+                    if unit.name in updates and (problem := _parameter_problem(unit, self.sizes))]
+        if problems:
+            raise GraphError("; ".join(problems))
+        return graph
 
 
 def build_projector(sizes: Sequence[int], j: int) -> np.ndarray:
@@ -249,6 +256,28 @@ def _endpoints(graph: GraphSpec) -> tuple[dict[str, list], dict[str, list]]:
     return tails, heads
 
 
+def _parameter_problem(unit, sizes: Mapping[str, int]) -> str | None:
+    """A source's prior or block's matrix checked as construction checks it: its problem or None."""
+    if isinstance(unit, SourceBlock):
+        size = sizes.get(unit.variable)
+        if size is not None and unit.prior.shape != (size,):
+            return (f"source {unit.name!r} prior length {unit.prior.shape[0]} "
+                    f"does not match variable size {size}")
+        if size is not None and not is_normalized(unit.prior, STOCHASTIC_ATOL):
+            return f"source {unit.name!r} prior is not a distribution"
+        return None
+    if unit.from_var in sizes and unit.to_var in sizes:
+        want = (sizes[unit.from_var], sizes[unit.to_var])
+        if unit.theta.shape != want:
+            return (f"block {unit.name!r} matrix shape {unit.theta.shape} "
+                    f"does not match variable sizes {want}")
+    if np.any(~((unit.theta >= 0.0) & (unit.theta <= 1.0))):
+        return f"block {unit.name!r} matrix has entries outside [0, 1]"
+    if not is_normalized(unit.theta, STOCHASTIC_ATOL):
+        return f"block {unit.name!r} matrix rows do not sum to 1"
+    return None
+
+
 def _problems(graph: GraphSpec) -> list[str]:
     """Collect structural violations; an empty list means the graph is sound.
 
@@ -279,30 +308,8 @@ def _problems(graph: GraphSpec) -> list[str]:
                 problems += [f"{kinds[type(node)]} {node.name!r} references unknown variable {var!r}"
                              for node in nodes]
 
-    for src in graph.sources:
-        if src.variable not in sizes:
-            continue
-        if src.prior.shape != (sizes[src.variable],):
-            problems.append(
-                f"source {src.name!r} prior length {src.prior.shape[0]} "
-                f"does not match variable size {sizes[src.variable]}"
-            )
-        elif not is_normalized(src.prior, STOCHASTIC_ATOL):
-            problems.append(f"source {src.name!r} prior is not a distribution")
-
-    for blk in graph.blocks:
-        if blk.from_var in sizes and blk.to_var in sizes:
-            want = (sizes[blk.from_var], sizes[blk.to_var])
-            if blk.theta.shape != want:
-                problems.append(
-                    f"block {blk.name!r} matrix shape {blk.theta.shape} "
-                    f"does not match variable sizes {want}"
-                )
-                continue
-        if np.any(blk.theta < 0.0) or np.any(blk.theta > 1.0):
-            problems.append(f"block {blk.name!r} matrix has entries outside [0, 1]")
-        elif not is_normalized(blk.theta, STOCHASTIC_ATOL):
-            problems.append(f"block {blk.name!r} matrix rows do not sum to 1")
+    problems += [problem for unit in (*graph.sources, *graph.blocks)
+                 if (problem := _parameter_problem(unit, sizes))]
 
     for div in graph.diverters:
         label = f"diverter {div.name!r}"
@@ -580,9 +587,9 @@ def load_graph(path) -> GraphSpec:
 
 
 def save_graph(graph: GraphSpec, path) -> None:
+    text = json.dumps(graph_to_dict(graph), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(graph), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def graph_digest(graph: GraphSpec) -> str:

@@ -122,16 +122,21 @@ class Propagator:
             else:
                 rules[("B", var)] = ("product", None, self._other_entering(head, var))
 
-        # Deterministic topological order over message slots.
-        remaining = {slot: rule[2] for slot, rule in rules.items()}
-        order: list[tuple[str, str]] = []
-        while remaining:
-            ready = sorted(s for s, d in remaining.items() if all(x not in remaining for x in d))
-            if not ready:
-                raise GraphError("message schedule has a dependency cycle")
+        # Kahn's sort by in-degree, in rounds: the sorted slots whose inputs all came earlier.
+        consumers: dict[tuple[str, str], list] = {slot: [] for slot in rules}
+        for slot, (_, _, inputs) in rules.items():
+            for entering in inputs:
+                consumers[entering].append(slot)
+        waiting = {slot: len(rule[2]) for slot, rule in rules.items()}
+        order, ready = [], [slot for slot, count in waiting.items() if not count]
+        while ready:
+            order += sorted(ready)
             for slot in ready:
-                order.append(slot)
-                del remaining[slot]
+                for after in consumers[slot]:
+                    waiting[after] -= 1
+            ready = {after for slot in ready for after in consumers[slot] if not waiting[after]}
+        if len(order) < len(rules):
+            raise GraphError("message schedule has a dependency cycle")
         self._slots = tuple(rules)
         self._slot = {slot: k for k, slot in enumerate(self._slots)}
         self._steps = tuple((self._slot[slot], kind, name, tuple(self._slot[d] for d in inputs))

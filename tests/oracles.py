@@ -11,7 +11,9 @@ pieces, against which ``em_train``'s stacked epochs are checked,
 distribution row, against whose bits ``ancestral_sample`` is checked, and
 ``reference_ml``, ``reference_kl`` and ``reference_var``, the kernels that
 copy and weight their messages on every call, against whose bytes the
-learning kernels' copy-free paths are checked.
+learning kernels' copy-free paths are checked.  ``reference_schedule``
+orders the message slots by rescanning every remaining slot in each round;
+``Propagator``'s compiled schedule is checked against it.
 """
 
 from __future__ import annotations
@@ -376,3 +378,47 @@ def reference_ancestral_sample(graph: GraphSpec, n_samples: int, seed: int = 1) 
             symbols[variable] = draw(rows_of(variable),
                                      substream(seed, "draw", variable).uniform(size=n_samples))
     return SampleSet({v: symbols[v] for v in graph.sizes}, n_samples, seed)
+
+
+def reference_schedule(graph: GraphSpec) -> tuple[tuple, tuple, tuple]:
+    """``Propagator``'s ``(_slots, _steps, forward_order)`` by the quadratic
+    round-by-round scan: each round rescans every remaining message slot and
+    takes, sorted, those whose inputs are all scheduled already."""
+    tails, heads = _ends(graph)
+
+    def other_entering(div: DiverterNode, edge: str) -> tuple:
+        return tuple([("F", v) for v in div.inbound if v != edge]
+                     + [("B", v) for v in div.taps if v != edge])
+
+    rules = {}
+    for var, _ in graph.variables:
+        tail, head = tails.get(var), heads.get(var)
+        if tail is None:
+            rules[("F", var)] = ("evidence", None, ())
+        elif isinstance(tail, SourceBlock):
+            rules[("F", var)] = ("prior", tail.name, ())
+        elif isinstance(tail, SisoBlock):
+            rules[("F", var)] = ("siso_f", tail.name, (("F", tail.from_var),))
+        else:
+            rules[("F", var)] = ("product", None, other_entering(tail, var))
+        if head is None:
+            rules[("B", var)] = ("evidence", None, ())
+        elif isinstance(head, SisoBlock):
+            rules[("B", var)] = ("siso_b", head.name, (("B", head.to_var),))
+        else:
+            rules[("B", var)] = ("product", None, other_entering(head, var))
+
+    remaining = {slot: rule[2] for slot, rule in rules.items()}
+    order = []
+    while remaining:
+        ready = sorted(s for s, d in remaining.items() if all(x not in remaining for x in d))
+        if not ready:
+            raise ValueError("message schedule has a dependency cycle")
+        for slot in ready:
+            order.append(slot)
+            del remaining[slot]
+    slots = tuple(rules)
+    number = {slot: k for k, slot in enumerate(slots)}
+    steps = tuple((number[slot], kind, name, tuple(number[d] for d in inputs))
+                  for slot in order for kind, name, inputs in [rules[slot]] if kind != "evidence")
+    return slots, steps, tuple(var for direction, var in order if direction == "F")

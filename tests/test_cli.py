@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normalgraph
-from normalgraph.cli import main
+from normalgraph import cli
+from normalgraph.cli import build_parser, main
 from normalgraph.experiments import build_latent_star, load_samples, save_samples
 from normalgraph.graph import graph_to_dict, load_graph, save_graph
 from normalgraph.synthgen import ancestral_sample
@@ -426,6 +427,23 @@ class TestErrorReporting:
         assert err == [f"error: data: {SAMPLING_SETTINGS[flag]} must be nonnegative, got {value}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key, value, owner", [
+        ("blocks", "matrix", [0.5, 0.5], "block 'P_X1': matrix must be 2-d, got shape (2,)"),
+        ("sources", "prior", [[0.25] * 4], "source 'prior_S': prior must be 1-d, got shape (1, 4)"),
+        ("blocks", "matrix", [[0.5, 0.5]] * 3 + [[0.5, float("nan")]],
+         "block 'P_X1' matrix has entries outside [0, 1]"),
+    ])
+    def test_misshapen_parameter_names_its_owner(self, star_files, tmp_path, capsys, section,
+                                                 key, value, owner):
+        _, _, data = star_files
+        document = graph_to_dict(build_latent_star(generative=True))
+        document[section][0][key] = value
+        bad = tmp_path / "misshapen.json"
+        bad.write_text(json.dumps(document))
+        rc = main(["eval", "--graph", str(bad), "--data", str(data)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: graph: {owner}"]
+
     def test_contradiction_is_evidence(self, star_files, tmp_path, capsys):
         _, _, data = star_files
         dead_column = build_latent_star(generative=True).with_parameters(
@@ -622,3 +640,63 @@ class TestConsoleScript:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "generate" in proc.stdout and "experiment" in proc.stdout
+
+
+class TestInProcessCalls:
+    """``main`` keeps one parser for the process: a sequence of calls in one
+    interpreter, failing ones included, prints and writes what a fresh
+    ``python -m normalgraph`` prints and writes for each call."""
+
+    SEQUENCE = (
+        ["generate", "--graph", "gen.json", "--n", "120", "--seed", "3", "--out", "data.csv"],
+        ["train", "--graph", "learner.json", "--data", "data.csv", "--algo", "all",
+         "--epochs", "4", "--split", "0.75", "--out", "train.csv"],
+        ["eval", "--graph", "train.ml.learned.json", "--data", "data.csv", "--split", "0.75",
+         "--out", "eval.csv"],
+        ["train", "--graph", "learner.json", "--data", "data.csv", "--epochs", "x",
+         "--out", "never.csv"],
+        ["eval", "--graph", "gen.json", "--data", "bad.csv"],
+        ["train", "--graph", "learner.json", "--data", "data.csv", "--algo", "vit",
+         "--epochs", "3", "--out", "again.csv"],
+    )
+
+    @staticmethod
+    def prepare(directory: Path) -> None:
+        save_graph(build_latent_star(generative=True), directory / "gen.json")
+        save_graph(build_latent_star(), directory / "learner.json")
+        (directory / "bad.csv").write_text("X1,X2,X3\n9,1,1\n")
+
+    @staticmethod
+    def written(directory: Path) -> dict[str, list[str]]:
+        return {path.name: (drop_wall_column(path) if "wall_ms" in path.read_text()
+                            else path.read_text().splitlines())
+                for path in sorted(directory.iterdir())}
+
+    def test_calls_in_one_interpreter_match_fresh_ones(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        for directory in (here, fresh):
+            directory.mkdir()
+            self.prepare(directory)
+        monkeypatch.chdir(here)
+        printed_here = []
+        for argv in self.SEQUENCE:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as stop:
+                    code = stop.code
+            printed_here.append((code, out.getvalue(), err.getvalue()))
+        printed_fresh = []
+        for argv in self.SEQUENCE:
+            proc = subprocess.run([sys.executable, "-m", "normalgraph", *argv], cwd=fresh,
+                                  capture_output=True, text=True, env=package_env())
+            printed_fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [code for code, _, _ in printed_here] == [0, 0, 0, 2, 1, 0]
+        assert printed_here == printed_fresh
+        assert self.written(here) == self.written(fresh)
+
+    def test_build_parser_returns_a_new_parser_on_each_call(self):
+        assert build_parser() is not build_parser()
+        assert cli._parser() is cli._parser()

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normalgraph.experiments import build_deep_graph, build_latent_star
 from normalgraph.graph import (
@@ -168,6 +170,8 @@ class TestValidate:
         non_stochastic[0, 0] += 0.2
         out_of_range = np.array(star.blocks[2].theta)
         out_of_range[0] = [1.4, -0.2, -0.2]
+        not_a_number = np.array(star.blocks[1].theta)
+        not_a_number[2, 1] = np.nan
         extra_source = SourceBlock("extra", "X1", np.array([0.5, 0.5]))
         corruptions = [
             ("unknown variable 'NOPE'", lambda: with_block(0, from_var="NOPE")),
@@ -175,6 +179,8 @@ class TestValidate:
             ("multiple producers", lambda: replace(star, sources=star.sources + (extra_source,))),
             ("rows do not sum to 1", lambda: with_block(0, theta=non_stochastic)),
             (r"entries outside \[0, 1\]", lambda: with_block(2, theta=out_of_range)),
+            (r"'P_X2' matrix has entries outside \[0, 1\]",
+             lambda: with_block(1, theta=not_a_number)),
             ("prior length 2 does not match", lambda: replace(
                 star, sources=(SourceBlock("prior_S", "S0", np.array([0.5, 0.5])),))),
             ("replicas disagree on alphabet size", lambda: replace(
@@ -234,6 +240,92 @@ class TestValidate:
         star = build_latent_star()
         with pytest.raises(GraphError, match="block 'P_X1' matrix rows do not sum to 1"):
             star.with_parameters({"P_X1": np.full((4, 2), 0.4)})
+
+    @pytest.mark.parametrize("name, value, problem", [
+        ("P_X1", [0.5, 0.5], r"block 'P_X1': matrix must be 2-d, got shape \(2,\)"),
+        ("P_X1", np.full((1, 4, 2), 0.5),
+         r"block 'P_X1': matrix must be 2-d, got shape \(1, 4, 2\)"),
+        ("prior_S", [[0.25] * 4], r"source 'prior_S': prior must be 1-d, got shape \(1, 4\)"),
+    ])
+    def test_misshapen_parameter_names_its_owner(self, name, value, problem):
+        with pytest.raises(GraphError, match=problem):
+            build_latent_star().with_parameters({name: value})
+
+
+def built_with(graph: GraphSpec, updates: dict) -> GraphSpec:
+    """``graph`` built anew with the priors and matrices of ``updates``."""
+    sources = tuple(replace(s, prior=updates[s.name]) if s.name in updates else s
+                    for s in graph.sources)
+    blocks = tuple(replace(b, theta=updates[b.name]) if b.name in updates else b
+                   for b in graph.blocks)
+    return GraphSpec(graph.variables, sources, blocks, graph.diverters)
+
+
+def defective(value: np.ndarray, defect: str, rng: np.random.Generator) -> np.ndarray:
+    """A copy of a prior or matrix with one ``defect``; "valid" draws a new
+    row-stochastic one of the same shape."""
+    out = rng.uniform(0.05, 1.0, size=value.shape)
+    out /= out.sum(axis=-1, keepdims=True)
+    at = tuple(int(rng.integers(size)) for size in value.shape)
+    if defect == "negative entry":
+        out[at] = -rng.uniform(1e-9, 0.5)
+    elif defect == "entry above 1":
+        out[at] = 1.0 + rng.uniform(1e-9, 0.5)
+    elif defect == "NaN":
+        out[at] = np.nan
+    elif defect == "unnormalized rows":
+        out[at[:-1]] *= rng.choice([0.5, 0.999, 1.001, 2.0])
+    elif defect == "wrong length":
+        out = np.concatenate([out, out[:1]])
+    elif defect == "wrong shape":
+        out = [out.ravel(), out[..., None], out[..., :-1], out.T][int(rng.integers(4))]
+    return out
+
+
+class TestWithParametersChecksWhatConstructionChecks:
+    """``with_parameters`` checks only the swapped parameter, and accepts or
+    rejects it exactly as building the whole graph with it does."""
+
+    GRAPHS = {"deep": build_deep_graph(), "star": build_latent_star()}
+    DEFECTS = ["valid", "wrong shape", "negative entry", "entry above 1", "NaN",
+               "unnormalized rows", "wrong length"]
+
+    @given(graph_name=st.sampled_from(sorted(GRAPHS)), unit_index=st.integers(0, 20),
+           defect=st.sampled_from(DEFECTS), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict_and_message_as_construction(self, graph_name, unit_index, defect,
+                                                      seed):
+        graph = self.GRAPHS[graph_name]
+        units = (*graph.sources, *graph.blocks)
+        unit = units[unit_index % len(units)]
+        current = unit.prior if isinstance(unit, SourceBlock) else unit.theta
+        value = defective(current, defect, np.random.default_rng(seed))
+        try:
+            expected = built_with(graph, {unit.name: value})
+        except GraphError as error:
+            with pytest.raises(GraphError) as caught:
+                graph.with_parameters({unit.name: value})
+            assert str(caught.value) == str(error)
+            assert defect != "valid"
+        else:
+            swapped = graph.with_parameters({unit.name: value})
+            assert graph_digest(swapped) == graph_digest(expected)
+            assert swapped.variables == graph.variables and swapped.diverters == graph.diverters
+
+    def test_several_problems_are_listed_in_graph_order(self):
+        star = build_latent_star()
+        updates = {"P_X3": np.full((4, 3), 0.5), "prior_S": [0.5, 0.5]}
+        with pytest.raises(GraphError) as scratch:
+            built_with(star, updates)
+        with pytest.raises(GraphError) as swapped:
+            star.with_parameters(updates)
+        assert str(swapped.value) == str(scratch.value) == (
+            "source 'prior_S' prior length 2 does not match variable size 4; "
+            "block 'P_X3' matrix rows do not sum to 1")
+
+    def test_unknown_name_is_rejected(self):
+        with pytest.raises(GraphError, match=r"no such blocks: \['P_X9', 'nope'\]"):
+            build_latent_star().with_parameters({"nope": [1.0], "P_X9": [[1.0]], "P_X1": [1.0]})
 
 
 class TestSplitVariable:
@@ -378,6 +470,20 @@ class TestFileFormat:
         raw = json.loads(path.read_text())
         joins = [d for d in raw["diverters"] if isinstance(d["variable"], list)]
         assert len(joins) == 2
+
+    @pytest.mark.parametrize("section, value, problem", [
+        ("blocks", [0.5, 0.5], r"^block 'P_X1': matrix must be 2-d, got shape \(2,\)$"),
+        ("sources", [[0.25, 0.25, 0.25, 0.25]],
+         r"^source 'prior_S': prior must be 1-d, got shape \(1, 4\)$"),
+    ])
+    def test_misshapen_parameter_in_file_names_its_owner(self, tmp_path, section, value,
+                                                          problem):
+        document = graph_to_dict(build_latent_star(generative=True))
+        document[section][0]["matrix" if section == "blocks" else "prior"] = value
+        path = tmp_path / "misshapen.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(GraphError, match=problem):
+            load_graph(path)
 
     def test_malformed_variables_section(self):
         with pytest.raises(GraphError):

@@ -2,13 +2,15 @@
 
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import class_posteriors, flooding, random_bayes_tree, tree_posteriors
+from oracles import (class_posteriors, flooding, random_bayes_tree, reference_schedule,
+                     tree_posteriors)
 from normalgraph.experiments import (
     TREE_LEAF_CONDITIONALS,
     build_deep_graph,
@@ -287,6 +289,30 @@ class TestBatchingAndSchedules:
             else:
                 inputs = ()
             assert all(position[v] < position[var] for v in inputs), var
+
+    @staticmethod
+    def schedule_graphs():
+        """The study graphs, each also with its variables declared in reverse
+        and with every splittable variable split in turn, and 200 random
+        trees of up to 12 nodes."""
+        for graph in (build_latent_star(generative=True), build_latent_star(m_latent=7),
+                      build_deep_graph(), mini_join_graph()):
+            yield graph
+            yield replace(graph, variables=graph.variables[::-1])
+            taps = {tap for div in graph.diverters for tap in div.taps}
+            for var in graph.sizes:
+                if var not in taps:
+                    yield split_variable(graph, var)
+        for seed in range(200):
+            yield random_bayes_tree(np.random.default_rng(seed), max_nodes=12)[1]
+
+    def test_compiled_schedule_matches_the_round_by_round_scan(self):
+        """Kahn's rounds give the scan's slots, steps and forward order, so
+        ``ancestral_sample``, which draws in ``forward_order``, is unchanged."""
+        for graph in self.schedule_graphs():
+            compiled = Propagator(graph)
+            assert (compiled._slots, compiled._steps, compiled.forward_order) == \
+                reference_schedule(graph)
 
     def test_state_arrays_are_frozen(self):
         state = Propagator(identity_chain()).run()

@@ -10,16 +10,22 @@ every command of ``COMMANDS`` runs in a fresh interpreter, with that
 directory alone on ``PYTHONPATH`` and a hash seed of its own (any
 ``PYTHONHASHSEED`` is dropped), inside a temporary directory of its own.
 Given the same directory twice, it checks that the outputs do not change
-from one run to the next.
+from one run to the next.  Then each side runs the graphs and all of
+``COMMANDS`` once more in one interpreter, through ``cli.main``, inside a
+fresh temporary directory, so that state kept between calls in one process
+shows as a difference from that side's fresh-interpreter outputs.
 The ``wall_ms`` column of every CSV is dropped, found by its header name.
 Then each file and each command's printed output (with its exit status) is
 reported as ``identical``, or with the largest absolute and relative
-difference over its numbers.  Exits 0 only when everything is identical.
-Nothing is written outside the temporary directories.
+difference over its numbers: first parent against change, then each side
+in one interpreter against the same side in fresh ones.  Exits 0 only when
+everything is identical.  Nothing is written outside the temporary
+directories.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import re
@@ -66,6 +72,24 @@ COMMANDS = (
      "--epochs", "40", "--split", "0.75", "--dump-coefficients", "--out", "star_results.csv"],
 )
 
+# Runs GRAPHS, then every command of the argv list given as a JSON argument
+# through one cli.main, and prints a JSON list of [exit status, printed text].
+IN_ONE_INTERPRETER = """
+import contextlib, io, json, sys
+exec(compile(sys.argv[2], "<graphs>", "exec"))
+from normalgraph import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = cli.main(argv)
+        except SystemExit as stop:
+            status = stop.code
+    results.append([status, out.getvalue() + err.getvalue()])
+print(json.dumps(results))
+"""
+
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|[-+]?\binf\b|\bnan\b")
 
 
@@ -85,21 +109,53 @@ def without_wall_ms(text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_side(src: Path, workdir: Path) -> dict[str, str]:
-    """Every output of one side by name: what each command printed, then
-    the text of each file the commands wrote."""
+def side_env(src: Path) -> dict[str, str]:
     env = {**os.environ, "PYTHONPATH": str(src)}
     env.pop("PYTHONHASHSEED", None)
-    setup = subprocess.run([sys.executable, "-c", GRAPHS], cwd=workdir, env=env,
-                           capture_output=True, text=True)
-    if setup.returncode != 0 or not Path(setup.stdout.strip()).is_relative_to(src):
-        raise SystemExit(f"cannot run normalgraph from {src}:\n{setup.stdout}{setup.stderr}")
+    return env
+
+
+def checked_package(src: Path, done: subprocess.CompletedProcess) -> str:
+    """The output of a run whose first printed line names the package it
+    imported; exits when that run failed or imported another package."""
+    package, _, rest = done.stdout.partition("\n")
+    if done.returncode != 0 or not Path(package).is_relative_to(src):
+        raise SystemExit(f"cannot run normalgraph from {src}:\n{done.stdout}{done.stderr}")
+    return rest
+
+
+def run_side(src: Path, workdir: Path) -> dict[str, str]:
+    """Every output of one side by name, each command in a fresh
+    interpreter: what each command printed, then the text of each file the
+    commands wrote."""
+    env = side_env(src)
+    checked_package(src, subprocess.run([sys.executable, "-c", GRAPHS], cwd=workdir, env=env,
+                                        capture_output=True, text=True))
     outputs = {}
     for argv in COMMANDS:
         done = subprocess.run([sys.executable, "-m", "normalgraph", *argv], cwd=workdir, env=env,
                               capture_output=True, text=True)
         outputs["$ normalgraph " + " ".join(argv)] = (
             f"exit {done.returncode}\n{done.stdout}{done.stderr}")
+    return outputs | written(workdir)
+
+
+def run_side_in_one_interpreter(src: Path, workdir: Path) -> dict[str, str]:
+    """``run_side``'s outputs with the graphs and every command run in one
+    interpreter, the commands through ``cli.main``."""
+    done = subprocess.run([sys.executable, "-c", IN_ONE_INTERPRETER,
+                           json.dumps([list(argv) for argv in COMMANDS]), GRAPHS],
+                          cwd=workdir, env=side_env(src), capture_output=True, text=True)
+    results = json.loads(checked_package(src, done))
+    outputs = {"$ normalgraph " + " ".join(argv): f"exit {status}\n{printed}"
+               for argv, (status, printed) in zip(COMMANDS, results)}
+    return outputs | written(workdir)
+
+
+def written(workdir: Path) -> dict[str, str]:
+    """The text of each file under ``workdir`` by relative path, CSVs
+    without their ``wall_ms`` column."""
+    outputs = {}
     for path in sorted(p for p in workdir.rglob("*") if p.is_file()):
         text = path.read_text()
         outputs[str(path.relative_to(workdir))] = (
@@ -127,22 +183,35 @@ def difference(parent: str, change: str) -> str:
     return f"differs: max abs {worst_abs:.3g}, max rel {worst_rel:.3g}"
 
 
+def report(a: dict[str, str], b: dict[str, str], a_name: str, b_name: str,
+           prefix: str = "") -> bool:
+    """Print how every output of ``a`` and ``b`` compares; True when all
+    are identical."""
+    same = True
+    for name in [*a, *(k for k in b if k not in a)]:
+        if name not in b or name not in a:
+            status = "only in " + (a_name if name in a else b_name)
+        else:
+            status = difference(a[name], b[name])
+        same = same and status == "identical"
+        print(f"{status}: {prefix}{name}")
+    return same
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    parent_src, change_src = (Path(arg).resolve() for arg in argv)
-    with tempfile.TemporaryDirectory() as parent_dir, tempfile.TemporaryDirectory() as change_dir:
-        parent = run_side(parent_src, Path(parent_dir))
-        change = run_side(change_src, Path(change_dir))
-    same = True
-    for name in [*parent, *(k for k in change if k not in parent)]:
-        if name not in change or name not in parent:
-            status = "only in " + ("parent" if name in parent else "change")
-        else:
-            status = difference(parent[name], change[name])
-        same = same and status == "identical"
-        print(f"{status}: {name}")
+    sources = {"parent": Path(argv[0]).resolve(), "change": Path(argv[1]).resolve()}
+    fresh, once = {}, {}
+    for runs, run in ((fresh, run_side), (once, run_side_in_one_interpreter)):
+        for side, src in sources.items():
+            with tempfile.TemporaryDirectory() as workdir:
+                runs[side] = run(src, Path(workdir))
+    same = report(fresh["parent"], fresh["change"], "parent", "change")
+    for side in sources:
+        same = report(fresh[side], once[side], "fresh interpreters", "one interpreter",
+                      f"{side} in one interpreter: ") and same
     print("all identical" if same else "DIFFERENT")
     return 0 if same else 1
 
