@@ -20,8 +20,8 @@ what they read: ml and kl floor a copy of a message only when it has an
 entry below MESSAGE_FLOOR, and kl and var skip the multiply by weights that
 are all 1.0, as in em_train's first epoch.  ``em_train`` runs the
 expectation-maximization loop over a whole graph; each of its epochs
-(``propagation._Epochs.step``) updates every block through the rule's
-kernel, then propagates all samples and scores them.
+(``_Epochs.step``) updates every block through the rule's kernel, then
+propagates all samples and scores them.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .graph import GraphSpec
+from .graph import GraphSpec, SourceBlock
 from .messages import _first_peak, _require_delta, normalize
-from .propagation import Propagator, _Epochs
+from .propagation import ContradictoryEvidence, Propagator, _log_overlap
 
 __all__ = [
     "BlockDataset",
@@ -113,11 +113,26 @@ def _bilinear(f: np.ndarray, theta: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...nm,...nm->...n", f @ theta, b)
 
 
+def _checked(theta, data: BlockDataset, rule: str = "ml") -> np.ndarray | None:
+    """``theta`` as a float matrix of ``data``'s (L, M) shape with finite, nonnegative
+    entries, or None where ``rule`` ignores it (vit, var); anything else: ValueError."""
+    if theta is None and rule in ("vit", "var"):
+        return None
+    arr = np.asarray(theta, dtype=np.float64)
+    expected = (data.forward.shape[1], data.backward.shape[1])
+    if arr.shape != expected:  # None reads as a 0-d NaN
+        got = None if theta is None else arr.shape
+        raise ValueError(f"theta must have shape {expected}, got {got}")
+    if not np.all((arr >= 0.0) & (arr < np.inf)):
+        raise ValueError("theta entries must be finite and nonnegative")
+    return arr
+
+
 def block_log_likelihood(theta: np.ndarray, data: BlockDataset) -> float:
     """Masked log-likelihood of one block against its incident messages:
     the sum of log f' theta b over the samples ``data.mask`` selects, or
     -inf if any of them scores zero."""
-    scores = _bilinear(data.forward, np.asarray(theta, dtype=np.float64), data.backward)
+    scores = _bilinear(data.forward, _checked(theta, data), data.backward)
     sel = data.mask > 0
     if np.any(scores[sel] <= 0.0):
         return float("-inf")
@@ -200,6 +215,14 @@ def _rule(cfg: "TrainConfig"):
             "var": (_var, cfg.delta)}[cfg.algorithm]
 
 
+def _unit(kernel, setting, shape, theta, f, b, w) -> np.ndarray:
+    """``kernel`` on one (L, M) unit, unpadded: ``theta`` (or None), and (n, L)
+    and (n, M) port messages, each an array or its draw, made here so that
+    the kernel holds the only reference."""
+    theta = None if theta is None else theta.reshape(1, *shape)
+    return kernel(theta, _drawn(f)[None], _drawn(b)[None], w, setting, np.ones((1, *shape)))[0]
+
+
 def ml_update(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
     """One multiplicative likelihood-ascent step.
 
@@ -249,7 +272,7 @@ def generalized_divergence(theta: np.ndarray, data: BlockDataset) -> float:
     sum_m b(m) log(b(m) / q(m)) + sum_m q(m).  It is the objective that
     kl_update descends; on row-stochastic theta the regularizer is constant.
     """
-    theta = np.asarray(theta, dtype=np.float64)
+    theta = _checked(theta, data)
     f, b = _floored(data.forward), _floored(data.backward)
     predicted = f @ theta
     if np.any((b > 0) & (predicted == 0.0) & (data.mask[:, None] > 0)):
@@ -266,7 +289,7 @@ def kkt_multipliers(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
     nonnegative and vanish on the support of theta (complementary
     slackness), which is what the stationarity tests check.
     """
-    theta = np.asarray(theta, dtype=np.float64)
+    theta = _checked(theta, data)
     f, b = _floored(data.forward), _floored(data.backward)
     return (data.mask @ f)[:, None] - _pair_mass(theta, f, b, data.mask)
 
@@ -280,10 +303,9 @@ def train_block(theta: np.ndarray, data: BlockDataset, cfg: "TrainConfig") -> np
     var) ignore it, and it may be None.  The rule's kernel sees the block
     as a stack of one unit without padding.
     """
-    kernel, setting = _rule(cfg)
-    f, b = data.forward[None], data.backward[None]
-    theta = None if theta is None else np.asarray(theta, dtype=np.float64)[None]
-    return kernel(theta, f, b, data.mask, setting, np.ones((1, f.shape[2], b.shape[2])))[0]
+    shape = (data.forward.shape[1], data.backward.shape[1])
+    theta = _checked(theta, data, cfg.algorithm)
+    return _unit(*_rule(cfg), shape, theta, data.forward, data.backward, data.mask)
 
 
 @dataclass
@@ -343,46 +365,111 @@ class TrainReport:
         return self.records[-1].test_loglik if self.records else float("nan")
 
 
+# Every trainable unit goes into one zero-padded M-step call while the
+# stacked messages hold at most this many entries, U n (L_max + M_max);
+# above it each unit trains alone, unpadded.  On the deep graph (U = 8,
+# L_max + M_max = 16) stacking is faster for every rule up to n = 256 rows,
+# ties or loses at 384-512 and is slower from n = 768 on.
+STACK_ENTRIES = 32768
+
+
+class _Epochs:
+    """``em_train``'s epochs on a graph's ``units``, with ``cfg``'s rule bound
+    once and the evidence encoded on its ``Propagator.distinct_rows``, so that
+    each propagation runs once per distinct row.  Unit u trains an (L_u, M_u)
+    matrix (a source's prior as a 1 x M row with input 1) on its (n, L_u)
+    forward and (n, M_u) backward port messages by ``kernel(theta, f, b,
+    weights, setting, live)``; all units of an epoch read the same messages.
+    The first M-step reads ``initial_state``'s random start from ``rng``,
+    weighted by ones, at the ports and training rows (``mask`` > 0) only; each
+    port slot is drawn with its bits, or gathered from its distinct rows'
+    evidence factor, just before its unit's kernel call or the one stacked
+    call, and is not kept after it.  Each later M-step reads the propagation
+    of the last parameters, weighting each distinct row by its count of
+    training samples.  At ``cfg.nit`` = 1 an ml epoch is an EM step, so the
+    training joint never falls; at more, each unit climbs its own likelihood
+    as if no other moved, and the joint can fall."""
+
+    def __init__(self, propagator: Propagator, evidence: Mapping, mask: np.ndarray | None, rng,
+                 units, terminals, cfg: TrainConfig):
+        factors, n, inverse = propagator._evidence_factors(
+            evidence, None if mask is None else len(mask), merge=True)
+        self._propagator, self._evidence, self._factors = propagator, evidence, factors
+        self._n_samples, self._rule = n, _rule(cfg)
+        slot = propagator._slot
+        self._ports = [(None, slot[("B", u.variable)]) if isinstance(u, SourceBlock)
+                       else (slot[("F", u.from_var)], slot[("B", u.to_var)]) for u in units]
+        self._scored = [(slot[("F", v)], slot[("B", v)]) for v in terminals]
+        shapes = [u.prior.shape if isinstance(u, SourceBlock) else u.theta.shape for u in units]
+        self.parameters = {u.name: np.full(s, 1.0 / s[-1]) for u, s in zip(units, shapes)}
+        self._params = {**propagator._parameters(), **self.parameters}
+        self._shapes = [(1, *s) if len(s) == 1 else s for s in shapes]
+        self._live = np.zeros((len(units), *np.max([(1, 1), *self._shapes], axis=0)))
+        for u, (l, m) in enumerate(self._shapes):  # 1.0 on each unit's real entries
+            self._live[u, :l, :m] = 1.0
+        mask = np.ones(n) if mask is None else mask
+        keep = None if mask.all() else mask > 0  # the rows the first M-step reads
+        self._msgs = propagator._start(factors, n, rng, {k for u in self._ports for k in u},
+                                       keep, inverse)
+        self._weights = np.ones(np.count_nonzero(mask))
+        self._train = np.bincount(inverse, weights=mask > 0)
+        test = np.bincount(inverse, weights=mask <= 0)
+        self._splits = (self._train, test) if test.any() else (self._train,)
+
+    def step(self) -> tuple[dict, float, float]:
+        """One epoch: the M-step on all units in one zero-padded stack within
+        ``STACK_ENTRIES``, else one unpadded unit per call, then propagation.
+        Returns the new parameters by unit name and the terminals'
+        ``aggregated_log_likelihood`` under them on the training rows and on
+        the held-out rows (the training score when none is held out)."""
+        (kernel, setting), weights = self._rule, self._weights
+        live, msgs, n = self._live, self._msgs, len(weights)
+        units = zip(self._ports, self._shapes, self.parameters.values())
+        if len(live) > 1 and len(live) * n * sum(live.shape[1:]) <= STACK_ENTRIES:
+            msgs = [_drawn(msg) for msg in msgs]  # epoch 1: every draw, in slot order
+            theta = np.zeros(live.shape)
+            f, b = np.zeros((len(live), n, live.shape[1])), np.zeros((len(live), n, live.shape[2]))
+            for u, ((kf, kb), (l, m), p) in enumerate(units):
+                theta[u, :l, :m], b[u, :, :m] = p, msgs[kb]
+                f[u, :, :l] = 1.0 if kf is None else msgs[kf]
+            trained = kernel(theta, f, b, weights, setting, live)
+        else:
+            trained = [_unit(kernel, setting, shape, p, np.ones((n, 1)) if kf is None else msgs[kf],
+                             msgs[kb], weights) for (kf, kb), shape, p in units]
+        updates = {name: theta[:l, :m].reshape(p.shape) for (name, p), theta, (l, m)
+                   in zip(self.parameters.items(), trained, self._shapes)}
+        self.parameters.update(updates)
+        self._params.update(updates)
+        try:
+            msgs = self._propagator._pass(self._factors, self._params, len(self._train))
+        except ContradictoryEvidence:
+            if len(self._train) < self._n_samples:  # name the samples, not the merged rows
+                factors = self._propagator._evidence_factors(self._evidence, self._n_samples)[0]
+                self._propagator._pass(factors, self._params, self._n_samples)
+            raise
+        self._msgs, self._weights = msgs, self._train
+        overlaps = [np.sum(msgs[f] * msgs[b], axis=-1) for f, b in self._scored]
+        scores = [_log_overlap(overlaps, w) for w in self._splits]
+        return updates, scores[0], scores[-1]
+
+
+def _drawn(msg):
+    """A slot's array: ``msg``, or the draw ``Propagator._start`` left there, made now."""
+    return msg() if callable(msg) else msg
+
+
 def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
              cfg: TrainConfig, mask: np.ndarray | None = None) -> TrainReport:
-    """Expectation-maximization over all trainable blocks of a graph.
+    """Expectation-maximization over all trainable blocks of ``graph``.
 
-    Parameters
-    ----------
-    graph:
-        Graph to train; trainable matrices and priors are reinitialized to
-        uniform rows before the first epoch, so their stored values only
-        provide shapes.
-    samples:
-        Mapping from terminal variable name to its evidence: any evidence
-        ``Propagator.run`` accepts, which fixes the sample count N.
-    cfg:
-        Algorithm and schedule.  ``cfg.seed`` drives the random initial
-        messages that break the label symmetry of the latent variables.
-    mask:
-        Optional 0/1 array of length N selecting the training samples; for
-        N > 0 it must select at least one.  Unselected samples still
-        propagate and are scored as the test set.
-
-    The first M-step consumes the random start of ``Propagator.initial_state``
-    with ``rng=np.random.default_rng(cfg.seed)``, of which only the slots it
-    reads are drawn, at the training samples' rows only: the other draws are
-    skipped in the stream, and no held-out sample is read; a unit's slots
-    are drawn, with those bits, just before it trains or its stack does, and
-    its evidence ports are gathered then from the factors of the distinct
-    rows, so that no symbol column is one-hot encoded per sample.  Each
-    subsequent epoch consumes the exact propagation of the previous
-    epoch's parameters, and the per-epoch log-likelihoods are measured
-    after the update.  All blocks within an epoch see the same frozen
-    message snapshot.  With ``cfg.nit`` = 1 an ml epoch is an EM step, so
-    the joint likelihood of the training samples never falls; with more
-    steps every block climbs its own likelihood as if no other block moved,
-    and the joint can fall.  Samples with the same hard evidence get the same
-    messages, so every propagation runs once per distinct evidence row
-    (``Propagator.distinct_rows``).  ``propagation._Epochs`` owns the
-    epochs: the rule's kernel, bound once; the weights, ones over the
-    training rows for the first M-step and each row's count of training
-    samples after it; and both scores, from one set of terminal overlaps.
+    Trainable matrices and priors restart from uniform rows, so their stored
+    values give only shapes.  ``samples`` maps each terminal to any evidence
+    ``Propagator.run`` accepts, which fixes the sample count N.  ``cfg.seed``
+    draws the random start that breaks the label symmetry of the latent
+    variables.  ``mask``, an optional 0/1 array of length N, selects the
+    training samples, at least one for N > 0; the others still propagate
+    and are scored as the test set.  ``_Epochs`` runs the epochs; each
+    record holds the log-likelihoods measured after its epoch's update.
     """
     terminals = tuple(samples.keys())
     if not terminals:
@@ -394,7 +481,7 @@ def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
         if mask.size and not mask.any():
             raise ValueError("mask selects no training sample")
     epochs = _Epochs(Propagator(graph), samples, mask, np.random.default_rng(cfg.seed),
-                     graph.trainable_units(), terminals, *_rule(cfg))
+                     graph.trainable_units(), terminals, cfg)
 
     records: list[EpochRecord] = []
     previous_ll = None

@@ -91,6 +91,10 @@ class Propagator:
     Messages ("F"|"B", variable) are numbered in declaration order;
     ``forward_order`` lists every variable after the inputs of its
     producer.
+
+    Training (``learning._Epochs``) calls ``_evidence_factors(merge=True)``,
+    ``_start``, ``_pass``, ``_slot``, ``_parameters`` and no other member,
+    and this module's ``_log_overlap``.
     """
 
     def __init__(self, graph: GraphSpec):
@@ -298,7 +302,7 @@ class Propagator:
         for each variable v in turn, and ``rng`` is left after the last."""
         factors, n, _ = self._evidence_factors(evidence, n_samples)
         draws = self._start(factors, n, rng, range(len(self._slots)))
-        return self._to_state([_drawn(msg) for msg in draws], n)
+        return self._to_state([draw() if callable(draw) else draw for draw in draws], n)
 
     def _start(self, factors: list, n: int, rng, slots, keep=None, rows=None) -> list:
         """``initial_state`` by slot number, with a draw at each slot in ``slots``
@@ -337,97 +341,6 @@ class Propagator:
             arr.setflags(write=False)
             (forward if direction == "F" else backward)[var] = arr
         return MessageState(forward=forward, backward=backward, n_samples=n)
-
-
-# Every trainable unit goes into one zero-padded M-step call while the
-# stacked messages hold at most this many entries, U n (L_max + M_max);
-# above it each unit trains alone, unpadded.  On the deep graph (U = 8,
-# L_max + M_max = 16) stacking is faster for every rule up to n = 256 rows,
-# ties or loses at 384-512 and is slower from n = 768 on.
-STACK_ENTRIES = 32768
-
-
-class _Epochs:
-    """``em_train``'s epochs, the evidence encoded on its ``distinct_rows`` and
-    the rule bound once.  Unit u trains an (L_u, M_u) matrix (a source's prior
-    as a 1 x M row with input 1) on its (n, L_u) forward and (n, M_u) backward
-    port messages by ``kernel(theta, f, b, weights, setting, live)``: first on
-    the random start of ``initial_state``, drawn at the ports and training rows
-    (``mask`` > 0) only, weighted by ones, then on the propagation of the
-    distinct rows, weighted by each row's count of training samples.  Each
-    port slot of the start is drawn with ``initial_state``'s bits, or gathered
-    from its distinct rows' evidence factor, just before its unit's kernel
-    call, or before the one stacked call, and is not kept after it."""
-
-    def __init__(self, propagator: Propagator, evidence: Mapping, mask: np.ndarray | None, rng,
-                 units, terminals, kernel, setting):
-        factors, n, inverse = propagator._evidence_factors(
-            evidence, None if mask is None else len(mask), merge=True)
-        self._propagator, self._evidence, self._n_samples = propagator, evidence, n
-        self._kernel, self._setting = kernel, setting
-        slot = propagator._slot
-        self._ports = [(None, slot[("B", u.variable)]) if isinstance(u, SourceBlock)
-                       else (slot[("F", u.from_var)], slot[("B", u.to_var)]) for u in units]
-        self._scored = [(slot[("F", v)], slot[("B", v)]) for v in terminals]
-        shapes = [u.prior.shape if isinstance(u, SourceBlock) else u.theta.shape for u in units]
-        self.parameters = {u.name: np.full(s, 1.0 / s[-1]) for u, s in zip(units, shapes)}
-        self._params = {**propagator._parameters(), **self.parameters}
-        self._shapes = [(1, *s) if len(s) == 1 else s for s in shapes]
-        self._live = np.zeros((len(units), *np.max([(1, 1), *self._shapes], axis=0)))
-        for u, (l, m) in enumerate(self._shapes):  # 1.0 on each unit's real entries
-            self._live[u, :l, :m] = 1.0
-        mask = np.ones(n) if mask is None else mask
-        keep = None if mask.all() else mask > 0  # the rows the first M-step reads
-        ports = {k for u in self._ports for k in u}
-        self._msgs = propagator._start(factors, n, rng, ports, keep, inverse)
-        self._weights = np.ones(np.count_nonzero(mask))
-        self._train = np.bincount(inverse, weights=mask > 0)
-        test = np.bincount(inverse, weights=mask <= 0)
-        self._splits = (self._train, test) if test.any() else (self._train,)
-        self._factors = factors
-
-    def step(self) -> tuple[dict, float, float]:
-        """One epoch: the M-step on all units in one zero-padded stack within
-        ``STACK_ENTRIES``, else one unpadded unit per call, then propagation.
-        Returns the new parameters by unit name and the terminals'
-        ``aggregated_log_likelihood`` under them on the training rows and on
-        the held-out rows (the training score when none is held out)."""
-        kernel, setting, weights = self._kernel, self._setting, self._weights
-        live, msgs, n = self._live, self._msgs, len(weights)
-        units = zip(self._ports, self._shapes, self.parameters.values())
-        if len(live) > 1 and len(live) * n * sum(live.shape[1:]) <= STACK_ENTRIES:
-            msgs = [_drawn(msg) for msg in msgs]  # epoch 1: every draw, in slot order
-            theta = np.zeros(live.shape)
-            f, b = np.zeros((len(live), n, live.shape[1])), np.zeros((len(live), n, live.shape[2]))
-            for u, ((kf, kb), (l, m), p) in enumerate(units):
-                theta[u, :l, :m], b[u, :, :m] = p, msgs[kb]
-                f[u, :, :l] = 1.0 if kf is None else msgs[kf]
-            trained = kernel(theta, f, b, weights, setting, live)
-        else:
-            trained = [kernel(p.reshape(1, l, m), np.ones((1, n, 1)) if kf is None
-                              else _drawn(msgs[kf])[None], _drawn(msgs[kb])[None],
-                              weights, setting, np.ones((1, l, m)))[0]
-                       for (kf, kb), (l, m), p in units]
-        updates = {name: theta[:l, :m].reshape(p.shape) for (name, p), theta, (l, m)
-                   in zip(self.parameters.items(), trained, self._shapes)}
-        self.parameters.update(updates)
-        self._params.update(updates)
-        try:
-            msgs = self._propagator._pass(self._factors, self._params, len(self._train))
-        except ContradictoryEvidence:
-            if len(self._train) < self._n_samples:  # name the samples, not the merged rows
-                factors = self._propagator._evidence_factors(self._evidence, self._n_samples)[0]
-                self._propagator._pass(factors, self._params, self._n_samples)
-            raise
-        self._msgs, self._weights = msgs, self._train
-        overlaps = [np.sum(msgs[f] * msgs[b], axis=-1) for f, b in self._scored]
-        scores = [_log_overlap(overlaps, w) for w in self._splits]
-        return updates, scores[0], scores[-1]
-
-
-def _drawn(msg):
-    """A message slot's array: ``msg`` itself, or the draw ``_start`` left there, made now."""
-    return msg() if callable(msg) else msg
 
 
 def _is_symbol_column(arr: np.ndarray) -> bool:

@@ -604,6 +604,13 @@ class TestPublicNames:
         missing = [name for name in namespace.__all__ if not hasattr(namespace, name)]
         assert missing == []
 
+    def test_propagation_holds_no_training_loop(self):
+        """The EM epochs, their stacking bound and their port reader live in
+        ``learning``; ``propagation`` is inference only."""
+        namespace = importlib.import_module("normalgraph.propagation")
+        for name in ("_Epochs", "STACK_ENTRIES", "_drawn"):
+            assert not hasattr(namespace, name), name
+
     def test_synthgen_imports_no_learning_rule(self):
         code = "import sys, normalgraph.synthgen; sys.exit('normalgraph.learning' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -1,5 +1,6 @@
 """Unit tests for the four block-update rules and the EM driver."""
 
+import re
 import sys
 import tracemalloc
 
@@ -328,6 +329,62 @@ class TestTrainBlock:
         theta = self.PUBLIC_RULES[rule](BlockDataset(f, b, mask=[0.0, 2.5, 1e-3]))
         assert np.all(np.isfinite(theta)) and np.all(theta >= 0.0)
         np.testing.assert_allclose(theta.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+class TestThetaBoundary:
+    """Every public function that takes a block matrix checks it against its
+    dataset (here L = 2, M = 3): anything but an (L, M) matrix of finite,
+    nonnegative entries raises one ValueError, and so does None under ml
+    and kl.  A NaN matrix made ml_update return NaN rows, and a wrongly
+    shaped one let numpy's matmul error escape."""
+
+    DATA = BlockDataset(forward=np.full((3, 2), 0.5), backward=np.full((3, 3), 1 / 3))
+    FUNCTIONS = {
+        "train_block ml": lambda theta, data: train_block(theta, data, TrainConfig("ml")),
+        "train_block kl": lambda theta, data: train_block(theta, data, TrainConfig("kl")),
+        "train_block vit": lambda theta, data: train_block(theta, data, TrainConfig("vit")),
+        "train_block var": lambda theta, data: train_block(theta, data, TrainConfig("var")),
+        "ml_update": ml_update,
+        "kl_update": kl_update,
+        "block_log_likelihood": block_log_likelihood,
+        "kkt_multipliers": kkt_multipliers,
+        "generalized_divergence": generalized_divergence,
+    }
+    SHAPES = {"(3, 3)": np.full((3, 3), 1 / 3), "(3,)": np.full(3, 1 / 3),
+              "(3, 2)": np.full((3, 2), 0.5), "(1, 2, 3)": np.full((1, 2, 3), 1 / 3)}
+    ENTRIES = {"NaN": np.full((2, 3), np.nan), "inf": [[np.inf, 0, 0], [0.5, 0.5, 0]],
+               "-inf": [[-np.inf, 1, 0], [0.5, 0.5, 0]], "negative": [[1.5, -0.5, 0], [1, 0, 0]]}
+
+    @pytest.mark.parametrize("function", FUNCTIONS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_wrong_shape_names_both_shapes(self, function, shape):
+        with pytest.raises(ValueError, match=rf"theta must have shape \(2, 3\), got "
+                                             rf"{re.escape(shape)}$"):
+            self.FUNCTIONS[function](self.SHAPES[shape], self.DATA)
+
+    @pytest.mark.parametrize("function", FUNCTIONS)
+    @pytest.mark.parametrize("entries", ENTRIES)
+    def test_non_finite_or_negative_entries(self, function, entries):
+        with pytest.raises(ValueError, match="theta entries must be finite and nonnegative"):
+            self.FUNCTIONS[function](self.ENTRIES[entries], self.DATA)
+
+    @pytest.mark.parametrize("function", [name for name in FUNCTIONS
+                                          if name not in ("train_block vit", "train_block var")])
+    def test_none_is_refused_where_theta_is_read(self, function):
+        with pytest.raises(ValueError, match=r"theta must have shape \(2, 3\), got None$"):
+            self.FUNCTIONS[function](None, self.DATA)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_the_epoch_loop_checks_no_theta(self, monkeypatch, algorithm):
+        """em_train's epochs call the kernels directly: no theta is checked."""
+        checked, calls = learning._checked, []
+        monkeypatch.setattr(learning, "_checked", lambda *args: calls.append(1) or checked(*args))
+        learner, generative = study_graphs("deep", seed=1)
+        evidence = ancestral_sample(generative, 300, seed=1).terminal_evidence(("X1", "X2", "X3"))
+        em_train(learner, evidence, TrainConfig(algorithm, epochs=3, seed=1))
+        assert calls == []
+        train_block(np.full((2, 3), 1 / 3), self.DATA, TrainConfig(algorithm))
+        assert calls == [1]  # the counter is live
 
 
 class TestTrainConfig:
@@ -1062,8 +1119,8 @@ class TestDrawOrder:
 
         monkeypatch.setattr(learning, "_var", logging)
         rng = RecordingGenerator(learner, n, seed=3, log=log)
-        epochs = propagation._Epochs(Propagator(learner), evidence, mask, rng, units,
-                                     tuple(evidence), *learning._rule(TrainConfig("var")))
+        epochs = learning._Epochs(Propagator(learner), evidence, mask, rng, units,
+                                  tuple(evidence), TrainConfig("var"))
         for _ in range(2):
             epochs.step()
         ends = open_ends(learner)
@@ -1343,7 +1400,7 @@ class TestStackedEpochs:
         """A per-sample start above STACK_ENTRIES trains one unit per
         call; the distinct rows after it fit in one stacked call."""
         learner, generative = study_graphs("deep", seed=1)
-        n = propagation.STACK_ENTRIES // (8 * 16) + 1
+        n = learning.STACK_ENTRIES // (8 * 16) + 1
         evidence = ancestral_sample(generative, n, seed=1).terminal_evidence(("X1", "X2", "X3"))
         calls = []
         kernel = learning._var

@@ -28,7 +28,7 @@ from normalgraph.graph import (
     split_variable,
 )
 from normalgraph.learning import BlockDataset, TrainConfig, block_log_likelihood, em_train
-from normalgraph import messages, propagation
+from normalgraph import learning, messages, propagation
 from normalgraph.messages import COLUMN_ROWS, hadamard_posterior, one_hot
 from normalgraph.propagation import (
     ContradictoryEvidence,
@@ -755,14 +755,14 @@ class TestLibraryContract:
             assert np.isfinite(score) or score == -np.inf, score
 
         epochs_begun = []
-        step = propagation._Epochs.step
+        step = learning._Epochs.step
 
         def watched(epochs):
             epochs_begun.append(True)
             return step(epochs)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(propagation._Epochs, "step", watched)
+            patch.setattr(learning._Epochs, "step", watched)
             try:
                 report = em_train(graph, evidence, TrainConfig(algorithm, epochs=2, seed=1), mask)
             except ContradictoryEvidence:
