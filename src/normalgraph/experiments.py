@@ -352,37 +352,41 @@ def save_samples(samples: SampleSet, path, graph: GraphSpec | None = None,
     meta = {"seed": samples.seed}
     if graph is not None:
         meta["graph"] = graph_digest(graph)
-    table = []
-    for row in np.stack([samples.columns[v] for v in names], axis=1):
-        table.append([int(x) + 1 for x in row])
-    write_csv(path, names, table, meta)
+    stacked = np.stack([samples.columns[v] for v in names], axis=1)
+    write_csv(path, names, (stacked.astype(np.int64, copy=False) + 1).tolist(), meta)
 
 
 def load_samples(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Read a dataset CSV back into 0-based evidence columns plus metadata."""
     meta: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = []
-        header: list[str] | None = None
-        for number, line in enumerate(fh, 1):
+    at = 0  # the file line last read
+    def body(fh):
+        nonlocal at
+        for at, line in enumerate(fh, 1):
             line = line.rstrip("\n")
-            if not line:
-                continue
             if line.startswith("#"):
                 if ":" in line:
                     key, _, value = line[1:].partition(":")
                     meta[key.strip()] = value.strip()
-                continue
-            cells = next(csv.reader([line]))
+            elif line:
+                yield line
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = []
+        header: list[str] | None = None
+        reader = csv.reader(body(fh))
+        for cells in reader:
+            if reader.line_num != len(rows) + (header is not None) + 1:  # one line per record
+                raise ValueError(f"{path}: line {at}: a quoted cell runs on from an earlier line")
             if header is None:
                 header = [c.strip() for c in cells]
                 continue
             if len(cells) != len(header):
                 raise ValueError(f"{path}: ragged rows")
             try:
-                rows.append([int(c) for c in cells])
+                rows.append(list(map(int, cells)))
             except ValueError as exc:
-                raise ValueError(f"{path}: line {number}: cell not an integer ({exc})") from None
+                raise ValueError(f"{path}: line {at}: cell not an integer ({exc})") from None
     if header is None:
         raise ValueError(f"{path}: no header row")
     duplicates = sorted({name for name in header if header.count(name) > 1})

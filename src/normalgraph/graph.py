@@ -20,12 +20,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .messages import is_normalized, uniform
+from .messages import uniform
 
 __all__ = [
     "GraphError",
@@ -257,13 +257,15 @@ def _endpoints(graph: GraphSpec) -> tuple[dict[str, list], dict[str, list]]:
 
 
 def _parameter_problem(unit, sizes: Mapping[str, int]) -> str | None:
-    """A source's prior or block's matrix checked as construction checks it: its problem or None."""
+    """A source's prior or block's matrix checked as construction checks it: its problem or None.
+    A NaN fails every comparison, so it counts as outside [0, 1] and as off a unit sum."""
     if isinstance(unit, SourceBlock):
-        size = sizes.get(unit.variable)
-        if size is not None and unit.prior.shape != (size,):
-            return (f"source {unit.name!r} prior length {unit.prior.shape[0]} "
+        size, prior = sizes.get(unit.variable), unit.prior
+        if size is not None and prior.shape != (size,):
+            return (f"source {unit.name!r} prior length {prior.shape[0]} "
                     f"does not match variable size {size}")
-        if size is not None and not is_normalized(unit.prior, STOCHASTIC_ATOL):
+        if size is not None and not (prior.size and np.minimum.reduce(prior) >= 0.0
+                                     and abs(np.add.reduce(prior) - 1.0) <= STOCHASTIC_ATOL):
             return f"source {unit.name!r} prior is not a distribution"
         return None
     if unit.from_var in sizes and unit.to_var in sizes:
@@ -271,9 +273,11 @@ def _parameter_problem(unit, sizes: Mapping[str, int]) -> str | None:
         if unit.theta.shape != want:
             return (f"block {unit.name!r} matrix shape {unit.theta.shape} "
                     f"does not match variable sizes {want}")
-    if np.any(~((unit.theta >= 0.0) & (unit.theta <= 1.0))):
+    if not (np.minimum.reduce(unit.theta, None, initial=0.0) >= 0.0
+            and np.maximum.reduce(unit.theta, None, initial=1.0) <= 1.0):
         return f"block {unit.name!r} matrix has entries outside [0, 1]"
-    if not is_normalized(unit.theta, STOCHASTIC_ATOL):
+    if not (unit.theta.size and np.maximum.reduce(np.abs(np.add.reduce(unit.theta, 1) - 1.0))
+            <= STOCHASTIC_ATOL):
         return f"block {unit.name!r} matrix rows do not sum to 1"
     return None
 
@@ -551,7 +555,7 @@ def graph_to_dict(graph: GraphSpec) -> dict:
             {
                 "name": s.name,
                 "variable": s.variable,
-                "prior": [float(x) for x in s.prior],
+                "prior": s.prior.tolist(),
                 "trainable": s.trainable,
             }
             for s in graph.sources
@@ -561,7 +565,7 @@ def graph_to_dict(graph: GraphSpec) -> dict:
                 "name": b.name,
                 "from": b.from_var,
                 "to": b.to_var,
-                "matrix": [[float(x) for x in row] for row in b.theta],
+                "matrix": b.theta.tolist(),
                 "trainable": b.trainable,
             }
             for b in graph.blocks

@@ -94,14 +94,15 @@ def _finish_rows(raw: np.ndarray, fallback, live: np.ndarray) -> np.ndarray:
     """Row-normalize; a row without mass takes the same row of ``fallback``.
 
     The iterative rules fall back to the previous matrix, so an empty row
-    keeps its old value; the batch counting rules fall back to ``live``,
-    ones on the real entries, so an empty row becomes uniform.  A padded
-    row (0 in ``live``) is never empty: it stays 0.
+    keeps its old value unless that is empty too; then, as in the batch
+    counting rules, it falls back to ``live``, ones on the real entries, and
+    becomes uniform.  A padded row (0 in ``live``) is never empty: it stays 0.
     """
     padded = 1.0 - live[..., :1]
-    sums = raw.sum(axis=-1, keepdims=True) + padded
+    sums = np.add.reduce(raw, -1, keepdims=True) + padded
     empty = sums <= 0.0
-    if np.any(empty):
+    if empty.any():
+        fallback = np.where(fallback.sum(axis=-1, keepdims=True) > 0.0, fallback, live)
         raw = np.where(empty, fallback, raw)
         sums = raw.sum(axis=-1, keepdims=True) + padded
     return raw / sums
@@ -143,8 +144,8 @@ def _pair_mass(theta: np.ndarray, f: np.ndarray, b: np.ndarray, w: np.ndarray) -
     """Sum over weighted samples of f(l) b(m) / (f' theta b), on floored
     messages: the pair mass of the block likelihood."""
     scores = _bilinear(f, theta, b)
-    weights = np.divide(w, scores, out=np.zeros_like(scores), where=w > 0)
-    return np.swapaxes(f * weights[..., None], -1, -2) @ b
+    weights = np.divide(w, scores, out=np.zeros(scores.shape), where=w > 0)
+    return (f * weights[..., None]).swapaxes(-1, -2) @ b
 
 
 def _rescaled(theta: np.ndarray, pair_mass: np.ndarray, row_mass: np.ndarray,
@@ -152,20 +153,20 @@ def _rescaled(theta: np.ndarray, pair_mass: np.ndarray, row_mass: np.ndarray,
     """theta scaled by pair_mass / row_mass and renormalized; a row with no
     forward mass keeps its previous value."""
     raw = np.divide(theta * pair_mass, row_mass[..., None],
-                    out=np.zeros_like(theta), where=row_mass[..., None] > 0)
+                    out=np.zeros(theta.shape), where=row_mass[..., None] > 0)
     return _finish_rows(raw, theta, live)
 
 
 def _floored(x: np.ndarray) -> np.ndarray:
     """``x`` with its entries below MESSAGE_FLOOR raised to it: a copy only
     when there is such an entry, else ``x`` itself."""
-    return np.maximum(x, MESSAGE_FLOOR) if np.min(x, initial=np.inf) < MESSAGE_FLOOR else x
+    return np.maximum(x, MESSAGE_FLOOR) if x.min(initial=np.inf) < MESSAGE_FLOOR else x
 
 
 def _weighted(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The (U, L, n) transpose of f's rows scaled by w: of f itself when every
     weight is 1.0, as 1.0 x is x."""
-    return np.swapaxes(f if np.all(w == 1.0) else w[:, None] * f, -1, -2)
+    return (f if (w == 1.0).all() else w[:, None] * f).swapaxes(-1, -2)
 
 
 # One kernel per rule, on a stack of U units: (U, L, M) parameters, (U, n, L)
@@ -404,7 +405,7 @@ class _Epochs:
         self.parameters = {u.name: np.full(s, 1.0 / s[-1]) for u, s in zip(units, shapes)}
         self._params = {**propagator._parameters(), **self.parameters}
         self._shapes = [(1, *s) if len(s) == 1 else s for s in shapes]
-        self._live = np.zeros((len(units), *np.max([(1, 1), *self._shapes], axis=0)))
+        self._live = np.zeros((len(units), *np.maximum.reduce([(1, 1), *self._shapes])))
         for u, (l, m) in enumerate(self._shapes):  # 1.0 on each unit's real entries
             self._live[u, :l, :m] = 1.0
         mask = np.ones(n) if mask is None else mask
@@ -414,7 +415,8 @@ class _Epochs:
         self._weights = np.ones(np.count_nonzero(mask))
         self._train = np.bincount(inverse, weights=mask > 0)
         test = np.bincount(inverse, weights=mask <= 0)
-        self._splits = (self._train, test) if test.any() else (self._train,)
+        splits = (self._train, test) if test.any() else (self._train,)
+        self._splits = [(w > 0, w[w > 0]) for w in splits]  # each split's rows, selected once
 
     def step(self) -> tuple[dict, float, float]:
         """One epoch: the M-step on all units in one zero-padded stack within
@@ -448,8 +450,8 @@ class _Epochs:
                 self._propagator._pass(factors, self._params, self._n_samples)
             raise
         self._msgs, self._weights = msgs, self._train
-        overlaps = [np.sum(msgs[f] * msgs[b], axis=-1) for f, b in self._scored]
-        scores = [_log_overlap(overlaps, w) for w in self._splits]
+        overlaps = [np.add.reduce(msgs[f] * msgs[b], -1) for f, b in self._scored]
+        scores = [_log_overlap(overlaps, *split) for split in self._splits]
         return updates, scores[0], scores[-1]
 
 

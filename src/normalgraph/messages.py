@@ -174,11 +174,11 @@ def uniform(size: int) -> np.ndarray:
 def one_hot(index: int | np.ndarray, size: int) -> np.ndarray:
     """Delta distribution(s) concentrated at ``index``."""
     index = np.asarray(index)
-    if np.any(index < 0) or np.any(index >= size):
+    if (index < 0).any() or (index >= size).any():
         raise IndexError(f"symbol index out of range for alphabet of size {size}")
-    out = np.zeros(index.shape + (size,), dtype=np.float64)
-    np.put_along_axis(out, np.expand_dims(index, axis=-1), 1.0, axis=-1)
-    return out
+    if index.dtype.kind not in "iu":  # a boolean would select rows, a float cannot index
+        raise IndexError(f"symbol indices must be integers, got {index.dtype}")
+    return np.eye(size)[index]
 
 
 def is_normalized(values: np.ndarray, atol: float = 1e-12) -> bool:

@@ -200,7 +200,7 @@ class Propagator:
             raise ValueError(f"evidence for {var!r} is boolean, not symbols or soft factors")
         if arr.ndim == 0 or _is_symbol_column(arr):
             idx = arr.astype(np.int64, copy=False)
-            if np.any(idx < 0) or np.any(idx >= size):
+            if (idx < 0).any() or (idx >= size).any():
                 raise ValueError(f"evidence symbol out of range for variable {var!r}")
             return idx if arr.ndim else one_hot(idx, size)
         if arr.ndim > 2 or arr.shape[-1] != size:
@@ -368,21 +368,21 @@ def aggregated_log_likelihood(state: MessageState, terminals: Sequence[str],
         raise ValueError(f"mask has shape {weights.shape} for {state.n_samples} samples")
     if weights is not None and not np.all((weights >= 0.0) & (weights < np.inf)):
         raise ValueError("mask entries must be finite and nonnegative")
-    return _log_overlap([np.sum(state.forward[v] * state.backward[v], axis=-1)
-                         for v in terminals], weights)
-
-
-def _log_overlap(overlaps, weights: np.ndarray | None) -> float:
-    """``aggregated_log_likelihood`` on each terminal's per-sample message
-    overlap and float weights."""
-    total = 0.0
     sel = None if weights is None else weights > 0
+    return _log_overlap([np.add.reduce(state.forward[v] * state.backward[v], -1)
+                         for v in terminals], sel, None if sel is None else weights[sel])
+
+
+def _log_overlap(overlaps, sel: np.ndarray | None, weights: np.ndarray | None) -> float:
+    """``aggregated_log_likelihood`` on each terminal's per-sample message
+    overlap, over the rows ``sel`` selects (None: all) with their float
+    ``weights`` (None: 1 each)."""
+    total = 0.0
     for overlap in overlaps:
         if sel is not None:
             overlap = overlap[sel]
-        if np.any(overlap <= 0.0):
+        if (overlap <= 0.0).any():
             return float("-inf")
         logs = np.log(overlap)
-        total += float(np.sum(logs if sel is None else logs * weights[sel]))
+        total += float(np.add.reduce(logs if weights is None else logs * weights))
     return total
-

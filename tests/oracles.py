@@ -14,6 +14,10 @@ copy and weight their messages on every call, against whose bytes the
 learning kernels' copy-free paths are checked.  ``reference_schedule``
 orders the message slots by rescanning every remaining slot in each round;
 ``Propagator``'s compiled schedule is checked against it.
+``reference_parameter_problem`` and ``reference_one_hot`` are the graph
+parameter check and the delta-row encoder written with numpy's boolean-array
+helpers, against which the direct reductions and the identity-row lookup are
+checked.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ import itertools
 
 import numpy as np
 
-from normalgraph.graph import DiverterNode, GraphSpec, SisoBlock, SourceBlock, _ends
+from normalgraph.graph import (STOCHASTIC_ATOL, DiverterNode, GraphSpec, SisoBlock, SourceBlock,
+                               _ends)
 from normalgraph.learning import (MESSAGE_FLOOR, BlockDataset, EpochRecord, TrainReport,
                                   _finish_rows, _pair_mass, _rescaled, train_block)
-from normalgraph.messages import TIE_RTOL, normalize
+from normalgraph.messages import TIE_RTOL, is_normalized, normalize
 from normalgraph.propagation import Propagator, aggregated_log_likelihood
 from normalgraph.synthgen import SampleSet, _equality_clusters, substream
 
@@ -294,6 +299,39 @@ def reference_normalize(values: np.ndarray, sum_slack: float) -> np.ndarray:
     values = np.array(values, dtype=np.float64)
     sums = np.sum(values, axis=-1, keepdims=True)
     return np.divide(values, sums, out=values, where=np.abs(sums - 1.0) > sum_slack)
+
+
+def reference_one_hot(index, size: int) -> np.ndarray:
+    """Delta rows at ``index``, written one by one into zeros."""
+    index = np.asarray(index)
+    if np.any(index < 0) or np.any(index >= size):
+        raise IndexError(f"symbol index out of range for alphabet of size {size}")
+    out = np.zeros(index.shape + (size,), dtype=np.float64)
+    np.put_along_axis(out, np.expand_dims(index, axis=-1), 1.0, axis=-1)
+    return out
+
+
+def reference_parameter_problem(unit, sizes: dict) -> str | None:
+    """``graph._parameter_problem`` through the boolean-array tests and
+    ``is_normalized``: the first problem of a unit's prior or matrix, or None."""
+    if isinstance(unit, SourceBlock):
+        size = sizes.get(unit.variable)
+        if size is not None and unit.prior.shape != (size,):
+            return (f"source {unit.name!r} prior length {unit.prior.shape[0]} "
+                    f"does not match variable size {size}")
+        if size is not None and not is_normalized(unit.prior, STOCHASTIC_ATOL):
+            return f"source {unit.name!r} prior is not a distribution"
+        return None
+    if unit.from_var in sizes and unit.to_var in sizes:
+        want = (sizes[unit.from_var], sizes[unit.to_var])
+        if unit.theta.shape != want:
+            return (f"block {unit.name!r} matrix shape {unit.theta.shape} "
+                    f"does not match variable sizes {want}")
+    if np.any(~((unit.theta >= 0.0) & (unit.theta <= 1.0))):
+        return f"block {unit.name!r} matrix has entries outside [0, 1]"
+    if not is_normalized(unit.theta, STOCHASTIC_ATOL):
+        return f"block {unit.name!r} matrix rows do not sum to 1"
+    return None
 
 
 def reference_bilinear(f: np.ndarray, theta: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from normalgraph.experiments import (
 )
 from normalgraph.graph import build_expander, graph_digest
 from normalgraph.learning import TrainConfig
-from normalgraph.synthgen import ancestral_sample
+from normalgraph.synthgen import SampleSet, ancestral_sample
 
 
 class TestBuilders:
@@ -162,6 +162,47 @@ class TestSampleCsv:
             path.write_text(text)
             with pytest.raises(ValueError, match=f"{path}: ragged rows"):
                 load_samples(path)
+
+    @pytest.mark.parametrize("bad_line", [4, 6, 9])
+    def test_error_names_the_file_line_past_comments_and_blank_lines(self, tmp_path, bad_line):
+        """Comment and blank lines are read past, not parsed, yet the error
+        names the line of the file, CRLF line ends included."""
+        lines = ["# seed: 1", "", "X1,X2", "1,2", "# graph: abc", "2,1", "", "", "1,1\r", "2,2"]
+        path = tmp_path / "commented.csv"
+        path.write_text("\n".join(lines[:bad_line - 1] + ["1,x"] + lines[bad_line:]) + "\n")
+        with pytest.raises(ValueError, match=rf"{path}: line {bad_line}: cell not an integer"):
+            load_samples(path)
+        path.write_text("\n".join(lines) + "\n")
+        columns, meta = load_samples(path)
+        assert meta == {"seed": "1", "graph": "abc"}
+        assert columns["X1"].tolist() == [0, 1, 0, 1] and columns["X2"].tolist() == [1, 0, 0, 1]
+
+    def test_quoted_cell_that_runs_past_its_line_is_rejected(self, tmp_path):
+        """One reader reads all lines, so a quoted cell that opens on one line
+        would take in the next: ``"1`` and ``2",3`` would read as one row with
+        12 in it.  Each row keeps to its line, the header too, and the error
+        names the line where the cell closes.  Quoted cells within a line read
+        as before."""
+        path = tmp_path / "quoted.csv"
+        for text, line in (('X1,X2\n1,2\n"1\n2",3\n', 4), ('"X1\nX2"\n1\n', 2)):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=rf"{path}: line {line}: a quoted cell runs on"):
+                load_samples(path)
+        path.write_text('"X1",X2\n"1","2"\n')
+        columns, _ = load_samples(path)
+        assert columns["X1"].tolist() == [0] and columns["X2"].tolist() == [1]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.float64])
+    def test_saved_bytes_do_not_depend_on_the_column_dtype(self, tmp_path, dtype):
+        """Each cell is written as its symbol plus one, an integer, whatever
+        the column's dtype; a uint8 symbol of 255 does not wrap."""
+        symbols = {"X1": np.array([0, 2, 255]), "X2": np.array([1, 0, 0])}
+        paths = [tmp_path / "int64.csv", tmp_path / "other.csv"]
+        for path, kind in zip(paths, (np.int64, dtype)):
+            columns = {v: column.astype(kind) for v, column in symbols.items()}
+            save_samples(SampleSet(columns, 3, seed=7), path)
+        assert paths[1].read_bytes() == paths[0].read_bytes()
+        assert paths[0].read_text() == "# seed: 7\nX1,X2\n1,2\n3,1\n256,1\n"
 
     def test_headerless_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_parameter_problem
 from normalgraph.experiments import build_deep_graph, build_latent_star
 from normalgraph.graph import (
     DiverterNode,
@@ -17,6 +18,7 @@ from normalgraph.graph import (
     SisoBlock,
     SourceBlock,
     UnknownVariable,
+    _parameter_problem,
     build_expander,
     build_projector,
     graph_digest,
@@ -326,6 +328,65 @@ class TestWithParametersChecksWhatConstructionChecks:
     def test_unknown_name_is_rejected(self):
         with pytest.raises(GraphError, match=r"no such blocks: \['P_X9', 'nope'\]"):
             build_latent_star().with_parameters({"nope": [1.0], "P_X9": [[1.0]], "P_X1": [1.0]})
+
+
+class TestParameterCheckMatchesReference:
+    """``_parameter_problem`` reduces each prior and matrix directly; it gives
+    the message, or None, of ``oracles.reference_parameter_problem``, the
+    check through boolean arrays and ``is_normalized``, on priors and matrices
+    that hold 0/1 rows, rows off a unit sum by about 1e-12 either way,
+    negative entries, entries above 1, NaN and +-inf, that are empty, or whose
+    shape disagrees with the variable sizes or has no sizes to meet."""
+
+    # Entries planted into an otherwise valid prior or matrix.
+    PLANTED = [0.0, -0.0, 1.0, -5e-324, -0.5, 1.0 + 2**-52, 1.5, np.nan, np.inf, -np.inf]
+    # Added to one entry: a row sum moves by about this, within, on or past 1e-12.
+    OFFSETS = [0.5e-12, 1e-12, 1.5e-12, -0.5e-12, -1e-12, -1.5e-12]
+
+    @given(data=st.data())
+    @settings(max_examples=600, deadline=None)
+    def test_same_message_as_reference(self, data):
+        source = data.draw(st.booleans(), label="source")
+        shape = tuple(data.draw(st.lists(st.integers(0, 4), min_size=1 if source else 2,
+                                         max_size=1 if source else 2), label="shape"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if data.draw(st.booleans(), label="0/1 rows") or not shape[-1]:
+            value = np.eye(max(shape[-1], 1))[rng.integers(max(shape[-1], 1), size=shape[:-1])]
+            value = value[..., :shape[-1]]
+        else:
+            value = rng.uniform(0.05, 1.0, size=shape)
+            value /= value.sum(axis=-1, keepdims=True)
+        if value.size:
+            flat = value.reshape(-1)
+            for _ in range(data.draw(st.integers(0, 2), label="offsets")):
+                flat[rng.integers(flat.size)] += data.draw(st.sampled_from(self.OFFSETS))
+            for _ in range(data.draw(st.integers(0, 2), label="planted")):
+                flat[rng.integers(flat.size)] = data.draw(st.sampled_from(self.PLANTED))
+        sizes = dict(zip("ab", (s + data.draw(st.sampled_from([0, 0, 1]), label="misfit")
+                                for s in shape)))
+        if data.draw(st.booleans(), label="unknown variable"):
+            sizes.pop(data.draw(st.sampled_from(sorted(sizes))))
+        unit = SourceBlock("u", "a", value) if source else SisoBlock("u", "a", "b", value)
+        assert _parameter_problem(unit, sizes) == reference_parameter_problem(unit, sizes)
+
+    @pytest.mark.parametrize("value, message", [
+        ([[np.nan, 1.0]], "matrix has entries outside [0, 1]"),
+        ([[0.5, np.nan]], "matrix has entries outside [0, 1]"),
+        ([[np.inf, 0.0]], "matrix has entries outside [0, 1]"),
+        ([[1.0 + 2**-52, 0.0]], "matrix has entries outside [0, 1]"),
+        ([[0.5, 0.5 + 2e-12]], "matrix rows do not sum to 1"),
+        ([[np.nan]], "prior is not a distribution"),
+        ([[0.5, 0.5 + 0.5e-12]], None),
+    ], ids=["NaN", "NaN last", "inf", "just above 1", "row off", "NaN prior", "row within"])
+    def test_fixed_cases(self, value, message):
+        value = np.array(value)
+        sizes = {"a": value.shape[0], "b": value.shape[1]}
+        unit = (SourceBlock("u", "b", value[0]) if message and "prior" in message
+                else SisoBlock("u", "a", "b", value))
+        problem = _parameter_problem(unit, sizes)
+        assert problem == reference_parameter_problem(unit, sizes)
+        assert problem == (message and f"{'source' if 'prior' in message else 'block'} 'u' "
+                                       f"{message}")
 
 
 class TestSplitVariable:

@@ -235,6 +235,31 @@ class TestEmptyRowHandling:
         np.testing.assert_allclose(vit_update(data, 0.0), 0.5, atol=0)
         np.testing.assert_allclose(var_update(data, 0.0), 0.5, atol=0)
 
+    @pytest.mark.parametrize("function, nit", [
+        ("ml_update", 1), ("kl_update", 1), ("train_block ml", 1), ("train_block ml", 3),
+        ("train_block kl", 1), ("train_block kl", 3)])
+    def test_all_zero_row_of_a_given_theta_becomes_uniform(self, function, nit):
+        """An all-zero row of the given matrix has no mass to fall back on, so
+        it takes the counting rules' fallback and its first step makes it
+        uniform, with no 0/0 (RuntimeWarnings are errors here); it made NaN.
+        Later steps start from that matrix: ml keeps the row uniform on these
+        uniform messages, while kl's second step moves it."""
+        theta = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+        data = BlockDataset(np.full((3, 2), 0.5), np.full((3, 3), 1 / 3))
+        algorithm = function[-2:] if function.startswith("train_block") else function[:2]
+        if function.startswith("train_block"):
+            out = train_block(theta, data, TrainConfig(algorithm, nit=nit))
+        else:
+            out = {"ml": ml_update, "kl": kl_update}[algorithm](theta, data)
+        first = train_block(theta, data, TrainConfig(algorithm, nit=1))
+        assert np.all(np.isfinite(out)) and np.all(out >= 0.0)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(first[0], np.full(3, 1 / 3))
+        if nit == 1 or algorithm == "ml":
+            np.testing.assert_allclose(out[0], 1 / 3, rtol=1e-15, atol=0)
+        rest = train_block(first, data, TrainConfig(algorithm, nit=nit - 1)) if nit > 1 else first
+        assert out.tobytes() == rest.tobytes()
+
 
 class TestDivergenceAndMultipliers:
     def test_divergence_zero_at_perfect_prediction(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_max_indicator, reference_normalize
+from oracles import reference_max_indicator, reference_normalize, reference_one_hot
 from normalgraph.messages import (
     _SUM_SLACK,
     COLUMN_ROWS,
@@ -293,6 +293,31 @@ class TestKernelsMatchReferenceFormulas:
         with np.errstate(over="ignore"):
             out, expected = _row_sums(values), np.add.reduce(values, -1, keepdims=True)
         assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_one_hot(self, data):
+        """``one_hot`` looks its rows up in an identity matrix; it returns the
+        rows, or raises the IndexError, of ``reference_one_hot`` for 0-d, 1-d
+        and 2-d indexes, Python ints, in-range and out-of-range symbols, and
+        index dtypes that cannot index (bool, float)."""
+        size = data.draw(st.integers(1, 5), label="size")
+        shape = tuple(data.draw(st.lists(st.integers(0, 4), max_size=2), label="shape"))
+        low, high = data.draw(st.sampled_from([(0, size), (-2, size + 2)]), label="range")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        dtype = data.draw(st.sampled_from([np.int64, np.int32, np.uint8, np.bool_, np.float64]))
+        index = rng.integers(low, high, size=shape).astype(dtype)
+        if not shape and dtype is np.int64 and data.draw(st.booleans(), label="python int"):
+            index = int(index)
+        try:
+            expected = reference_one_hot(index, size)
+        except IndexError:
+            with pytest.raises(IndexError):
+                one_hot(index, size)
+            return
+        out = one_hot(index, size)
+        assert out.shape == expected.shape and out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
 
     def test_normalize_in_place_zero_row_raises(self):
         with pytest.raises(AllZeroVector):
