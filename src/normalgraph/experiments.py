@@ -43,7 +43,7 @@ from .learning import (
     var_update,
     vit_update,
 )
-from .messages import _require_delta, _require_finite_nonnegative, sharpen
+from .messages import _require_count, _require_delta, _require_finite_nonnegative, sharpen
 from .propagation import ContradictoryEvidence
 from .synthgen import SampleSet, ancestral_sample, random_row_stochastic, substream
 
@@ -87,8 +87,7 @@ def build_latent_star(m_latent: int = 4, generative: bool = False) -> GraphSpec:
     With ``generative`` the blocks carry the reference parameters above
     (m_latent must be 4); otherwise they start uniform and trainable.
     """
-    if m_latent < 1:
-        raise ValueError(f"m_latent must be at least 1, got {m_latent}")
+    _require_count("m_latent", m_latent, 1)
     leaf_sizes = tuple(m.shape[1] for m in TREE_LEAF_CONDITIONALS)
     if generative:
         if m_latent != TREE_PRIOR.shape[0]:
@@ -179,6 +178,7 @@ def deep_generative_parameters(seed: int = 1) -> dict[str, np.ndarray]:
 
 def split_mask(n_samples: int, split: float) -> np.ndarray:
     """0/1 mask putting the leading ``split`` fraction into the train set."""
+    _require_count("n_samples", n_samples)
     if not 0.0 < split <= 1.0:
         raise ValueError("split must be in (0, 1]")
     n_train = int(round(split * n_samples))
@@ -209,10 +209,9 @@ class SingleBlockConfig:
     seed: int = TrainConfig.seed
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
-        if self.n_samples < 0:
-            raise ValueError(f"n_samples must be nonnegative, got {self.n_samples}")
+        _require_count("n_samples", self.n_samples)
+        _require_count("iterations", self.iterations, 1)
+        _require_count("seed", self.seed)
         for name in ("sharp_in", "sharp_out"):
             _require_finite_nonnegative(name, getattr(self, name))
         _require_delta(self.delta)
@@ -314,23 +313,25 @@ def run_deep_experiment(train: TrainConfig, *, n_samples: int = 100, split: floa
     return train_rules(structure, evidence, train, mask, algorithms)
 
 
+_SWEEP_NITS, _SWEEP_REPETITIONS = (1, 3, 5, 10, 20), 10  # the nit-sweep's fixed grid
+
+
 def run_nit_sweep(train: TrainConfig, *, n_samples: int = 400, m_latent: int = 4,
-                  split: float = 1.0, algorithms: tuple[str, ...] = ALGORITHMS,
-                  nits=(1, 3, 5, 10, 20),
-                  repetitions: int = 10) -> list[tuple[int, int, str, float]]:
+                  split: float = 1.0, algorithms: tuple[str, ...] = ALGORITHMS
+                  ) -> list[tuple[int, int, str, float]]:
     """Final likelihood as a function of the per-epoch update count.
 
-    ``train.seed`` fixes the dataset.  Each repetition reruns training from
-    a different random message initialization: ``train`` with the swept
-    ``nit`` and ``seed`` = ``train.seed`` * 1000 + repetition.  Returns rows
-    of (nit, repetition, algorithm, final_train_loglik).
+    ``train.seed`` fixes the dataset.  Each nit of ``_SWEEP_NITS`` runs
+    ``_SWEEP_REPETITIONS`` times, each from a different random start: ``train``
+    with that ``nit`` and ``seed`` = ``train.seed`` * 1000 + repetition.
+    Returns rows of (nit, repetition, algorithm, final_train_loglik).
     """
     star = build_latent_star(generative=True)
     evidence, mask = _sample_terminals(star, train.seed, n_samples, split)
     learner = build_latent_star(m_latent)
     rows: list[tuple[int, int, str, float]] = []
-    for nit in nits:
-        for rep in range(1, repetitions + 1):
+    for nit in _SWEEP_NITS:
+        for rep in range(1, _SWEEP_REPETITIONS + 1):
             sweep = replace(train, nit=nit, seed=train.seed * 1000 + rep)
             reports = train_rules(learner, evidence, sweep, mask, algorithms)
             rows += [(nit, rep, a, report.final_train_loglik) for a, report in reports.items()]
@@ -345,10 +346,9 @@ def format_float(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-def save_samples(samples: SampleSet, path, graph: GraphSpec | None = None,
-                 columns: tuple[str, ...] | None = None) -> None:
+def save_samples(samples: SampleSet, path, graph: GraphSpec | None = None) -> None:
     """Dataset CSV: comment header with provenance, 1-based symbol rows."""
-    names = columns if columns is not None else tuple(samples.columns)
+    names = tuple(samples.columns)
     meta = {"seed": samples.seed}
     if graph is not None:
         meta["graph"] = graph_digest(graph)

@@ -188,11 +188,11 @@ class GraphSpec:
             return tuple(replace(u, **{field_name: updates[u.name]}) if u.name in updates else u
                          for u in units)
 
-        graph = object.__new__(type(self))
+        graph, sizes = object.__new__(type(self)), self.sizes
         graph.__dict__.update(vars(self), sources=swap(self.sources, "prior"),
                               blocks=swap(self.blocks, "theta"))
         problems = [problem for unit in (*graph.sources, *graph.blocks)
-                    if unit.name in updates and (problem := _parameter_problem(unit, self.sizes))]
+                    if unit.name in updates and (problem := _parameter_problem(unit, sizes))]
         if problems:
             raise GraphError("; ".join(problems))
         return graph

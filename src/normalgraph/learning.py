@@ -33,7 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from .graph import GraphSpec, SourceBlock
-from .messages import _first_peak, _require_delta, normalize
+from .messages import _first_peak, _require_count, _require_delta, normalize
 from .propagation import ContradictoryEvidence, Propagator, _log_overlap
 
 __all__ = [
@@ -134,10 +134,7 @@ def block_log_likelihood(theta: np.ndarray, data: BlockDataset) -> float:
     the sum of log f' theta b over the samples ``data.mask`` selects, or
     -inf if any of them scores zero."""
     scores = _bilinear(data.forward, _checked(theta, data), data.backward)
-    sel = data.mask > 0
-    if np.any(scores[sel] <= 0.0):
-        return float("-inf")
-    return float(np.sum(np.log(scores[sel])))
+    return _log_overlap([scores], data.mask > 0, None)
 
 
 def _pair_mass(theta: np.ndarray, f: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -323,16 +320,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        for name in ("epochs", "nit", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
-        if self.nit < 1:
-            raise ValueError(f"nit must be at least 1, got {self.nit}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _require_count("epochs", self.epochs)
+        _require_count("nit", self.nit, 1)
+        _require_count("seed", self.seed)
         if self.tol is not None and not 0.0 < self.tol < np.inf:
             raise ValueError(f"tol must be finite and above 0, got {self.tol}")
         _require_delta(self.delta)

@@ -21,7 +21,6 @@ __all__ = [
     "max_indicator",
     "uniform",
     "one_hot",
-    "is_normalized",
 ]
 
 # Rows whose sum is already this close to 1 are returned unchanged, which
@@ -60,6 +59,15 @@ def _require_delta(delta: float) -> None:
     _require_finite_nonnegative("delta", delta)
     if delta > MAX_DELTA:
         raise ValueError(f"delta must be at most {MAX_DELTA:g}, got {delta}")
+
+
+def _require_count(name: str, value, least: int = 0) -> None:
+    """The one check of a count or a seed: an integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def normalize(values: np.ndarray) -> np.ndarray:
@@ -179,11 +187,3 @@ def one_hot(index: int | np.ndarray, size: int) -> np.ndarray:
     if index.dtype.kind not in "iu":  # a boolean would select rows, a float cannot index
         raise IndexError(f"symbol indices must be integers, got {index.dtype}")
     return np.eye(size)[index]
-
-
-def is_normalized(values: np.ndarray, atol: float = 1e-12) -> bool:
-    """True when every row is a distribution: nonnegative, unit sum."""
-    values = np.asarray(values)
-    if values.size == 0 or np.any(values < 0):
-        return False
-    return bool(np.all(np.abs(np.sum(values, axis=-1) - 1.0) <= atol))

@@ -37,8 +37,8 @@ from .graph import (
     UnknownVariable,
     _ends,
 )
-from .messages import (COLUMN_ROWS, AllZeroVector, _normalize_in_place, _row_sums, normalize,
-                       one_hot, uniform)
+from .messages import (COLUMN_ROWS, AllZeroVector, _normalize_in_place, _require_count, _row_sums,
+                       normalize, one_hot, uniform)
 
 __all__ = [
     "ContradictoryEvidence",
@@ -126,7 +126,8 @@ class Propagator:
             else:
                 rules[("B", var)] = ("product", None, self._other_entering(head, var))
 
-        # Kahn's sort by in-degree, in rounds: the sorted slots whose inputs all came earlier.
+        # Kahn's sort by in-degree, in rounds: the sorted slots whose inputs all came earlier
+        # (every slot, as a graph that exists has no cycle).
         consumers: dict[tuple[str, str], list] = {slot: [] for slot in rules}
         for slot, (_, _, inputs) in rules.items():
             for entering in inputs:
@@ -139,8 +140,6 @@ class Propagator:
                 for after in consumers[slot]:
                     waiting[after] -= 1
             ready = {after for slot in ready for after in consumers[slot] if not waiting[after]}
-        if len(order) < len(rules):
-            raise GraphError("message schedule has a dependency cycle")
         self._slots = tuple(rules)
         self._slot = {slot: k for k, slot in enumerate(self._slots)}
         self._steps = tuple((self._slot[slot], kind, name, tuple(self._slot[d] for d in inputs))
@@ -168,6 +167,8 @@ class Propagator:
         Every per-sample factor must have N rows: ``n_samples`` when given,
         else the row count of the first per-sample factor, else 1.
         """
+        if n_samples is not None:
+            _require_count("n_samples", n_samples)
         checked = {var: self._encode(var, value) for var, value in (evidence or {}).items()}
         rows = {var: len(f) for var, f in checked.items() if f.ndim == 2 or _is_symbol_column(f)}
         n = next(iter(rows.values()), 1) if n_samples is None else n_samples

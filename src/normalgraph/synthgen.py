@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DiverterNode, GraphSpec, GraphError, SourceBlock, _ends
-from .messages import normalize
+from .messages import _require_count, normalize
 from .propagation import Propagator, _merge_keys
 
 __all__ = [
@@ -36,8 +36,7 @@ __all__ = [
 
 def substream(seed: int, *labels) -> np.random.Generator:
     """Deterministic generator for (seed, labels), independent across labels."""
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _require_count("seed", seed)
     tag = hashlib.sha256("\x1f".join(str(x) for x in labels).encode("utf-8")).digest()
     entropy = (int(seed),) + tuple(int.from_bytes(tag[i : i + 8], "big") for i in range(0, 32, 8))
     return np.random.default_rng(np.random.SeedSequence(entropy))
@@ -97,8 +96,7 @@ def ancestral_sample(graph: GraphSpec, n_samples: int, seed: int = 1,
     rows of the inbound combinations that occur, multiplied in inbound
     order, so memory is O(N) plus those combinations.
     """
-    if n_samples < 0:
-        raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
+    _require_count("n_samples", n_samples)
     order = Propagator(graph).forward_order
     tails, heads = _ends(graph)
     sizes = graph.sizes

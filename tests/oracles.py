@@ -17,7 +17,8 @@ orders the message slots by rescanning every remaining slot in each round;
 ``reference_parameter_problem`` and ``reference_one_hot`` are the graph
 parameter check and the delta-row encoder written with numpy's boolean-array
 helpers, against which the direct reductions and the identity-row lookup are
-checked.
+checked.  ``is_normalized``, the row check the first of them reads, is a
+test helper only: the library has no caller for it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from normalgraph.graph import (STOCHASTIC_ATOL, DiverterNode, GraphSpec, SisoBlo
                                _ends)
 from normalgraph.learning import (MESSAGE_FLOOR, BlockDataset, EpochRecord, TrainReport,
                                   _finish_rows, _pair_mass, _rescaled, train_block)
-from normalgraph.messages import TIE_RTOL, is_normalized, normalize
+from normalgraph.messages import TIE_RTOL, normalize
 from normalgraph.propagation import Propagator, aggregated_log_likelihood
 from normalgraph.synthgen import SampleSet, _equality_clusters, substream
 
@@ -309,6 +310,14 @@ def reference_one_hot(index, size: int) -> np.ndarray:
     out = np.zeros(index.shape + (size,), dtype=np.float64)
     np.put_along_axis(out, np.expand_dims(index, axis=-1), 1.0, axis=-1)
     return out
+
+
+def is_normalized(values: np.ndarray, atol: float = 1e-12) -> bool:
+    """True when every row is a distribution: nonnegative, unit sum."""
+    values = np.asarray(values)
+    if values.size == 0 or np.any(values < 0):
+        return False
+    return bool(np.all(np.abs(np.sum(values, axis=-1) - 1.0) <= atol))
 
 
 def reference_parameter_problem(unit, sizes: dict) -> str | None:

@@ -218,14 +218,6 @@ class TestSampleCsv:
         columns, _ = load_samples(path)
         assert columns["X1"].shape == (0,)
 
-    def test_column_selection(self, tmp_path):
-        star = build_latent_star(generative=True)
-        data = ancestral_sample(star, 5, seed=2)
-        path = tmp_path / "subset.csv"
-        save_samples(data, path, columns=("X3", "X1"))
-        columns, _ = load_samples(path)
-        assert list(columns) == ["X3", "X1"]
-
 
 class TestResultCsv:
     def test_format_float_round_trips(self):
@@ -312,20 +304,19 @@ class TestGraphRunners:
         )
 
     def test_nit_sweep_layout(self):
+        """The fixed grid: nit 1, 3, 5, 10 and 20, ten repetitions each."""
         train = TrainConfig(epochs=2, seed=1)
-        study = {"n_samples": 20, "algorithms": ("ml",), "nits": (1, 2), "repetitions": 2}
-        rows = run_nit_sweep(train, **study)
-        assert len(rows) == 4
-        assert [(r[0], r[1]) for r in rows] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        rows = run_nit_sweep(train, n_samples=20, algorithms=("ml",))
+        assert [(r[0], r[1]) for r in rows] == [(nit, rep) for nit in (1, 3, 5, 10, 20)
+                                                for rep in range(1, 11)]
         assert all(r[2] == "ml" for r in rows)
         assert all(np.isfinite(r[3]) for r in rows)
-        again = run_nit_sweep(train, **study)
+        again = run_nit_sweep(train, n_samples=20, algorithms=("ml",))
         assert rows == again
 
     def test_nit_sweep_repetitions_differ(self):
-        """Each repetition restarts from different random messages, so the
-        final likelihoods are not all identical."""
-        rows = run_nit_sweep(TrainConfig(epochs=2, seed=1), n_samples=30, algorithms=("ml",),
-                             nits=(3,), repetitions=3)
-        finals = [r[3] for r in rows]
-        assert len(set(finals)) > 1
+        """Each repetition restarts from different random messages, so at
+        each nit the final likelihoods are not all identical."""
+        rows = run_nit_sweep(TrainConfig(epochs=2, seed=1), n_samples=30, algorithms=("ml",))
+        for nit in (1, 3, 5, 10, 20):
+            assert len({r[3] for r in rows if r[0] == nit}) > 1, nit

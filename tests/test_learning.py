@@ -43,7 +43,8 @@ from normalgraph.learning import (
     var_update,
     vit_update,
 )
-from normalgraph.messages import _SUM_SLACK, MAX_DELTA, _require_delta, normalize, one_hot
+from normalgraph.messages import (_SUM_SLACK, MAX_DELTA, _require_count, _require_delta, normalize,
+                                  one_hot)
 from normalgraph.propagation import (
     ContradictoryEvidence,
     Propagator,
@@ -1287,6 +1288,30 @@ class TestEpochLoopChecksNothing:
         assert counts["datasets"] == 1
         TrainConfig(algorithm)
         assert counts["delta checks"] == 1
+
+    def test_counts_are_checked_once_per_call(self, monkeypatch):
+        """``_require_count`` runs when a call starts, never per epoch: five
+        epochs check as many counts as one."""
+        learner, generative = study_graphs("deep", seed=1)
+        evidence = ancestral_sample(generative, 100, seed=1).terminal_evidence(("X1", "X2", "X3"))
+        mask = split_mask(100, 0.8)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return _require_count(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name == "normalgraph" or name.startswith("normalgraph."):
+                if vars(module).get("_require_count") is _require_count:
+                    monkeypatch.setattr(module, "_require_count", counted)
+        checked = []
+        for epochs in (1, 5):
+            cfg = TrainConfig("ml", epochs=epochs, seed=1)
+            calls.clear()
+            em_train(learner, evidence, cfg, mask)
+            checked.append(list(calls))
+        assert checked[0] == checked[1] == ["n_samples"], checked
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_soft_evidence_is_normalized_once(self, monkeypatch, algorithm):

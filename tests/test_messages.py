@@ -1,11 +1,13 @@
 """Unit tests for the message algebra."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_max_indicator, reference_normalize, reference_one_hot
+from oracles import is_normalized, reference_max_indicator, reference_normalize, reference_one_hot
 from normalgraph.messages import (
     _SUM_SLACK,
     COLUMN_ROWS,
@@ -14,13 +16,16 @@ from normalgraph.messages import (
     _normalize_in_place,
     _row_sums,
     hadamard_posterior,
-    is_normalized,
     max_indicator,
     normalize,
     one_hot,
     sharpen,
     uniform,
 )
+from normalgraph.experiments import SingleBlockConfig, build_latent_star, split_mask
+from normalgraph.learning import TrainConfig
+from normalgraph.propagation import Propagator
+from normalgraph.synthgen import ancestral_sample, substream
 
 positive_vector = st.lists(
     st.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=6
@@ -356,3 +361,56 @@ class TestSmallFactories:
         assert is_normalized(np.full((3, 4), 0.25))
         assert not is_normalized(np.array([0.5, 0.6]))
         assert not is_normalized(np.array([1.5, -0.5]))
+
+
+# Every public entry point that takes a count or a seed, by field: a call
+# with the value in that field, and the least value it accepts.
+STAR = build_latent_star(generative=True)
+COUNT_FIELDS = {
+    "TrainConfig.epochs": (lambda v: TrainConfig(epochs=v), 0),
+    "TrainConfig.nit": (lambda v: TrainConfig(nit=v), 1),
+    "TrainConfig.seed": (lambda v: TrainConfig(seed=v), 0),
+    "SingleBlockConfig.n_samples": (lambda v: SingleBlockConfig(n_samples=v), 0),
+    "SingleBlockConfig.iterations": (lambda v: SingleBlockConfig(iterations=v), 1),
+    "SingleBlockConfig.seed": (lambda v: SingleBlockConfig(seed=v), 0),
+    "ancestral_sample.n_samples": (lambda v: ancestral_sample(STAR, v), 0),
+    "ancestral_sample.seed": (lambda v: ancestral_sample(STAR, 5, seed=v), 0),
+    "substream.seed": (lambda v: substream(v, "draw"), 0),
+    "split_mask.n_samples": (lambda v: split_mask(v, 1.0), 0),
+    "build_latent_star.m_latent": (lambda v: build_latent_star(v), 1),
+    "Propagator.run.n_samples": (lambda v: Propagator(STAR).run({}, n_samples=v), 0),
+}
+
+
+class TestCountChecks:
+    """One check of counts and seeds at every entry point: an integer, numpy's
+    included, of at least the field's least value; never a float or a bool."""
+
+    @pytest.mark.parametrize("value", [1.5, True, np.float64(2.0)], ids=repr)
+    @pytest.mark.parametrize("entry", COUNT_FIELDS)
+    def test_rejects_non_integers(self, entry, value):
+        call, _ = COUNT_FIELDS[entry]
+        field, shown = entry.rsplit(".", 1)[1], re.escape(repr(value))
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {shown}$"):
+            call(value)
+
+    @pytest.mark.parametrize("entry", COUNT_FIELDS)
+    def test_rejects_below_least(self, entry):
+        call, least = COUNT_FIELDS[entry]
+        field = entry.rsplit(".", 1)[1]
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        with pytest.raises(ValueError, match=f"^{field} must be {bound}, got {least - 1}$"):
+            call(least - 1)
+
+    @pytest.mark.parametrize("entry", COUNT_FIELDS)
+    def test_accepts_numpy_integers(self, entry):
+        call, least = COUNT_FIELDS[entry]
+        call(np.int64(least + 2))
+
+    def test_numpy_integers_draw_like_ints(self):
+        drawn = ancestral_sample(STAR, np.int64(7), seed=np.int64(3))
+        expected = ancestral_sample(STAR, 7, seed=3)
+        for v in expected.columns:
+            np.testing.assert_array_equal(drawn[v], expected[v])
+        state = Propagator(STAR).run({}, n_samples=np.int32(3))
+        assert state.forward["X1"].shape == (3, 2)
