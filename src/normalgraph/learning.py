@@ -33,7 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from .graph import GraphSpec, SourceBlock
-from .messages import _first_peak, _require_count, _require_delta, normalize
+from .messages import _column_sums, _first_peak, _require_count, _require_delta, normalize
 from .propagation import ContradictoryEvidence, Propagator, _log_overlap
 
 __all__ = [
@@ -215,10 +215,11 @@ def _rule(cfg: "TrainConfig"):
 
 def _unit(kernel, setting, shape, theta, f, b, w) -> np.ndarray:
     """``kernel`` on one (L, M) unit, unpadded: ``theta`` (or None), and (n, L)
-    and (n, M) port messages, each an array or its draw, made here so that
-    the kernel holds the only reference."""
+    and (n, M) port messages, each an array or its draw, made here in C order
+    (the kernels' sums follow it) so that the kernel holds the only reference."""
     theta = None if theta is None else theta.reshape(1, *shape)
-    return kernel(theta, _drawn(f)[None], _drawn(b)[None], w, setting, np.ones((1, *shape)))[0]
+    return kernel(theta, np.ascontiguousarray(_drawn(f))[None],
+                  np.ascontiguousarray(_drawn(b))[None], w, setting, np.ones((1, *shape)))[0]
 
 
 def ml_update(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
@@ -400,8 +401,9 @@ class _Epochs:
             self._live[u, :l, :m] = 1.0
         mask = np.ones(n) if mask is None else mask
         keep = None if mask.all() else mask > 0  # the rows the first M-step reads
-        self._msgs = propagator._start(factors, n, rng, {k for u in self._ports for k in u},
-                                       keep, inverse)
+        ports = {k for u in self._ports for k in u} - {None}
+        start = propagator._start(factors, n, rng, ports, keep, inverse)
+        self._msgs = {k: start[k] for k in sorted(ports)}  # each port's (n, size) message or draw
         self._weights = np.ones(np.count_nonzero(mask))
         self._train = np.bincount(inverse, weights=mask > 0)
         test = np.bincount(inverse, weights=mask <= 0)
@@ -418,7 +420,7 @@ class _Epochs:
         live, msgs, n = self._live, self._msgs, len(weights)
         units = zip(self._ports, self._shapes, self.parameters.values())
         if len(live) > 1 and len(live) * n * sum(live.shape[1:]) <= STACK_ENTRIES:
-            msgs = [_drawn(msg) for msg in msgs]  # epoch 1: every draw, in slot order
+            msgs = {k: _drawn(msg) for k, msg in msgs.items()}  # epoch 1: every draw
             theta = np.zeros(live.shape)
             f, b = np.zeros((len(live), n, live.shape[1])), np.zeros((len(live), n, live.shape[2]))
             for u, ((kf, kb), (l, m), p) in enumerate(units):
@@ -439,8 +441,8 @@ class _Epochs:
                 factors = self._propagator._evidence_factors(self._evidence, self._n_samples)[0]
                 self._propagator._pass(factors, self._params, self._n_samples)
             raise
-        self._msgs, self._weights = msgs, self._train
-        overlaps = [np.add.reduce(msgs[f] * msgs[b], -1) for f, b in self._scored]
+        self._msgs, self._weights = {k: msgs[k].T for k in self._msgs}, self._train
+        overlaps = [_column_sums(msgs[f] * msgs[b]) for f, b in self._scored]
         scores = [_log_overlap(overlaps, *split) for split in self._splits]
         return updates, scores[0], scores[-1]
 

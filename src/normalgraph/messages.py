@@ -10,6 +10,7 @@ to unit sum throughout.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -30,12 +31,12 @@ _SUM_SLACK = 1e-13
 # max_indicator treats entries this close to the row maximum as ties.
 TIE_RTOL = 1e-12
 
-# From this many rows on, row sums (of rows narrower than 8) and row maxima are
-# taken column by column.  With numpy 2.4 on a 2-core x86_64 host the column
-# adds win for widths 2-7 from 256-512 rows on, by 1.4-3x at 1 024 rows, and
-# lose below (fixed cost about 5 us); 12 wide, the column maxima win at 512
-# rows and lose at 144.
-COLUMN_ROWS = 1024
+# From this many rows on, ``_column_sums`` adds whole rows of a (size, n) block,
+# and from 4 times as many ``_first_peak`` takes row maxima column by column.  With
+# numpy 2.4 on a 2-core x86_64 host, 8- and 12-wide lane sums beat a C-order copy
+# and its row reduction from 256 rows on (by 2.7-3x at 1 024), and lose below;
+# 12 wide, the column maxima win at 512 rows and lose at 144.
+COLUMN_ROWS = 256
 
 
 class AllZeroVector(ValueError):
@@ -78,7 +79,7 @@ def normalize(values: np.ndarray) -> np.ndarray:
     divided by its maximum.  Rows already within 1e-13 of unit sum are passed
     through untouched, so the function is exactly idempotent.
     """
-    values = np.array(values, dtype=np.float64)
+    values = np.array(values, dtype=np.float64, order="C")  # its rows sum without a copy
     if not np.all((values >= 0.0) & (values < np.inf)):
         raise ValueError("messages must be nonnegative and finite")
     try:
@@ -90,28 +91,39 @@ def normalize(values: np.ndarray) -> np.ndarray:
         return _normalize_in_place(values / np.where(huge, values.max(-1, keepdims=True), 1.0))
 
 
-def _row_sums(values: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(values, -1, keepdims=True)``, which adds a row of under 8
-    entries left to right: ``COLUMN_ROWS`` or more such rows are added by column."""
-    width = values.shape[-1]
-    if not 1 < width < 8 or values.size < COLUMN_ROWS * width:
-        return np.add.reduce(values, -1, keepdims=True)
-    sums = values[..., 0:1] + values[..., 1:2]
-    for k in range(2, width):
-        sums += values[..., k:k + 1]
+def _column_sums(block: np.ndarray) -> np.ndarray:
+    """The sums over axis 0 of a (size, n) ``block``, bit for bit numpy's reduction
+    of the C-order rows of ``block.T``: left to right under 8 entries; for 8 to 15,
+    ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), then the rest in order.  From ``COLUMN_ROWS``
+    columns on (8 or more only in a C-order ``block``) rows of ``block`` are added so."""
+    size = len(block)
+    if (not 1 < size < 16 or block.size < COLUMN_ROWS * size
+            or size >= 8 and not block.flags.c_contiguous):  # then block.T needs no copy
+        return (np.add.reduce(block, 0) if size < 8 else
+                np.add.reduce(np.ascontiguousarray(block.T), -1))
+    sums = block[0] + block[1]
+    if size >= 8:
+        sums += block[2] + block[3]
+        sums += (block[4] + block[5]) + (block[6] + block[7])
+    for row in block[8 if size >= 8 else 2:]:
+        sums += row
     return sums
 
 
 def _normalize_in_place(values: np.ndarray) -> np.ndarray:
-    """``normalize`` for a float64 array already known to be nonnegative,
-    such as fresh uniform draws: the rows are scaled in ``values`` itself."""
-    sums = _row_sums(values)
+    """``normalize`` for a float64 array (C-ordered if over 2-d) already known to be
+    nonnegative, such as fresh uniform draws: the rows are scaled in ``values`` itself."""
+    shape = values.shape
+    columns = values.T if len(shape) == 2 else values.reshape(math.prod(shape[:-1]), shape[-1]).T
+    sums = _column_sums(columns)
     if not sums.all():
         raise AllZeroVector("cannot normalize a vector with zero total mass")
     off = np.abs(sums - 1.0) > _SUM_SLACK
     if not off.all():
         sums[~off] = 1.0  # x / 1.0 is x, bit for bit
-    return np.divide(values, sums, out=values)
+    view, by = (columns, sums) if columns.flags.c_contiguous else (columns.T, sums[:, None])
+    np.divide(view, by, out=view)  # in memory order: across it, peak RSS rose at N = 1e5
+    return values
 
 
 def hadamard_posterior(forward: np.ndarray, backward: np.ndarray) -> np.ndarray:
@@ -162,10 +174,10 @@ def max_indicator(values: np.ndarray) -> np.ndarray:
 
 def _first_peak(values: np.ndarray) -> np.ndarray:
     """Each row's first index within ``TIE_RTOL`` of its maximum, which is taken
-    by column from ``COLUMN_ROWS`` rows on (a reduction costs per row)."""
+    by column from 4 * ``COLUMN_ROWS`` rows on (a reduction costs per row)."""
     if values.shape[-1] == 1:  # a source's input: nothing to compare
         return np.zeros(values.shape[:-1], dtype=np.intp)
-    if values.size >= COLUMN_ROWS * values.shape[-1]:
+    if values.size >= 4 * COLUMN_ROWS * values.shape[-1]:
         peak = functools.reduce(np.maximum, np.moveaxis(values, -1, 0))[..., None]
     else:
         peak = values.max(axis=-1, keepdims=True)

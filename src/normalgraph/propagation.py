@@ -16,8 +16,9 @@ compiles a dependency-ordered schedule of integer-indexed steps and
 computes every message exactly once, in one pass over evidence factors
 encoded beforehand.
 
-Message arrays are (n_samples, alphabet) so a whole dataset propagates in
-one vectorized pass.
+The pass stores each message as a C-order (size, n_samples) array, so a whole
+dataset propagates in one vectorized pass along contiguous rows; a
+``MessageState`` hands out (n_samples, size) views.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .graph import (
     UnknownVariable,
     _ends,
 )
-from .messages import (COLUMN_ROWS, AllZeroVector, _normalize_in_place, _require_count, _row_sums,
+from .messages import (AllZeroVector, _column_sums, _normalize_in_place, _require_count,
                        normalize, one_hot, uniform)
 
 __all__ = [
@@ -57,8 +58,8 @@ class ContradictoryEvidence(ValueError):
 class MessageState:
     """All messages of one propagation pass, stacked over samples.
 
-    ``forward[v]`` and ``backward[v]`` are (n_samples, size(v)) arrays of
-    normalized messages.
+    ``forward[v]`` and ``backward[v]`` are read-only (n_samples, size(v)) views, Fortran-
+    ordered after ``run``, of normalized messages stored (size(v), n_samples) in C order.
     """
 
     forward: dict[str, np.ndarray]
@@ -160,9 +161,9 @@ class Propagator:
 
     def _evidence_factors(self, evidence: Mapping | None, n_samples: int | None, merge=False):
         """The factor at every evidence slot number (None at the other slots),
-        the sample count N, and the rows: without ``merge``, (N, size) factors
-        and None; with it, the factors of the ``distinct_rows`` and each
-        sample's row, so that merged symbol columns are encoded per row only.
+        stored (size, rows) as the pass stores messages, the sample count N, and
+        the rows: without ``merge``, N-row factors and None; with it, those of the
+        ``distinct_rows`` and each sample's row (merged symbols encode per row only).
 
         Every per-sample factor must have N rows: ``n_samples`` when given,
         else the row count of the first per-sample factor, else 1.
@@ -178,9 +179,10 @@ class Propagator:
         checked, n_rows, inverse = self.distinct_rows(checked, n) if merge else (checked, n, None)
         factors = [None] * len(self._slots)
         for var, k in self._evidence_slots.items():
-            factor = checked[var] if var in checked else uniform(self.sizes[var])
+            factor = checked.pop(var) if var in checked else uniform(self.sizes[var])
             factor = one_hot(factor, self.sizes[var]) if _is_symbol_column(factor) else factor
-            factors[k] = np.repeat(factor[None], n_rows, 0) if factor.ndim == 1 else factor
+            factors[k] = (np.repeat(factor[:, None], n_rows, 1) if factor.ndim == 1
+                          else np.ascontiguousarray(factor.T))
         return factors, n, inverse
 
     def _encode(self, var: str, value) -> np.ndarray:
@@ -259,31 +261,30 @@ class Propagator:
         return params
 
     def _pass(self, factors: list, params: Mapping[str, np.ndarray], n: int) -> list:
-        """Every message by slot number, from ``_evidence_factors`` and the
-        parameter of every node: the one-pass sweep of ``run``.  Zero row sums
-        (NaN rows downstream) are checked once, after the sweep, in schedule order."""
+        """Every message by slot number, stored (size, n), from ``_evidence_factors``
+        and the parameter of every node: the one-pass sweep of ``run``.  Zero column
+        sums (NaN columns downstream) are checked once, after the sweep, in schedule order."""
         msgs = list(factors)
-        sums = {}  # each step's row sums by output slot, in schedule order
-        by_column = n >= COLUMN_ROWS  # below it _row_sums is np.add.reduce: spare its call
+        sums = {}  # each step's column sums by output slot, in schedule order
         with np.errstate(divide="ignore", invalid="ignore"):
             for out, kind, name, inputs in self._steps:
                 if kind == "prior":
-                    msgs[out] = np.repeat(params[name][None], n, 0)
+                    msgs[out] = np.repeat(params[name][:, None], n, 1)
                     continue
                 if kind == "siso_f":
-                    raw = msgs[inputs[0]] @ params[name]
+                    raw = params[name].T @ msgs[inputs[0]]
                 elif kind == "siso_b":
-                    raw = msgs[inputs[0]] @ params[name].T
+                    raw = params[name] @ msgs[inputs[0]]
                 elif len(inputs) == 1:  # a copy: the division below is in place
                     raw = msgs[inputs[0]].copy()
                 else:
                     raw = msgs[inputs[0]] * msgs[inputs[1]]
                     for k in inputs[2:]:
                         raw *= msgs[k]
-                sums[out] = _row_sums(raw) if by_column else np.add.reduce(raw, 1, keepdims=True)
+                sums[out] = _column_sums(raw)
                 msgs[out] = np.divide(raw, sums[out], out=raw)
         if sums and not np.concatenate([*sums.values()]).all():
-            out, zero = next((o, s[:, 0] == 0.0) for o, s in sums.items() if not s.all())
+            out, zero = next((o, s == 0.0) for o, s in sums.items() if not s.all())
             direction, var = self._slots[out]
             raise ContradictoryEvidence(
                 f"no consistent {'forward' if direction == 'F' else 'backward'} message "
@@ -303,7 +304,7 @@ class Propagator:
         for each variable v in turn, and ``rng`` is left after the last."""
         factors, n, _ = self._evidence_factors(evidence, n_samples)
         draws = self._start(factors, n, rng, range(len(self._slots)))
-        return self._to_state([draw() if callable(draw) else draw for draw in draws], n)
+        return self._to_state([(draw() if callable(draw) else draw).T for draw in draws], n)
 
     def _start(self, factors: list, n: int, rng, slots, keep=None, rows=None) -> list:
         """``initial_state`` by slot number, with a draw at each slot in ``slots``
@@ -315,13 +316,13 @@ class Propagator:
         each keeps its bits.  With ``rows``, each sample's row of the factors,
         every evidence slot is a function too, that gathers the kept samples'
         rows; a ``keep`` comes with ``rows``."""
-        msgs, lo, hi, inside = list(factors), 0, n, None
+        msgs, lo, hi, inside = [f if f is None else f.T for f in factors], 0, n, None
         if keep is not None:
             lo, hi = (np.flatnonzero(keep)[[0, -1]] + (0, 1)).tolist()
             inside = None if keep[lo:hi].all() else keep[lo:hi]
         if rows is not None:
             rows = rows[lo:hi] if inside is None else rows[lo:hi][inside]
-            msgs = [f if f is None else partial(np.take, f, rows, 0) for f in factors]
+            msgs = [f if f is None else partial(np.take, f.T, rows, 0) for f in factors]
         stream, offset, position = rng.bit_generator, 0, [0]
 
         def draw(start: int, size: int) -> np.ndarray:
@@ -340,7 +341,7 @@ class Propagator:
         forward, backward = {}, {}
         for (direction, var), arr in zip(self._slots, msgs):
             arr.setflags(write=False)
-            (forward if direction == "F" else backward)[var] = arr
+            (forward if direction == "F" else backward)[var] = arr.T
         return MessageState(forward=forward, backward=backward, n_samples=n)
 
 
@@ -370,7 +371,7 @@ def aggregated_log_likelihood(state: MessageState, terminals: Sequence[str],
     if weights is not None and not np.all((weights >= 0.0) & (weights < np.inf)):
         raise ValueError("mask entries must be finite and nonnegative")
     sel = None if weights is None else weights > 0
-    return _log_overlap([np.add.reduce(state.forward[v] * state.backward[v], -1)
+    return _log_overlap([_column_sums(state.forward[v].T * state.backward[v].T)
                          for v in terminals], sel, None if sel is None else weights[sel])
 
 

@@ -13,7 +13,10 @@ distribution row, against whose bits ``ancestral_sample`` is checked, and
 copy and weight their messages on every call, against whose bytes the
 learning kernels' copy-free paths are checked.  ``reference_schedule``
 orders the message slots by rescanning every remaining slot in each round;
-``Propagator``'s compiled schedule is checked against it.
+``Propagator``'s compiled schedule is checked against it.  ``reference_sweep``
+runs that schedule on ``Propagator``'s encoded evidence with every message
+stored (n, size) and summed along its rows by numpy, as the pass once did;
+the pass, which stores messages (size, n), is checked against its bytes.
 ``reference_parameter_problem`` and ``reference_one_hot`` are the graph
 parameter check and the delta-row encoder written with numpy's boolean-array
 helpers, against which the direct reductions and the identity-row lookup are
@@ -469,3 +472,27 @@ def reference_schedule(graph: GraphSpec) -> tuple[tuple, tuple, tuple]:
     steps = tuple((number[slot], kind, name, tuple(number[d] for d in inputs))
                   for slot in order for kind, name, inputs in [rules[slot]] if kind != "evidence")
     return slots, steps, tuple(var for direction, var in order if direction == "F")
+
+
+def reference_sweep(graph: GraphSpec, evidence: dict) -> dict:
+    """Every message of ``Propagator(graph).run(evidence)`` by slot, computed
+    row-major: each an (n, size) C-order array, scaled by numpy's reduction
+    of its rows, step by step in ``reference_schedule``'s order."""
+    slots, steps, _ = reference_schedule(graph)
+    factors, n, _ = Propagator(graph)._evidence_factors(evidence, None)
+    msgs = [None if f is None else np.ascontiguousarray(f.T) for f in factors]
+    params = {s.name: s.prior for s in graph.sources} | {b.name: b.theta for b in graph.blocks}
+    for out, kind, name, inputs in steps:
+        if kind == "prior":
+            msgs[out] = np.repeat(params[name][None], n, 0)
+            continue
+        if kind == "siso_f":
+            raw = msgs[inputs[0]] @ params[name]
+        elif kind == "siso_b":
+            raw = msgs[inputs[0]] @ params[name].T
+        else:
+            raw = msgs[inputs[0]].copy()
+            for k in inputs[1:]:
+                raw *= msgs[k]
+        msgs[out] = raw / np.add.reduce(raw, -1, keepdims=True)
+    return dict(zip(slots, msgs))

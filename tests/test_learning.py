@@ -1463,6 +1463,24 @@ class TestStackedEpochs:
         em_train(learner, evidence, TrainConfig("var", epochs=3, seed=1))
         assert calls == [1] * 8 + [8, 8]
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_unit_by_unit_epochs_keep_the_reference_bits(self, algorithm):
+        """600 soft rows do not merge, so every epoch trains one unit per
+        call, later epochs on transposed views of the pass's (size, n)
+        messages; those are copied to C order, as the kernels' sums over
+        samples follow memory order.  Scores and parameters keep the bits of
+        ``reference_em``, which trains each unit on C-order messages."""
+        learner, _ = study_graphs("deep", seed=1)
+        rng = np.random.default_rng(3)
+        evidence = {x: rng.uniform(0.05, 1.0, size=(600, learner.sizes[x]))
+                    for x in ("X1", "X2", "X3")}
+        cfg = TrainConfig(algorithm, epochs=3, seed=3)
+        report, expected = em_train(learner, evidence, cfg), reference_em(learner, evidence, cfg)
+        for x, y in zip(report.records, expected.records, strict=True):
+            assert (x.train_loglik, x.test_loglik) == (y.train_loglik, y.test_loglik)
+            for name, value in x.parameters.items():
+                assert value.tobytes() == y.parameters[name].tobytes(), (name, x.epoch)
+
 
 @st.composite
 def unit_stacks(draw):

@@ -13,8 +13,8 @@ from normalgraph.messages import (
     COLUMN_ROWS,
     TIE_RTOL,
     AllZeroVector,
+    _column_sums,
     _normalize_in_place,
-    _row_sums,
     hadamard_posterior,
     max_indicator,
     normalize,
@@ -246,9 +246,9 @@ class TestKernelsMatchReferenceFormulas:
     @settings(max_examples=100, deadline=None)
     @given(values=planted_rows())
     def test_max_indicator_on_many_rows(self, values):
-        """From ``COLUMN_ROWS`` rows on the row peak is taken column by
+        """From 4 * ``COLUMN_ROWS`` rows on the row peak is taken column by
         column; the indicator keeps its bits."""
-        many = np.tile(np.atleast_2d(values), (COLUMN_ROWS, 1))
+        many = np.tile(np.atleast_2d(values), (4 * COLUMN_ROWS, 1))
         expected = reference_max_indicator(many, 0.0, TIE_RTOL)
         assert max_indicator(many).tobytes() == expected.tobytes()
 
@@ -276,28 +276,56 @@ class TestKernelsMatchReferenceFormulas:
                 expected = reference_normalize(values, _SUM_SLACK)
                 assert out.tobytes() == expected.tobytes(), values
 
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_row_sums_are_numpys_reduction(self, data):
-        """``_row_sums`` adds rows narrower than 8 by column from
-        ``COLUMN_ROWS`` rows on, and equals numpy's own row reduction bit
-        for bit on every shape: widths 1-12, row counts on both sides of
-        ``COLUMN_ROWS``, one or two leading axes, C or Fortran order, and
-        entries that are 0, subnormal or as large as 1e300 (whose sums may
-        overflow to inf, in both)."""
-        width = data.draw(st.integers(1, 12), label="width")
-        n_rows = data.draw(st.sampled_from([0, 1, 7, COLUMN_ROWS - 1, COLUMN_ROWS,
-                                            COLUMN_ROWS + 1, 3 * COLUMN_ROWS]), label="rows")
-        shape = data.draw(st.sampled_from([(n_rows, width), (2, n_rows // 2, width)]))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        values = rng.uniform(size=shape) * 10.0 ** rng.integers(-320, 301, size=shape)
-        for special in (0.0, 5e-324, 2e-310, 1e300):
-            values[rng.uniform(size=shape) < data.draw(st.sampled_from([0.0, 0.1, 0.5]))] = special
-        if data.draw(st.booleans(), label="fortran"):
-            values = np.asfortranarray(values)
-        with np.errstate(over="ignore"):
-            out, expected = _row_sums(values), np.add.reduce(values, -1, keepdims=True)
-        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, COLUMN_ROWS - 1, COLUMN_ROWS, 3 * COLUMN_ROWS])
+    def test_row_sums_are_numpys_reduction(self, n_rows):
+        """``_column_sums`` of a (width, n) block equals numpy's own row
+        reduction of the C-order (n, width) array bit for bit, whether the
+        block is stored C-order or is a transposed view of those rows.  Widths
+        1-12 cover numpy's left-to-right adds and its 8 lanes of one entry
+        each; 16-129, its wider lanes, are summed from a C-order copy.  Entries
+        are 0, subnormal or as large as 1e300 (whose sums may overflow to inf,
+        in both).  A numpy that orders its adds otherwise fails here first."""
+        rng = np.random.default_rng(n_rows)
+        for width in [*range(1, 13), 16, 17, 24, 40, 128, 129]:
+            shape = (n_rows, width)
+            rows = rng.uniform(size=shape) * 10.0 ** rng.integers(-320, 301, size=shape)
+            for special, share in zip((0.0, 5e-324, 2e-310, 1e300), rng.uniform(0, 0.2, 4)):
+                rows[rng.uniform(size=shape) < share] = special
+            with np.errstate(over="ignore"):
+                expected = np.add.reduce(rows, -1).tobytes()
+                for block in (np.ascontiguousarray(rows.T), rows.T):
+                    assert _column_sums(block).tobytes() == expected, (width, block.flags)
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_normalize_ignores_memory_order(self, width):
+        """A Fortran-ordered input normalizes to the bits of its C-order copy:
+        numpy sums a row of 8 or more entries in another order when the row
+        is not contiguous, so ``normalize`` copies to C order."""
+        values = np.random.default_rng(width).uniform(size=(500, width))
+        fortran = np.asfortranarray(values)
+        assert normalize(fortran).tobytes() == normalize(values).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 1, 3), (2, 5, 3), (2, 300, 9), (2, 2, 4, 8),
+                                       (2, 0, 3)])
+    def test_arrays_of_more_axes_normalize_each_last_axis_row(self, shape):
+        """``normalize``, ``hadamard_posterior`` and ``sharpen`` scale each row
+        along the last axis of an array of 3 or 4 axes, C- or Fortran-ordered,
+        to the bits that row gets alone."""
+        rng = np.random.default_rng(shape[1])
+        values, other = rng.uniform(size=shape), rng.uniform(size=shape)
+
+        def by_row(fn, *arrays):
+            rows = zip(*(a.reshape(-1, shape[-1]) for a in arrays))
+            return np.array([fn(*row) for row in rows]).reshape(shape).tobytes()
+
+        for order in (np.ascontiguousarray, np.asfortranarray):
+            assert normalize(order(values)).tobytes() == by_row(normalize, values)
+            assert hadamard_posterior(order(values), order(other)).tobytes() == \
+                by_row(hadamard_posterior, values, other)
+            assert sharpen(order(values), 3.0).tobytes() == \
+                by_row(lambda row: sharpen(row, 3.0), values)
+        with pytest.raises(AllZeroVector):
+            normalize(np.ones((2, 3, 0)))  # rows of no entries
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())

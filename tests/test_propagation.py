@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (class_posteriors, flooding, random_bayes_tree, reference_schedule,
-                     tree_posteriors)
+from oracles import (class_posteriors, flooding, random_bayes_tree, reference_normalize,
+                     reference_schedule, reference_sweep, tree_posteriors)
 from normalgraph.experiments import (
     TREE_LEAF_CONDITIONALS,
     build_deep_graph,
@@ -28,8 +28,8 @@ from normalgraph.graph import (
     split_variable,
 )
 from normalgraph.learning import BlockDataset, TrainConfig, block_log_likelihood, em_train
-from normalgraph import learning, messages, propagation
-from normalgraph.messages import COLUMN_ROWS, hadamard_posterior, one_hot
+from normalgraph import learning, propagation
+from normalgraph.messages import _SUM_SLACK, COLUMN_ROWS, hadamard_posterior, one_hot
 from normalgraph.propagation import (
     ContradictoryEvidence,
     Propagator,
@@ -221,26 +221,62 @@ class TestBatchingAndSchedules:
                     posterior(batch, var)[n], posterior(single, var)[0], atol=1e-15
                 )
 
-    @pytest.mark.parametrize("n", [COLUMN_ROWS - 1, COLUMN_ROWS, 3 * COLUMN_ROWS])
-    def test_column_sums_change_no_bit(self, monkeypatch, n):
-        """From ``COLUMN_ROWS`` rows on, ``run`` and ``posterior`` sum rows
-        narrower than 8 by column.  Every message and posterior keeps the bits
-        it gets when every sum is numpy's row reduction."""
+    @pytest.mark.parametrize("n", [1, 8, COLUMN_ROWS - 1, COLUMN_ROWS, 3 * COLUMN_ROWS])
+    def test_column_sums_change_no_bit(self, n):
+        """``run`` stores every message (size, n) and sums it by column, the
+        8- and 12-wide ones in numpy's lanes from ``COLUMN_ROWS`` samples on.
+        Every message, posterior and log-likelihood keeps the bits of the
+        row-major sweep, whose sums are numpy's reduction of each row."""
         deep = build_deep_graph().with_parameters(deep_generative_parameters(1))
         rng = np.random.default_rng(n)
         evidence = {"X1": rng.dirichlet(np.ones(3), n), "X2": rng.integers(2, size=n),
                     "X3": rng.uniform(size=(n, 3))}
+        state, expected = Propagator(deep).run(evidence), reference_sweep(deep, evidence)
+        for var in deep.sizes:
+            f, b = expected[("F", var)], expected[("B", var)]
+            assert state.forward[var].tobytes() == f.tobytes(), var
+            assert state.backward[var].tobytes() == b.tobytes(), var
+            assert posterior(state, var).tobytes() == \
+                reference_normalize(f * b, _SUM_SLACK).tobytes(), var
+        terminals = ("X1", "X2", "X3")
+        assert aggregated_log_likelihood(state, terminals) == sum(
+            float(np.add.reduce(np.log(np.add.reduce(expected[("F", v)] * expected[("B", v)], -1))))
+            for v in terminals)
 
-        def outputs():
-            state = Propagator(deep).run(evidence)
-            return [a.tobytes() for var in deep.sizes for a in (
-                state.forward[var], state.backward[var], posterior(state, var))]
+    def test_wide_terminal_log_likelihood_keeps_its_bits(self):
+        """On random trees with a terminal 8 to 12 symbols wide, the
+        log-likelihood sums each overlap as numpy sums a C-order row.  Each
+        sample is also scored alone (a one-hot mask), as a sum over many
+        samples can round away a last-bit change of one overlap."""
+        rng, checked = np.random.default_rng(11), 0
+        while checked < 10:
+            _, graph, readout = random_bayes_tree(rng, max_nodes=5, max_size=12)
+            terminals = sorted(set(readout.values()))
+            if max(graph.sizes[v] for v in terminals) < 8:
+                continue
+            evidence = {v: rng.uniform(0.05, 1.0, size=(40, graph.sizes[v])) for v in terminals}
+            state, expected = Propagator(graph).run(evidence), reference_sweep(graph, evidence)
+            logs = {v: np.log(np.add.reduce(expected[("F", v)] * expected[("B", v)], -1))
+                    for v in terminals}
+            assert aggregated_log_likelihood(state, terminals) == sum(
+                float(np.add.reduce(logs[v])) for v in terminals)
+            for v in terminals:
+                alone = [aggregated_log_likelihood(state, [v], row) for row in np.eye(40)]
+                assert alone == logs[v].tolist(), v
+            checked += 1
 
-        by_column = outputs()
-        row_reduction = lambda values: np.add.reduce(values, -1, keepdims=True)  # noqa: E731
-        monkeypatch.setattr(messages, "_row_sums", row_reduction)
-        monkeypatch.setattr(propagation, "_row_sums", row_reduction)
-        assert by_column == outputs()
+    def test_second_run_leaves_the_first_state(self):
+        """Each ``run`` stores fresh arrays: a second call does not write into
+        the first state's messages, which are read-only (n, size) views."""
+        deep = build_deep_graph().with_parameters(deep_generative_parameters(1))
+        prop, rng = Propagator(deep), np.random.default_rng(5)
+        first = prop.run({"X1": rng.uniform(size=(300, 3)), "X2": rng.integers(2, size=300)})
+        kept = {var: (first.forward[var].copy(), first.backward[var].copy()) for var in deep.sizes}
+        prop.run({"X1": rng.uniform(size=(300, 3)), "X3": rng.integers(3, size=300)})
+        for var, size in deep.sizes.items():
+            for message, before in zip((first.forward[var], first.backward[var]), kept[var]):
+                assert message.shape == (300, size) and not message.flags.writeable
+                assert message.tobytes() == before.tobytes(), var
 
     def test_flooding_settles_to_exact(self):
         """Jacobi flooding, written from the GraphSpec alone, settles on the

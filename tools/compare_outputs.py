@@ -5,7 +5,8 @@
 
 Each argument is a directory that holds the ``normalgraph`` package, such as
 a checkout's ``src``.  For each side, the latent star graphs and the deep
-generative and learner graphs are saved and
+generative and learner graphs are saved, ``PROPAGATION`` writes what the
+library returns for soft, hard and mixed evidence, and
 every command of ``COMMANDS`` runs in a fresh interpreter, with that
 directory alone on ``PYTHONPATH`` and a hash seed of its own (any
 ``PYTHONHASHSEED`` is dropped), inside a temporary directory of its own.
@@ -47,6 +48,45 @@ save_graph(build_deep_graph(), "deep_learner.json")
 print(normalgraph.__file__)
 """
 
+# On the deep generative graph (seed 1), for soft, hard and mixed evidence at
+# each batch size (on both sides of messages.COLUMN_ROWS), writes the sha256
+# of every message and posterior and the log-likelihood of Propagator.run.
+# Then trains the deep learner graph with each rule on 600 unmerged soft rows
+# (80/20 split), where each unit trains alone, and writes every epoch's scores
+# and the learned parameters.
+PROPAGATION = """
+import hashlib, json, os
+import numpy as np
+from normalgraph.experiments import build_deep_graph, deep_generative_parameters, split_mask
+from normalgraph.learning import TrainConfig, em_train
+from normalgraph.propagation import Propagator, aggregated_log_likelihood, posterior
+deep = build_deep_graph().with_parameters(deep_generative_parameters(seed=1))
+terminals, sizes = ("X1", "X2", "X3"), build_deep_graph().sizes
+rng = np.random.default_rng(28)
+soft = lambda x, n: rng.uniform(0.05, 1.0, size=(n, sizes[x]))
+hard = lambda x, n: rng.integers(sizes[x], size=n)
+digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
+os.makedirs("propagation")
+kinds = {"soft": (soft, soft, soft), "hard": (hard, hard, hard), "mixed": (soft, hard, soft)}
+for kind, encoders in kinds.items():
+    for n in (1, 7, 8, 255, 256, 4096):
+        state = Propagator(deep).run({x: enc(x, n) for x, enc in zip(terminals, encoders)})
+        with open(f"propagation/{kind}_{n}.txt", "w") as out:
+            for var in deep.sizes:
+                out.write(f"{var} forward {digest(state.forward[var])}\\n")
+                out.write(f"{var} backward {digest(state.backward[var])}\\n")
+                out.write(f"{var} posterior {digest(posterior(state, var))}\\n")
+            out.write(f"loglik {aggregated_log_likelihood(state, terminals)!r}\\n")
+evidence = {x: soft(x, 600) for x in terminals}
+for rule in ("ml", "kl", "vit", "var"):
+    report = em_train(build_deep_graph(), evidence, TrainConfig(rule, epochs=4, seed=2),
+                      split_mask(600, 0.8))
+    with open(f"propagation/train_{rule}.json", "w") as out:
+        json.dump({"scores": [[r.train_loglik, r.test_loglik] for r in report.records],
+                   "parameters": {u.name: (u.prior if hasattr(u, "prior") else u.theta).tolist()
+                                  for u in report.graph.trainable_units()}}, out, indent=1)
+"""
+
 COMMANDS = (
     ["experiment", "deep", "--epochs", "200", "--out", "deep"],
     ["experiment", "deep", "--epochs", "50", "--split", "0.8", "--n", "300", "--out", "deep_split"],
@@ -72,7 +112,7 @@ COMMANDS = (
      "--epochs", "40", "--split", "0.75", "--dump-coefficients", "--out", "star_results.csv"],
 )
 
-# Runs GRAPHS, then every command of the argv list given as a JSON argument
+# Runs GRAPHS and PROPAGATION, then every command of the argv list given as a JSON argument
 # through one cli.main, and prints a JSON list of [exit status, printed text].
 IN_ONE_INTERPRETER = """
 import contextlib, io, json, sys
@@ -129,8 +169,8 @@ def run_side(src: Path, workdir: Path) -> dict[str, str]:
     interpreter: what each command printed, then the text of each file the
     commands wrote."""
     env = side_env(src)
-    checked_package(src, subprocess.run([sys.executable, "-c", GRAPHS], cwd=workdir, env=env,
-                                        capture_output=True, text=True))
+    checked_package(src, subprocess.run([sys.executable, "-c", GRAPHS + PROPAGATION],
+                                        cwd=workdir, env=env, capture_output=True, text=True))
     outputs = {}
     for argv in COMMANDS:
         done = subprocess.run([sys.executable, "-m", "normalgraph", *argv], cwd=workdir, env=env,
@@ -141,10 +181,11 @@ def run_side(src: Path, workdir: Path) -> dict[str, str]:
 
 
 def run_side_in_one_interpreter(src: Path, workdir: Path) -> dict[str, str]:
-    """``run_side``'s outputs with the graphs and every command run in one
-    interpreter, the commands through ``cli.main``."""
+    """``run_side``'s outputs with the graphs, ``PROPAGATION`` and every
+    command run in one interpreter, the commands through ``cli.main``."""
     done = subprocess.run([sys.executable, "-c", IN_ONE_INTERPRETER,
-                           json.dumps([list(argv) for argv in COMMANDS]), GRAPHS],
+                           json.dumps([list(argv) for argv in COMMANDS]),
+                           GRAPHS + PROPAGATION],
                           cwd=workdir, env=side_env(src), capture_output=True, text=True)
     results = json.loads(checked_package(src, done))
     outputs = {"$ normalgraph " + " ".join(argv): f"exit {status}\n{printed}"
