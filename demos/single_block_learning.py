@@ -5,7 +5,8 @@ rule tracks it closely; with near-delta messages all four rules land on
 the same counting solution.
 """
 
-from normalgraph.experiments import SingleBlockConfig, run_single_block
+from normalgraph.experiments import run_single_block
+from normalgraph.learning import TrainConfig
 
 
 def finals(rows):
@@ -22,7 +23,7 @@ def trajectory(rows, algorithm, every=20):
 
 def main():
     print("smooth messages (sharpening exponent 1)")
-    rows = run_single_block(SingleBlockConfig(seed=1))
+    rows = run_single_block(TrainConfig(seed=1))
     for algorithm in ("ml", "kl"):
         path = " -> ".join(f"{ll:.1f}" for _, ll in trajectory(rows, algorithm))
         print(f"  {algorithm} trajectory: {path}")
@@ -30,9 +31,7 @@ def main():
         print(f"  final {algorithm:>3}: {loglik:10.3f}")
 
     print("\nnear-delta messages (sharpening exponent 1000)")
-    rows = run_single_block(
-        SingleBlockConfig(sharp_in=1000.0, sharp_out=1000.0, seed=1)
-    )
+    rows = run_single_block(TrainConfig(seed=1), sharp_in=1000.0, sharp_out=1000.0)
     f = finals(rows)
     for algorithm, loglik in sorted(f.items(), key=lambda kv: -kv[1]):
         print(f"  final {algorithm:>3}: {loglik:10.3f}")

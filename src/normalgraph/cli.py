@@ -184,21 +184,16 @@ def _train_config(args, epochs_default: int = TrainConfig.epochs) -> TrainConfig
 
 def cmd_experiment(args) -> int:
     out_dir = Path(args.out)
-    n_samples = args.n if args.n is not None else (100 if args.name == "deep" else 400)
+    sized = {} if args.n is None else {"n_samples": args.n}  # else each runner's default
 
     if args.name == "single-block":
-        cfg = exp.SingleBlockConfig(
-            n_samples=n_samples,
-            sharp_in=args.sharp_in,
-            sharp_out=args.sharp_out,
-            iterations=args.iterations,
-            delta=args.delta,
-            seed=args.seed,
-        )
-        rows = exp.run_single_block(cfg)
+        train = TrainConfig(delta=args.delta, seed=args.seed)
+        rows = exp.run_single_block(train, sharp_in=args.sharp_in, sharp_out=args.sharp_out,
+                                    iterations=args.iterations, **sized)
         out_dir.mkdir(parents=True, exist_ok=True)
         results = out_dir / "single_block.csv"
-        exp.write_csv(results, ["algorithm", "iteration", "loglik"], rows, meta={"seed": cfg.seed})
+        exp.write_csv(results, ["algorithm", "iteration", "loglik"], rows,
+                      meta={"seed": train.seed})
         if args.emit_plot:
             exp.write_plot_script(out_dir / "single_block.gp", results.name,
                                   "iteration", ("loglik",), title="single block")
@@ -209,7 +204,7 @@ def cmd_experiment(args) -> int:
 
     train = _train_config(args, 600) if args.name == "deep" else _train_config(args)
     algorithms = args.algo or (("ml",) if args.name == "nit-sweep" else ALGORITHMS)
-    study = {"n_samples": n_samples, "split": args.split, "algorithms": algorithms}
+    study = {"split": args.split, "algorithms": algorithms, **sized}
     # The deep graph has no latent star: its results record the default size.
     m_latent = 4 if args.ms_override is None or args.name == "deep" else args.ms_override
     if args.name == "nit-sweep":

@@ -19,7 +19,7 @@ everywhere else.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .learning import (
     var_update,
     vit_update,
 )
-from .messages import _require_count, _require_delta, _require_finite_nonnegative, sharpen
+from .messages import _require_count, _require_finite_nonnegative, sharpen
 from .propagation import ContradictoryEvidence
 from .synthgen import SampleSet, ancestral_sample, random_row_stochastic, substream
 
@@ -53,7 +53,6 @@ __all__ = [
     "build_latent_star",
     "build_deep_graph",
     "deep_generative_parameters",
-    "SingleBlockConfig",
     "random_message_pairs",
     "run_single_block",
     "train_rules",
@@ -197,26 +196,6 @@ def split_mask(n_samples: int, split: float) -> np.ndarray:
 _M_IN, _M_OUT = 4, 3  # the single block's input and output alphabet sizes
 
 
-@dataclass
-class SingleBlockConfig:
-    """Settings of the single-block study, checked on construction."""
-
-    n_samples: int = 400
-    sharp_in: float = 1.0
-    sharp_out: float = 1.0
-    iterations: int = 100
-    delta: float = TrainConfig.delta
-    seed: int = TrainConfig.seed
-
-    def __post_init__(self):
-        _require_count("n_samples", self.n_samples)
-        _require_count("iterations", self.iterations, 1)
-        _require_count("seed", self.seed)
-        for name in ("sharp_in", "sharp_out"):
-            _require_finite_nonnegative(name, getattr(self, name))
-        _require_delta(self.delta)
-
-
 def random_message_pairs(m_in: int, m_out: int, n_samples: int,
                          sharp_in: float = 1.0, sharp_out: float = 1.0,
                          seed: int = 1) -> BlockDataset:
@@ -232,26 +211,32 @@ def random_message_pairs(m_in: int, m_out: int, n_samples: int,
     return BlockDataset(forward=forward, backward=backward)
 
 
-def run_single_block(cfg: SingleBlockConfig) -> list[tuple[str, int, float]]:
-    """Train one block four ways on shared random message pairs.
+def run_single_block(train: TrainConfig, *, n_samples: int = 400, sharp_in: float = 1.0,
+                     sharp_out: float = 1.0, iterations: int = 100) -> list[tuple[str, int, float]]:
+    """Train one block four ways on shared random message pairs, drawn with
+    the reference from ``train.seed``; of ``train``, only ``delta`` is also read.
 
     Returns (algorithm, iteration, loglik) rows: full trajectories for the
     iterative rules, a single row for the batch rules, and a random
     reference matrix labelled ``ref``.
     """
-    data = random_message_pairs(_M_IN, _M_OUT, cfg.n_samples, cfg.sharp_in, cfg.sharp_out, cfg.seed)
+    _require_count("n_samples", n_samples)
+    _require_count("iterations", iterations, 1)
+    _require_finite_nonnegative("sharp_in", sharp_in)
+    _require_finite_nonnegative("sharp_out", sharp_out)
+    data = random_message_pairs(_M_IN, _M_OUT, n_samples, sharp_in, sharp_out, train.seed)
     rows: list[tuple[str, int, float]] = []
     uniform = np.full((_M_IN, _M_OUT), 1.0 / _M_OUT)
 
     for algorithm, update in (("ml", ml_update), ("kl", kl_update)):
         theta = uniform
-        for it in range(1, cfg.iterations + 1):
+        for it in range(1, iterations + 1):
             theta = update(theta, data)
             rows.append((algorithm, it, block_log_likelihood(theta, data)))
-    rows.append(("vit", 1, block_log_likelihood(vit_update(data, cfg.delta), data)))
-    rows.append(("var", 1, block_log_likelihood(var_update(data, cfg.delta), data)))
+    rows.append(("vit", 1, block_log_likelihood(vit_update(data, train.delta), data)))
+    rows.append(("var", 1, block_log_likelihood(var_update(data, train.delta), data)))
     reference = random_row_stochastic(
-        _M_IN, _M_OUT, rng=substream(cfg.seed, "reference", _M_IN, _M_OUT)
+        _M_IN, _M_OUT, rng=substream(train.seed, "reference", _M_IN, _M_OUT)
     )
     rows.append(("ref", 1, block_log_likelihood(reference, data)))
     return rows

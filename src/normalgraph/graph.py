@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .messages import uniform
+from .messages import _is_count, uniform
 
 __all__ = [
     "GraphError",
@@ -137,7 +137,8 @@ class GraphSpec:
     diverters: tuple[DiverterNode, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", tuple((str(n), int(s)) for n, s in self.variables))
+        object.__setattr__(self, "variables", tuple((str(n), int(s) if _is_count(s) else s)
+                                                    for n, s in self.variables))
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "diverters", tuple(self.diverters))
@@ -296,7 +297,9 @@ def _problems(graph: GraphSpec) -> list[str]:
         dupes = sorted({n for n in names if names.count(n) > 1})
         problems.append(f"duplicate variable names: {dupes}")
     for name, size in graph.variables:
-        if size < 1:
+        if not _is_count(size):
+            problems.append(f"variable {name!r} size must be an integer, got {size!r}")
+        elif size < 1:
             problems.append(f"variable {name!r} has non-positive size {size}")
 
     node_names = [s.name for s in graph.sources] + [b.name for b in graph.blocks]

@@ -34,7 +34,7 @@ import numpy as np
 
 from .graph import GraphSpec, SourceBlock
 from .messages import _column_sums, _first_peak, _require_count, _require_delta, normalize
-from .propagation import ContradictoryEvidence, Propagator, _log_overlap
+from .propagation import Propagator, _log_overlap
 
 __all__ = [
     "BlockDataset",
@@ -368,10 +368,11 @@ STACK_ENTRIES = 32768
 class _Epochs:
     """``em_train``'s epochs on a graph's ``units``, with ``cfg``'s rule bound
     once and the evidence encoded on its ``Propagator.distinct_rows``, so that
-    each propagation runs once per distinct row.  Unit u trains an (L_u, M_u)
-    matrix (a source's prior as a 1 x M row with input 1) on its (n, L_u)
-    forward and (n, M_u) backward port messages by ``kernel(theta, f, b,
-    weights, setting, live)``; all units of an epoch read the same messages.
+    each propagation runs once per distinct row and names the samples of a
+    contradiction through the row map.  Unit u trains an (L_u, M_u) matrix (a
+    source's prior as a 1 x M row with input 1) on its (n, L_u) forward and
+    (n, M_u) backward port messages by ``kernel(theta, f, b, weights,
+    setting, live)``; all units of an epoch read the same messages.
     The first M-step reads ``initial_state``'s random start from ``rng``,
     weighted by ones, at the ports and training rows (``mask`` > 0) only; each
     port slot is drawn with its bits, or gathered from its distinct rows'
@@ -386,8 +387,8 @@ class _Epochs:
                  units, terminals, cfg: TrainConfig):
         factors, n, inverse = propagator._evidence_factors(
             evidence, None if mask is None else len(mask), merge=True)
-        self._propagator, self._evidence, self._factors = propagator, evidence, factors
-        self._n_samples, self._rule = n, _rule(cfg)
+        self._propagator, self._factors, self._inverse = propagator, factors, inverse
+        self._rule = _rule(cfg)
         slot = propagator._slot
         self._ports = [(None, slot[("B", u.variable)]) if isinstance(u, SourceBlock)
                        else (slot[("F", u.from_var)], slot[("B", u.to_var)]) for u in units]
@@ -434,13 +435,7 @@ class _Epochs:
                    in zip(self.parameters.items(), trained, self._shapes)}
         self.parameters.update(updates)
         self._params.update(updates)
-        try:
-            msgs = self._propagator._pass(self._factors, self._params, len(self._train))
-        except ContradictoryEvidence:
-            if len(self._train) < self._n_samples:  # name the samples, not the merged rows
-                factors = self._propagator._evidence_factors(self._evidence, self._n_samples)[0]
-                self._propagator._pass(factors, self._params, self._n_samples)
-            raise
+        msgs = self._propagator._pass(self._factors, self._params, len(self._train), self._inverse)
         self._msgs, self._weights = {k: msgs[k].T for k in self._msgs}, self._train
         overlaps = [_column_sums(msgs[f] * msgs[b]) for f, b in self._scored]
         scores = [_log_overlap(overlaps, *split) for split in self._splits]

@@ -62,9 +62,14 @@ def _require_delta(delta: float) -> None:
         raise ValueError(f"delta must be at most {MAX_DELTA:g}, got {delta}")
 
 
+def _is_count(value) -> bool:
+    """An integer, numpy's included, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_count(name: str, value, least: int = 0) -> None:
-    """The one check of a count or a seed: an integer, not a bool, of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """The one check of a count or a seed: ``_is_count``, of at least ``least``."""
+    if not _is_count(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         bound = "nonnegative" if least == 0 else f"at least {least}"
@@ -146,14 +151,16 @@ def sharpen(values: np.ndarray, exponent: float) -> np.ndarray:
     """Raise each entry to ``exponent`` and renormalize.
 
     Exponent 1 is the identity, large exponents approach the delta on the
-    argmax, and 0 flattens to uniform.
+    argmax, and 0 flattens each row: as at every positive exponent its zeros
+    stay 0, and its positive entries share the row equally.
     """
     _require_finite_nonnegative("exponent", exponent)
     values = np.asarray(values, dtype=np.float64)
+    normalized = normalize(values)  # raises on a negative, non-finite or all-zero row
     if exponent == 1.0:
-        return normalize(values)
-    if np.any(values.sum(axis=-1) <= 0.0) or np.any(values < 0):
-        return normalize(values)  # delegate the error reporting
+        return normalized
+    if exponent == 0.0:
+        return normalize(values > 0.0)
     # Powers are taken relative to each row's peak so that large exponents
     # cannot underflow the whole row to zero.
     with np.errstate(divide="ignore"):

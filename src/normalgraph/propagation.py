@@ -260,10 +260,11 @@ class Propagator:
         params.update({b.name: b.theta for b in self.graph.blocks})
         return params
 
-    def _pass(self, factors: list, params: Mapping[str, np.ndarray], n: int) -> list:
+    def _pass(self, factors: list, params: Mapping, n: int, inverse=slice(None)) -> list:
         """Every message by slot number, stored (size, n), from ``_evidence_factors``
         and the parameter of every node: the one-pass sweep of ``run``.  Zero column
-        sums (NaN columns downstream) are checked once, after the sweep, in schedule order."""
+        sums (NaN columns downstream) are checked once, after the sweep, in schedule order,
+        and named by sample: ``inverse`` is each sample's column (``distinct_rows``)."""
         msgs = list(factors)
         sums = {}  # each step's column sums by output slot, in schedule order
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -288,7 +289,7 @@ class Propagator:
             direction, var = self._slots[out]
             raise ContradictoryEvidence(
                 f"no consistent {'forward' if direction == 'F' else 'backward'} message "
-                f"at variable {var!r} for sample(s) {np.flatnonzero(zero)[:5].tolist()}")
+                f"at variable {var!r} for sample(s) {np.flatnonzero(zero[inverse])[:5].tolist()}")
         return msgs
 
     def run(self, evidence: Mapping | None = None, n_samples: int | None = None) -> MessageState:

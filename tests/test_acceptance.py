@@ -13,7 +13,6 @@ import numpy as np
 from oracles import cooccurrence_table, random_bayes_tree, tree_posteriors
 from normalgraph.cli import main
 from normalgraph.experiments import (
-    SingleBlockConfig,
     build_latent_star,
     run_deep_experiment,
     run_single_block,
@@ -203,7 +202,7 @@ def test_criterion_07_single_block_ordering():
     start = time.perf_counter()
     ml_wins, beats_ref = 0, 0
     for seed in range(1, 11):
-        rows = run_single_block(SingleBlockConfig(seed=seed))
+        rows = run_single_block(TrainConfig(seed=seed))
         final = {}
         for algorithm, _, loglik in rows:
             final[algorithm] = loglik
@@ -213,8 +212,8 @@ def test_criterion_07_single_block_ordering():
             beats_ref += 1
     sharp_ok = 0
     for seed in range(1, 11):
-        cfg = SingleBlockConfig(sharp_in=1000.0, sharp_out=1000.0, seed=seed)
-        final = {a: ll for a, _, ll in run_single_block(cfg)}
+        rows = run_single_block(TrainConfig(seed=seed), sharp_in=1000.0, sharp_out=1000.0)
+        final = {a: ll for a, _, ll in rows}
         values = [final[a] for a in ("ml", "kl", "vit", "var")]
         spread = max(values) - min(values)
         if spread <= 1e-3 * abs(final["ml"]):

@@ -528,6 +528,28 @@ class TestExperimentCommand:
         for algorithm in ("ml", "kl", "vit", "var", "ref"):
             assert f"{algorithm}: final loglik" in out
 
+    def test_single_block_ignores_the_epoch_settings(self, tmp_path):
+        """single-block reads only --delta and --seed of the training flags."""
+        rc = main(["experiment", "single-block", "--out", str(tmp_path), "--n", "10",
+                   "--iterations", "2", "--epochs", "-1", "--nit", "0", "--tol", "-1"])
+        assert rc == 0
+
+    @pytest.mark.parametrize("name, runner", [
+        ("single-block", "run_single_block"), ("tree", "run_tree_experiment"),
+        ("deep", "run_deep_experiment"), ("nit-sweep", "run_nit_sweep")])
+    def test_sample_count_passed_only_when_given(self, monkeypatch, tmp_path, name, runner):
+        """Without --n a study runs at its runner's own default sample count."""
+        seen = []
+
+        def recorded(train, **study):
+            seen.append(study)
+            raise ValueError("recorded")
+
+        monkeypatch.setattr(cli.exp, runner, recorded)
+        assert main(["experiment", name, "--out", str(tmp_path)]) == 1
+        assert main(["experiment", name, "--out", str(tmp_path), "--n", "7"]) == 1
+        assert "n_samples" not in seen[0] and seen[1]["n_samples"] == 7
+
     def test_tree_with_latent_override(self, tmp_path):
         rc = main(["experiment", "tree", "--out", str(tmp_path), "--n", "20",
                    "--epochs", "2", "--algo", "vit", "--ms-override", "2"])

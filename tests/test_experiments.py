@@ -6,7 +6,6 @@ import pytest
 from normalgraph.experiments import (
     TREE_LEAF_CONDITIONALS,
     TREE_PRIOR,
-    SingleBlockConfig,
     build_deep_graph,
     build_latent_star,
     deep_generative_parameters,
@@ -101,8 +100,7 @@ class TestSplitMask:
 
 class TestSingleBlockRunner:
     def test_row_layout(self):
-        cfg = SingleBlockConfig(iterations=10, n_samples=50)
-        rows = run_single_block(cfg)
+        rows = run_single_block(TrainConfig(), iterations=10, n_samples=50)
         assert len(rows) == 2 * 10 + 3
         assert {r[0] for r in rows} == {"ml", "kl", "vit", "var", "ref"}
         ml_rows = [r for r in rows if r[0] == "ml"]
@@ -110,16 +108,17 @@ class TestSingleBlockRunner:
         assert all(np.isfinite(r[2]) for r in rows)
 
     def test_ml_trajectory_is_monotone(self):
-        rows = run_single_block(SingleBlockConfig(iterations=30, n_samples=80))
+        rows = run_single_block(TrainConfig(), iterations=30, n_samples=80)
         ml = [r[2] for r in rows if r[0] == "ml"]
         assert all(b >= a - 1e-10 for a, b in zip(ml, ml[1:]))
 
     def test_deterministic(self):
-        cfg = SingleBlockConfig(iterations=5, n_samples=40, seed=9)
-        assert run_single_block(cfg) == run_single_block(cfg)
+        study = {"iterations": 5, "n_samples": 40}
+        assert (run_single_block(TrainConfig(seed=9), **study)
+                == run_single_block(TrainConfig(seed=9), **study))
 
     def test_trained_rules_beat_reference(self):
-        rows = run_single_block(SingleBlockConfig(iterations=50, n_samples=100))
+        rows = run_single_block(TrainConfig(), iterations=50, n_samples=100)
         final = {r[0]: r[2] for r in rows}
         for algorithm in ("ml", "kl", "vit", "var"):
             assert final[algorithm] > final["ref"]

@@ -1,6 +1,7 @@
 """Unit tests for graph structures, builders, validation, and file I/O."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -237,6 +238,20 @@ class TestValidate:
                 variables=(("A", 0),),
                 sources=(SourceBlock("prior_A", "A", np.array([])),),
             )
+
+    @pytest.mark.parametrize("size", [2.7, 2.0, "2", True, np.float64(2.0)], ids=repr)
+    def test_rejects_non_integer_size(self, size):
+        """A size is checked by the rule of counts, not truncated by ``int``."""
+        problem = f"variable 'A' size must be an integer, got {re.escape(repr(size))}"
+        with pytest.raises(GraphError, match=problem):
+            GraphSpec(variables=(("A", size),),
+                      sources=(SourceBlock("prior_A", "A", np.array([0.5, 0.5])),))
+
+    @pytest.mark.parametrize("size", [2, np.int64(2), np.uint8(2)], ids=repr)
+    def test_integer_size_is_stored_as_int(self, size):
+        graph = GraphSpec(variables=(("A", size),),
+                          sources=(SourceBlock("prior_A", "A", np.array([0.5, 0.5])),))
+        assert graph.variables == (("A", 2),) and type(graph.sizes["A"]) is int
 
     def test_with_parameters_rejects_non_stochastic_matrix(self):
         star = build_latent_star()

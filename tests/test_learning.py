@@ -810,6 +810,44 @@ class TestCountedRows:
                 "no consistent backward message at variable 'S1' for sample(s) [40, 46, 47, 50, 54]"
             )
 
+    def test_failing_epoch_propagates_once(self, monkeypatch):
+        """A merged run that meets contradictory evidence encodes the evidence
+        once and propagates the merged rows once per epoch reached: the row map
+        names the samples, with no second, unmerged pass."""
+        learner, generative = study_graphs("deep", seed=1)
+        evidence = ancestral_sample(generative, 20000, seed=1).terminal_evidence(
+            ("X1", "X2", "X3"))
+        x1 = evidence["X1"]
+        x1[:16000][x1[:16000] == 2] = 0  # X1 = 2 only among the held-out samples
+        n_rows = Propagator(learner).distinct_rows(evidence, 20000)[1]
+        calls = {"encode": 0, "passes": [], "epochs": 0}
+        encode, propagate = Propagator._evidence_factors, Propagator._pass
+        step = learning._Epochs.step
+
+        def counted_encode(*args, **kwargs):
+            calls["encode"] += 1
+            return encode(*args, **kwargs)
+
+        def counted_pass(self, factors, params, n, *rest):
+            calls["passes"].append(n)
+            return propagate(self, factors, params, n, *rest)
+
+        def counted_step(self):
+            calls["epochs"] += 1
+            return step(self)
+
+        monkeypatch.setattr(Propagator, "_evidence_factors", counted_encode)
+        monkeypatch.setattr(Propagator, "_pass", counted_pass)
+        monkeypatch.setattr(learning._Epochs, "step", counted_step)
+        with pytest.raises(ContradictoryEvidence) as caught:
+            em_train(learner, evidence, TrainConfig("ml", epochs=3, seed=1),
+                     split_mask(20000, 0.8))
+        assert str(caught.value) == ("no consistent backward message at variable 'S1_1' "
+                                     "for sample(s) [16000, 16001, 16002, 16004, 16009]")
+        assert n_rows < 20000
+        assert calls["encode"] == 1
+        assert calls["passes"] == [n_rows] * calls["epochs"]
+
     def test_out_of_range_symbol_is_reported_before_merging(self):
         evidence = {"X1": np.array([0, 1, 1, 2]), "X2": np.array([0, 0, 0, 0])}
         with pytest.raises(ValueError, match="evidence symbol out of range for variable 'X1'"):

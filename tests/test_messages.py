@@ -22,7 +22,7 @@ from normalgraph.messages import (
     sharpen,
     uniform,
 )
-from normalgraph.experiments import SingleBlockConfig, build_latent_star, split_mask
+from normalgraph.experiments import build_latent_star, run_single_block, split_mask
 from normalgraph.learning import TrainConfig
 from normalgraph.propagation import Propagator
 from normalgraph.synthgen import ancestral_sample, substream
@@ -129,9 +129,14 @@ class TestSharpen:
         v = normalize(rng.uniform(size=(20, 5)))
         np.testing.assert_allclose(sharpen(v, 1.0), v, atol=1e-15)
 
-    def test_exponent_zero_flattens(self):
-        v = np.array([0.7, 0.2, 0.1])
-        np.testing.assert_allclose(sharpen(v, 0.0), uniform(3), atol=1e-15)
+    @pytest.mark.parametrize("row, flat", [
+        ([0.7, 0.2, 0.1], uniform(3)), ([5e-324, 1.0, 8.0], uniform(3)),
+        ([0.0, 0.2, 0.8], [0.0, 0.5, 0.5]),
+    ], ids=["positive", "tiny entry", "zero entry"])
+    def test_exponent_zero_flattens(self, row, flat):
+        """A zero entry stays 0, as at every positive exponent, and the
+        positive entries share the row equally, bit for bit."""
+        assert sharpen(np.array(row), 0.0).tolist() == list(flat)
 
     def test_matches_direct_power(self):
         rng = np.random.default_rng(42)
@@ -398,9 +403,10 @@ COUNT_FIELDS = {
     "TrainConfig.epochs": (lambda v: TrainConfig(epochs=v), 0),
     "TrainConfig.nit": (lambda v: TrainConfig(nit=v), 1),
     "TrainConfig.seed": (lambda v: TrainConfig(seed=v), 0),
-    "SingleBlockConfig.n_samples": (lambda v: SingleBlockConfig(n_samples=v), 0),
-    "SingleBlockConfig.iterations": (lambda v: SingleBlockConfig(iterations=v), 1),
-    "SingleBlockConfig.seed": (lambda v: SingleBlockConfig(seed=v), 0),
+    "run_single_block.n_samples": (
+        lambda v: run_single_block(TrainConfig(), n_samples=v, iterations=1), 0),
+    "run_single_block.iterations": (
+        lambda v: run_single_block(TrainConfig(), n_samples=1, iterations=v), 1),
     "ancestral_sample.n_samples": (lambda v: ancestral_sample(STAR, v), 0),
     "ancestral_sample.seed": (lambda v: ancestral_sample(STAR, 5, seed=v), 0),
     "substream.seed": (lambda v: substream(v, "draw"), 0),

@@ -36,15 +36,23 @@ import tempfile
 from pathlib import Path
 
 # Saves the generative and the learner star, the deep generative graph (seed
-# 1) and the deep learner graph, and names the package it ran.
+# 1) and the deep learner graph, and 60 star samples (seed 1) where X1 = 1
+# (2 in the file) occurs only after the 45 leading samples; then names the
+# package it ran.
 GRAPHS = """
 import normalgraph
-from normalgraph.experiments import build_deep_graph, build_latent_star, deep_generative_parameters
+from normalgraph.experiments import (build_deep_graph, build_latent_star,
+                                     deep_generative_parameters, save_samples)
 from normalgraph.graph import save_graph
+from normalgraph.synthgen import ancestral_sample
 save_graph(build_latent_star(generative=True), "star_gen.json")
 save_graph(build_latent_star(), "star_learner.json")
 save_graph(build_deep_graph().with_parameters(deep_generative_parameters(seed=1)), "deep_gen.json")
 save_graph(build_deep_graph(), "deep_learner.json")
+held_out_only = ancestral_sample(build_latent_star(generative=True), 60, seed=1)
+x1 = held_out_only.columns["X1"]
+x1[:45][x1[:45] == 1] = 0
+save_samples(held_out_only, "star_held_out_symbol.csv")
 print(normalgraph.__file__)
 """
 
@@ -110,6 +118,10 @@ COMMANDS = (
      "--out", "star_eval.csv"],
     ["train", "--graph", "star_learner.json", "--data", "star.csv", "--algo", "all",
      "--epochs", "40", "--split", "0.75", "--dump-coefficients", "--out", "star_results.csv"],
+    # ml meets a symbol that only held-out samples show: exit 1 and one
+    # "error: evidence: ..." line that names the samples.
+    ["train", "--graph", "star_learner.json", "--data", "star_held_out_symbol.csv", "--algo",
+     "ml", "--epochs", "5", "--split", "0.75", "--out", "star_held_out_symbol_results.csv"],
 )
 
 # Runs GRAPHS and PROPAGATION, then every command of the argv list given as a JSON argument
