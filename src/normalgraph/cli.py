@@ -233,6 +233,7 @@ _ERROR_CATEGORIES = (
     (GraphError, "graph"),
     (OSError, "io"),
     (ValueError, "data"),
+    (MemoryError, "data"),
 )
 _parser = functools.cache(build_parser)
 

@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -148,14 +148,6 @@ class GraphSpec:
     def sizes(self) -> dict[str, int]:
         return dict(self.variables)
 
-    def tails(self) -> dict[str, object]:
-        """Producing node per variable (absent key: open tail)."""
-        return _ends(self)[0]
-
-    def heads(self) -> dict[str, object]:
-        """Consuming node per variable (absent key: open head)."""
-        return _ends(self)[1]
-
     def terminals(self) -> tuple[str, ...]:
         """Variables with an unoccupied endpoint, in declaration order."""
         tails, heads = _endpoints(self)
@@ -199,6 +191,11 @@ class GraphSpec:
         return graph
 
 
+def _is_size(value) -> bool:
+    """The one rule for an alphabet size: ``_is_count``, and at least 1."""
+    return _is_count(value) and value >= 1
+
+
 def build_projector(sizes: Sequence[int], j: int) -> np.ndarray:
     """Marginalization matrix from a product-space alphabet onto component j.
 
@@ -206,13 +203,12 @@ def build_projector(sizes: Sequence[int], j: int) -> np.ndarray:
     order (last component fastest).  Row (x_1, ..., x_D) of the result is
     the one-hot indicator of x_j, so the matrix is the Kronecker product of
     all-ones columns with one identity at position j.  ``j`` is 1-based to
-    match the file format.
+    match the file format.  A size or ``j`` off the size rule raises InvalidIndex.
     """
-    sizes = [int(s) for s in sizes]
-    if len(sizes) < 1 or any(s < 1 for s in sizes):
-        raise InvalidIndex("sizes must be a nonempty list of positive integers")
-    if not 1 <= j <= len(sizes):
-        raise InvalidIndex(f"component index {j} outside 1..{len(sizes)}")
+    if len(sizes) < 1 or not all(_is_size(s) for s in sizes):
+        raise InvalidIndex(f"sizes must be a nonempty list of positive integers, got {sizes!r}")
+    if not _is_count(j) or not 1 <= j <= len(sizes):
+        raise InvalidIndex(f"component index must be an integer in 1..{len(sizes)}, got {j!r}")
     out = np.ones((1, 1), dtype=np.float64)
     for pos, size in enumerate(sizes, start=1):
         factor = np.eye(size) if pos == j else np.ones((size, 1))
@@ -235,7 +231,7 @@ def build_expander(sizes: Sequence[int], j: int) -> np.ndarray:
 
 
 def _ends(graph: GraphSpec) -> tuple[dict[str, object], dict[str, object]]:
-    """``(graph.tails(), graph.heads())`` from one endpoint walk."""
+    """(tails, heads): each variable's producing and consuming node; no key, an open end."""
     return tuple({var: nodes[0] for var, nodes in ends.items()} for ends in _endpoints(graph))
 
 
@@ -292,8 +288,8 @@ def _problems(graph: GraphSpec) -> list[str]:
     """
     problems: list[str] = []
     names = [n for n, _ in graph.variables]
-    sizes = dict(graph.variables)
-    if len(set(names)) != len(names):
+    declared = dict.fromkeys(names)
+    if len(declared) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         problems.append(f"duplicate variable names: {dupes}")
     for name, size in graph.variables:
@@ -301,6 +297,7 @@ def _problems(graph: GraphSpec) -> list[str]:
             problems.append(f"variable {name!r} size must be an integer, got {size!r}")
         elif size < 1:
             problems.append(f"variable {name!r} has non-positive size {size}")
+    sizes = {name: size for name, size in graph.variables if _is_size(size)}  # compared below
 
     node_names = [s.name for s in graph.sources] + [b.name for b in graph.blocks]
     if len(set(node_names)) != len(node_names):
@@ -311,7 +308,7 @@ def _problems(graph: GraphSpec) -> list[str]:
     kinds = {SourceBlock: "source", SisoBlock: "block", DiverterNode: "diverter"}
     for ends in (tails, heads):
         for var, nodes in ends.items():
-            if var not in sizes:
+            if var not in declared:
                 problems += [f"{kinds[type(node)]} {node.name!r} references unknown variable {var!r}"
                              for node in nodes]
 
@@ -328,7 +325,7 @@ def _problems(graph: GraphSpec) -> list[str]:
             problems.append(f"{label} replicas disagree on alphabet size")
 
     attached: dict[str, tuple[str, str]] = {}
-    for var in sizes:
+    for var in declared:
         producers = [node.name for node in tails.get(var, ())]
         consumers = [node.name for node in heads.get(var, ())]
         if len(producers) > 1:
@@ -410,7 +407,7 @@ def split_variable(graph: GraphSpec, variable: str) -> GraphSpec:
     cont = _fresh_name(f"{variable}_cont", names)
     tap = _fresh_name(f"{variable}_tap", names + [cont])
 
-    consumer = graph.heads().get(variable)
+    consumer = _ends(graph)[1].get(variable)
     variables = list(graph.variables) + [(cont, size), (tap, size)]
     blocks = list(graph.blocks)
     diverters = list(graph.diverters)
@@ -440,12 +437,13 @@ def _matrix_from_format(entry, rows: int, cols: int, owner: str) -> tuple[np.nda
         if builder not in ("expander", "projector"):
             raise GraphError(f"{owner}: unknown builder {builder!r}")
         sizes = entry.get("sizes")
-        j = entry.get("j")
-        if (not isinstance(sizes, (list, tuple)) or type(j) is not int
-                or not all(type(size) is int for size in sizes)):
-            raise GraphError(f"{owner}: builder needs integer list 'sizes' and integer 'j'")
+        if not isinstance(sizes, (list, tuple)):
+            raise GraphError(f"{owner}: builder 'sizes' must be a list")
         fn = build_expander if builder == "expander" else build_projector
-        return fn(sizes, j), True
+        try:
+            return fn(sizes, entry.get("j")), True
+        except InvalidIndex as exc:
+            raise GraphError(f"{owner}: {exc}") from None
     return _numeric(entry, owner), False
 
 
@@ -490,17 +488,14 @@ def graph_from_dict(data: Mapping) -> GraphSpec:
         raise GraphError("a graph file must hold one JSON object")
     entries = _section(data, "variables", ("name",), ("size",))
     variables = tuple((v["name"], v["size"]) for v in entries)
-    not_sizes = [name for name, size in variables if type(size) is not int or size < 1]
-    if not_sizes:
-        raise GraphError(f"variables {not_sizes} need a positive integer size")
-    sizes = dict(variables)
+    # A variable of unknown or unsound size gets one-symbol stand-ins; GraphSpec reports it.
+    sizes = {name: size for name, size in variables if _is_size(size)}
 
     sources = []
     for entry in _section(data, "sources", ("name", "variable")):
         var = entry["variable"]
         prior = entry.get("prior", "uniform")
         owner = f"source {entry['name']!r}"
-        # An unknown variable gets a one-symbol stand-in; GraphSpec reports it.
         prior_arr = uniform(sizes.get(var, 1)) if prior == "uniform" else _numeric(prior, owner)
         sources.append(
             SourceBlock(

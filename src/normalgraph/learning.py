@@ -395,7 +395,7 @@ class _Epochs:
         self._scored = [(slot[("F", v)], slot[("B", v)]) for v in terminals]
         shapes = [u.prior.shape if isinstance(u, SourceBlock) else u.theta.shape for u in units]
         self.parameters = {u.name: np.full(s, 1.0 / s[-1]) for u, s in zip(units, shapes)}
-        self._params = {**propagator._parameters(), **self.parameters}
+        self._params = {**propagator._params, **self.parameters}
         self._shapes = [(1, *s) if len(s) == 1 else s for s in shapes]
         self._live = np.zeros((len(units), *np.maximum.reduce([(1, 1), *self._shapes])))
         for u, (l, m) in enumerate(self._shapes):  # 1.0 on each unit's real entries
@@ -403,7 +403,7 @@ class _Epochs:
         mask = np.ones(n) if mask is None else mask
         keep = None if mask.all() else mask > 0  # the rows the first M-step reads
         ports = {k for u in self._ports for k in u} - {None}
-        start = propagator._start(factors, n, rng, ports, keep, inverse)
+        start = propagator._start(factors, n, rng, keep, inverse)
         self._msgs = {k: start[k] for k in sorted(ports)}  # each port's (n, size) message or draw
         self._weights = np.ones(np.count_nonzero(mask))
         self._train = np.bincount(inverse, weights=mask > 0)

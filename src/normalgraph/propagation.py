@@ -93,15 +93,16 @@ class Propagator:
     ``forward_order`` lists every variable after the inputs of its
     producer.
 
-    Training (``learning._Epochs``) calls ``_evidence_factors(merge=True)``,
-    ``_start``, ``_pass``, ``_slot``, ``_parameters`` and no other member,
-    and this module's ``_log_overlap``.
+    Training (``learning._Epochs``) uses ``_evidence_factors(merge=True)``, ``_start``,
+    ``_pass``, ``_slot``, ``_params`` and no other member, and this module's ``_log_overlap``.
     """
 
     def __init__(self, graph: GraphSpec):
         self.graph = graph
         self.sizes = graph.sizes
         self._tails, self._heads = _ends(graph)
+        self._params = {s.name: s.prior for s in graph.sources}  # each prior and matrix by name
+        self._params.update({b.name: b.theta for b in graph.blocks})
         self._compile()
 
     # A rule is (kind, parameter name, input slots); a step is the same with
@@ -254,12 +255,6 @@ class Propagator:
 
     # -- execution -----------------------------------------------------------
 
-    def _parameters(self) -> dict[str, np.ndarray]:
-        """Every source prior and block matrix, by node name."""
-        params = {s.name: s.prior for s in self.graph.sources}
-        params.update({b.name: b.theta for b in self.graph.blocks})
-        return params
-
     def _pass(self, factors: list, params: Mapping, n: int, inverse=slice(None)) -> list:
         """Every message by slot number, stored (size, n), from ``_evidence_factors``
         and the parameter of every node: the one-pass sweep of ``run``.  Zero column
@@ -295,7 +290,7 @@ class Propagator:
     def run(self, evidence: Mapping | None = None, n_samples: int | None = None) -> MessageState:
         """Propagate evidence and return the complete message state."""
         factors, n, _ = self._evidence_factors(evidence, n_samples)
-        return self._to_state(self._pass(factors, self._parameters(), n), n)
+        return self._to_state(self._pass(factors, self._params, n), n)
 
     def initial_state(self, evidence: Mapping | None = None, n_samples: int | None = None, *,
                       rng: np.random.Generator) -> MessageState:
@@ -304,19 +299,18 @@ class Propagator:
         sum.  Slots are drawn in declaration order, ("F", v) then ("B", v)
         for each variable v in turn, and ``rng`` is left after the last."""
         factors, n, _ = self._evidence_factors(evidence, n_samples)
-        draws = self._start(factors, n, rng, range(len(self._slots)))
+        draws = self._start(factors, n, rng)
         return self._to_state([(draw() if callable(draw) else draw).T for draw in draws], n)
 
-    def _start(self, factors: list, n: int, rng, slots, keep=None, rows=None) -> list:
-        """``initial_state`` by slot number, with a draw at each slot in ``slots``
-        (None at the other slots): a function that draws the slot when called.  A
-        slot owns the n * size outputs of ``rng``'s stream (one per double) after
-        the slots before it, and a draw advances the stream to them modulo 2**128,
-        so any order of draws gives ``initial_state``'s bits.  With a row mask
-        ``keep``, every draw holds only the kept rows: rows scale one by one, so
-        each keeps its bits.  With ``rows``, each sample's row of the factors,
-        every evidence slot is a function too, that gathers the kept samples'
-        rows; a ``keep`` comes with ``rows``."""
+    def _start(self, factors: list, n: int, rng, keep=None, rows=None) -> list:
+        """``initial_state`` by slot number, with a draw at every slot without evidence:
+        a function that draws the slot when called.  A slot owns the n * size outputs
+        of ``rng``'s stream (one per double) after the slots before it, and a draw
+        advances the stream to them modulo 2**128, so any draws, in any order, give
+        ``initial_state``'s bits.  With a row mask ``keep``, every draw holds only the
+        kept rows: rows scale one by one, so each keeps its bits.  With ``rows``, each
+        sample's row of the factors, every evidence slot is a function too, that
+        gathers the kept samples' rows; a ``keep`` comes with ``rows``."""
         msgs, lo, hi, inside = [f if f is None else f.T for f in factors], 0, n, None
         if keep is not None:
             lo, hi = (np.flatnonzero(keep)[[0, -1]] + (0, 1)).tolist()
@@ -334,7 +328,7 @@ class Propagator:
 
         for k, (_, var) in enumerate(self._slots):
             if factors[k] is None:
-                msgs[k] = partial(draw, offset, self.sizes[var]) if k in slots else None
+                msgs[k] = partial(draw, offset, self.sizes[var])
                 offset += n * self.sizes[var]
         return msgs
 

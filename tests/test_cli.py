@@ -236,6 +236,17 @@ MALFORMED_GRAPHS = {
         ("blocks", 0), {"name": "P_X1", "from": "S1", "to": "X1", "trainable": False,
                         "matrix": {"builder": "projector", "sizes": ["two", 2], "j": 1}}
     ),
+    "builder size a float": _set(
+        ("blocks", 0), {"name": "P_X1", "from": "S1", "to": "X1", "trainable": False,
+                        "matrix": {"builder": "projector", "sizes": [2.0, 2], "j": 1}}
+    ),
+    "builder j a float": _set(
+        ("blocks", 0), {"name": "P_X1", "from": "S1", "to": "X1", "trainable": False,
+                        "matrix": {"builder": "expander", "sizes": [2, 2], "j": 1.0}}
+    ),
+    "size 2.5": _set(("variables", 0, "size"), 2.5),
+    "size true": _set(("variables", 0, "size"), True),
+    "size a list": _set(("variables", 0, "size"), [4]),
     "block trainable a string": _set(("blocks", 0, "trainable"), "false"),
     "block trainable null": _set(("blocks", 0, "trainable"), None),
     "source trainable null": _set(("sources", 0, "trainable"), None),
@@ -443,6 +454,37 @@ class TestErrorReporting:
         rc = main(["eval", "--graph", str(bad), "--data", str(data)])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: graph: {owner}"]
+
+    @pytest.mark.parametrize("document, error", [
+        ({"variables": [{"name": "A", "size": 2.5}], "sources": [{"name": "p", "variable": "A"}]},
+         "variable 'A' size must be an integer, got 2.5"),
+        ({"variables": [{"name": "A", "size": 2}, {"name": "B", "size": 2}],
+          "sources": [{"name": "p", "variable": "A"}],
+          "blocks": [{"name": "e", "from": "A", "to": "B",
+                      "matrix": {"builder": "expander", "sizes": [2, 0], "j": 1}}]},
+         "block 'e': sizes must be a nonempty list of positive integers, got [2, 0]"),
+    ], ids=["float size", "zero builder size"])
+    def test_bad_size_in_graph_file_is_named(self, tmp_path, capsys, document, error):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        rc = main(["generate", "--graph", str(bad), "--n", "1", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: graph: {error}"]
+
+    def test_memory_error_is_data(self, star_files, tmp_path, capsys, monkeypatch):
+        """A request the host cannot fill is one ``data`` line, not a traceback;
+        a stand-in raises it, as a real one may succeed on another host."""
+        gen, _, _ = star_files
+
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 22.4 GiB")
+
+        monkeypatch.setattr(cli, "ancestral_sample", refuse)
+        out = tmp_path / "x.csv"
+        rc = main(["generate", "--graph", str(gen), "--n", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == ["error: data: Unable to allocate 22.4 GiB"]
+        assert not out.exists()
 
     def test_contradiction_is_evidence(self, star_files, tmp_path, capsys):
         _, _, data = star_files

@@ -19,6 +19,7 @@ from normalgraph.graph import (
     SisoBlock,
     SourceBlock,
     UnknownVariable,
+    _ends,
     _parameter_problem,
     build_expander,
     build_projector,
@@ -96,6 +97,19 @@ class TestProductSpaceBuilders:
             build_expander([], 1)
         with pytest.raises(InvalidIndex):
             build_projector([2, 0], 1)
+        for sizes, j in [([2.7, 3], 1), ([True, 3], 1), (["2", 3], 1), ([2, 3], 1.0),
+                         ([2, 3], True), ([2, np.float64(3)], 2)]:
+            with pytest.raises(InvalidIndex):
+                build_projector(sizes, j)
+            with pytest.raises(InvalidIndex):
+                build_expander(sizes, j)
+
+    def test_numpy_integer_sizes_give_the_same_bits(self):
+        for build in (build_projector, build_expander):
+            for j in (1, 2, 3):
+                want = build([2, 3, 2], j).tobytes()
+                assert build([np.int64(2), np.uint8(3), 2], np.int64(j)).tobytes() == want
+                assert build(np.array([2, 3, 2]), j).tobytes() == want
 
 
 class TestGraphSpecBasics:
@@ -111,8 +125,7 @@ class TestGraphSpecBasics:
 
     def test_tails_heads_terminals(self):
         graph = build_latent_star()
-        tails = graph.tails()
-        heads = graph.heads()
+        tails, heads = _ends(graph)
         assert tails["S0"].name == "prior_S"
         assert isinstance(tails["S1"], DiverterNode)
         assert heads["S0"].name == "=S0"
@@ -246,6 +259,14 @@ class TestValidate:
         with pytest.raises(GraphError, match=problem):
             GraphSpec(variables=(("A", size),),
                       sources=(SourceBlock("prior_A", "A", np.array([0.5, 0.5])),))
+
+    @pytest.mark.parametrize("size", [2.7, True], ids=repr)
+    def test_unsound_size_is_the_one_problem(self, size):
+        """A variable whose size breaks the rule is in no size check, so its
+        prior of another length adds no second problem."""
+        with pytest.raises(GraphError) as raised:
+            GraphSpec(variables=(("X", size),), sources=(SourceBlock("p", "X", [0.5, 0.5]),))
+        assert str(raised.value) == f"variable 'X' size must be an integer, got {size!r}"
 
     @pytest.mark.parametrize("size", [2, np.int64(2), np.uint8(2)], ids=repr)
     def test_integer_size_is_stored_as_int(self, size):

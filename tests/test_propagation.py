@@ -24,6 +24,7 @@ from normalgraph.graph import (
     SisoBlock,
     SourceBlock,
     UnknownVariable,
+    _ends,
     build_expander,
     split_variable,
 )
@@ -317,7 +318,7 @@ class TestBatchingAndSchedules:
         order = Propagator(graph).forward_order
         assert isinstance(order, tuple) and sorted(order) == sorted(graph.sizes)
         position = {var: k for k, var in enumerate(order)}
-        for var, node in graph.tails().items():
+        for var, node in _ends(graph)[0].items():
             if isinstance(node, DiverterNode):
                 inputs = node.inbound
             elif isinstance(node, SisoBlock):

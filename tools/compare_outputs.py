@@ -58,7 +58,9 @@ print(normalgraph.__file__)
 
 # On the deep generative graph (seed 1), for soft, hard and mixed evidence at
 # each batch size (on both sides of messages.COLUMN_ROWS), writes the sha256
-# of every message and posterior and the log-likelihood of Propagator.run.
+# of every message and posterior and the log-likelihood of Propagator.run, and
+# at n = 1, 7, 256 and 4096 (and with no evidence at n = 3) the sha256 of every
+# message of Propagator.initial_state from a generator seeded 5.
 # Then trains the deep learner graph with each rule on 600 unmerged soft rows
 # (80/20 split), where each unit trains alone, and writes every epoch's scores
 # and the learned parameters.
@@ -75,16 +77,28 @@ soft = lambda x, n: rng.uniform(0.05, 1.0, size=(n, sizes[x]))
 hard = lambda x, n: rng.integers(sizes[x], size=n)
 digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
 os.makedirs("propagation")
+
+def write_start(name, evidence, n_samples=None):
+    state = Propagator(deep).initial_state(evidence, n_samples, rng=np.random.default_rng(5))
+    with open(f"propagation/start_{name}.txt", "w") as out:
+        for var in deep.sizes:
+            out.write(f"{var} forward {digest(state.forward[var])}\\n")
+            out.write(f"{var} backward {digest(state.backward[var])}\\n")
+
+write_start("none_3", None, 3)
 kinds = {"soft": (soft, soft, soft), "hard": (hard, hard, hard), "mixed": (soft, hard, soft)}
 for kind, encoders in kinds.items():
     for n in (1, 7, 8, 255, 256, 4096):
-        state = Propagator(deep).run({x: enc(x, n) for x, enc in zip(terminals, encoders)})
+        evidence = {x: enc(x, n) for x, enc in zip(terminals, encoders)}
+        state = Propagator(deep).run(evidence)
         with open(f"propagation/{kind}_{n}.txt", "w") as out:
             for var in deep.sizes:
                 out.write(f"{var} forward {digest(state.forward[var])}\\n")
                 out.write(f"{var} backward {digest(state.backward[var])}\\n")
                 out.write(f"{var} posterior {digest(posterior(state, var))}\\n")
             out.write(f"loglik {aggregated_log_likelihood(state, terminals)!r}\\n")
+        if n in (1, 7, 256, 4096):
+            write_start(f"{kind}_{n}", evidence)
 evidence = {x: soft(x, 600) for x in terminals}
 for rule in ("ml", "kl", "vit", "var"):
     report = em_train(build_deep_graph(), evidence, TrainConfig(rule, epochs=4, seed=2),

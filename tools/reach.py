@@ -60,8 +60,6 @@ STAYS = {
                                        "acceptance criterion 4 and the tests read it",
     "learning.kkt_multipliers": "the KKT multipliers of the block likelihood; acceptance "
                                 "criterion 4 and the tests read them",
-    "graph.GraphSpec.tails": "public lookup paired with GraphSpec.heads, which split_variable "
-                             "calls",
     "graph.GraphSpec.source": "public lookup paired with GraphSpec.block, which the demos call",
 }
 
