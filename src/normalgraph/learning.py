@@ -18,10 +18,10 @@ the training samples into a BlockDataset.  Four update rules are provided:
 Each rule is one kernel on a stack of blocks.  The kernels allocate only
 what they read: ml and kl floor a copy of a message only when it has an
 entry below MESSAGE_FLOOR, and kl and var skip the multiply by weights that
-are all 1.0, as in em_train's first epoch.  ``em_train`` runs the
-expectation-maximization loop over a whole graph; each of its epochs
-(``_Epochs.step``) updates every block through the rule's kernel, then
-propagates all samples and scores them.
+are all 1.0, as in em_train on rows that do not merge, with none held out.
+``em_train`` runs the expectation-maximization loop over a whole graph; each
+of its epochs (``_Epochs.step``) updates every block through the rule's
+kernel, then propagates all samples and scores them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from typing import Mapping
 import numpy as np
 
 from .graph import GraphSpec, SourceBlock
-from .messages import _column_sums, _first_peak, _require_count, _require_delta, normalize
+from .messages import (_column_sums, _first_peak, _normalize_in_place, _require_count,
+                       _require_delta, normalize)
 from .propagation import Propagator, _log_overlap
 
 __all__ = [
@@ -215,11 +216,10 @@ def _rule(cfg: "TrainConfig"):
 
 def _unit(kernel, setting, shape, theta, f, b, w) -> np.ndarray:
     """``kernel`` on one (L, M) unit, unpadded: ``theta`` (or None), and (n, L)
-    and (n, M) port messages, each an array or its draw, made here in C order
-    (the kernels' sums follow it) so that the kernel holds the only reference."""
+    and (n, M) port messages, given to it in C order (the kernels' sums follow it)."""
     theta = None if theta is None else theta.reshape(1, *shape)
-    return kernel(theta, np.ascontiguousarray(_drawn(f))[None],
-                  np.ascontiguousarray(_drawn(b))[None], w, setting, np.ones((1, *shape)))[0]
+    return kernel(theta, np.ascontiguousarray(f)[None], np.ascontiguousarray(b)[None], w,
+                  setting, np.ones((1, *shape)))[0]
 
 
 def ml_update(theta: np.ndarray, data: BlockDataset) -> np.ndarray:
@@ -373,15 +373,13 @@ class _Epochs:
     source's prior as a 1 x M row with input 1) on its (n, L_u) forward and
     (n, M_u) backward port messages by ``kernel(theta, f, b, weights,
     setting, live)``; all units of an epoch read the same messages.
-    The first M-step reads ``initial_state``'s random start from ``rng``,
-    weighted by ones, at the ports and training rows (``mask`` > 0) only; each
-    port slot is drawn with its bits, or gathered from its distinct rows'
-    evidence factor, just before its unit's kernel call or the one stacked
-    call, and is not kept after it.  Each later M-step reads the propagation
-    of the last parameters, weighting each distinct row by its count of
-    training samples.  At ``cfg.nit`` = 1 an ml epoch is an EM step, so the
-    training joint never falls; at more, each unit climbs its own likelihood
-    as if no other moved, and the joint can fall."""
+    The start is random parameters: each unit's rows drawn uniform from
+    ``rng``, unit by unit, and scaled to unit sum, then propagated once.  Every
+    M-step, the first included, reads the propagation of the last parameters,
+    weighting each distinct row by its count of training samples.  At
+    ``cfg.nit`` = 1 an ml epoch is an EM step, so the training joint never
+    falls; at more, each unit climbs its own likelihood as if no other moved,
+    and the joint can fall."""
 
     def __init__(self, propagator: Propagator, evidence: Mapping, mask: np.ndarray | None, rng,
                  units, terminals, cfg: TrainConfig):
@@ -394,22 +392,27 @@ class _Epochs:
                        else (slot[("F", u.from_var)], slot[("B", u.to_var)]) for u in units]
         self._scored = [(slot[("F", v)], slot[("B", v)]) for v in terminals]
         shapes = [u.prior.shape if isinstance(u, SourceBlock) else u.theta.shape for u in units]
-        self.parameters = {u.name: np.full(s, 1.0 / s[-1]) for u, s in zip(units, shapes)}
+        self.parameters = {u.name: _normalize_in_place(rng.random(s))
+                           for u, s in zip(units, shapes)}
         self._params = {**propagator._params, **self.parameters}
         self._shapes = [(1, *s) if len(s) == 1 else s for s in shapes]
         self._live = np.zeros((len(units), *np.maximum.reduce([(1, 1), *self._shapes])))
         for u, (l, m) in enumerate(self._shapes):  # 1.0 on each unit's real entries
             self._live[u, :l, :m] = 1.0
         mask = np.ones(n) if mask is None else mask
-        keep = None if mask.all() else mask > 0  # the rows the first M-step reads
-        ports = {k for u in self._ports for k in u} - {None}
-        start = propagator._start(factors, n, rng, keep, inverse)
-        self._msgs = {k: start[k] for k in sorted(ports)}  # each port's (n, size) message or draw
-        self._weights = np.ones(np.count_nonzero(mask))
         self._train = np.bincount(inverse, weights=mask > 0)
         test = np.bincount(inverse, weights=mask <= 0)
         splits = (self._train, test) if test.any() else (self._train,)
         self._splits = [(w > 0, w[w > 0]) for w in splits]  # each split's rows, selected once
+        self._msgs = dict.fromkeys(sorted({k for u in self._ports for k in u} - {None}))
+        self._propagate()  # fills each port's message under the drawn start
+
+    def _propagate(self) -> list:
+        """Every message of the distinct rows under the current parameters, by
+        slot; each port's (rows, size) view is kept for the next M-step."""
+        msgs = self._propagator._pass(self._factors, self._params, len(self._train), self._inverse)
+        self._msgs = {k: msgs[k].T for k in self._msgs}
+        return msgs
 
     def step(self) -> tuple[dict, float, float]:
         """One epoch: the M-step on all units in one zero-padded stack within
@@ -417,11 +420,10 @@ class _Epochs:
         Returns the new parameters by unit name and the terminals'
         ``aggregated_log_likelihood`` under them on the training rows and on
         the held-out rows (the training score when none is held out)."""
-        (kernel, setting), weights = self._rule, self._weights
+        (kernel, setting), weights = self._rule, self._train
         live, msgs, n = self._live, self._msgs, len(weights)
         units = zip(self._ports, self._shapes, self.parameters.values())
         if len(live) > 1 and len(live) * n * sum(live.shape[1:]) <= STACK_ENTRIES:
-            msgs = {k: _drawn(msg) for k, msg in msgs.items()}  # epoch 1: every draw
             theta = np.zeros(live.shape)
             f, b = np.zeros((len(live), n, live.shape[1])), np.zeros((len(live), n, live.shape[2]))
             for u, ((kf, kb), (l, m), p) in enumerate(units):
@@ -435,30 +437,26 @@ class _Epochs:
                    in zip(self.parameters.items(), trained, self._shapes)}
         self.parameters.update(updates)
         self._params.update(updates)
-        msgs = self._propagator._pass(self._factors, self._params, len(self._train), self._inverse)
-        self._msgs, self._weights = {k: msgs[k].T for k in self._msgs}, self._train
+        msgs = self._propagate()
         overlaps = [_column_sums(msgs[f] * msgs[b]) for f, b in self._scored]
         scores = [_log_overlap(overlaps, *split) for split in self._splits]
         return updates, scores[0], scores[-1]
-
-
-def _drawn(msg):
-    """A slot's array: ``msg``, or the draw ``Propagator._start`` left there, made now."""
-    return msg() if callable(msg) else msg
 
 
 def em_train(graph: GraphSpec, samples: Mapping[str, np.ndarray],
              cfg: TrainConfig, mask: np.ndarray | None = None) -> TrainReport:
     """Expectation-maximization over all trainable blocks of ``graph``.
 
-    Trainable matrices and priors restart from uniform rows, so their stored
-    values give only shapes.  ``samples`` maps each terminal to any evidence
-    ``Propagator.run`` accepts, which fixes the sample count N.  ``cfg.seed``
-    draws the random start that breaks the label symmetry of the latent
-    variables.  ``mask``, an optional 0/1 array of length N, selects the
-    training samples, at least one for N > 0; the others still propagate
-    and are scored as the test set.  ``_Epochs`` runs the epochs; each
-    record holds the log-likelihoods measured after its epoch's update.
+    Trainable matrices and priors restart from random rows, each drawn
+    uniform from a generator seeded ``cfg.seed`` and scaled to unit sum, so
+    their stored values give only shapes; the draw breaks the label symmetry
+    of the latent variables, and with ``cfg.epochs`` = 0 it is what the
+    report's graph holds.  ``samples`` maps each terminal to any evidence
+    ``Propagator.run`` accepts, which fixes the sample count N.  ``mask``,
+    an optional 0/1 array of length N, selects the training samples, at
+    least one for N > 0; the others still propagate and are scored as the
+    test set.  ``_Epochs`` runs the epochs; each record holds the
+    log-likelihoods measured after its epoch's update.
     """
     terminals = tuple(samples.keys())
     if not terminals:

@@ -24,7 +24,6 @@ dataset propagates in one vectorized pass along contiguous rows; a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -93,8 +92,8 @@ class Propagator:
     ``forward_order`` lists every variable after the inputs of its
     producer.
 
-    Training (``learning._Epochs``) uses ``_evidence_factors(merge=True)``, ``_start``,
-    ``_pass``, ``_slot``, ``_params`` and no other member, and this module's ``_log_overlap``.
+    Training (``learning._Epochs``) uses ``_evidence_factors(merge=True)``, ``_pass``,
+    ``_slot``, ``_params`` and no other member, and this module's ``_log_overlap``.
     """
 
     def __init__(self, graph: GraphSpec):
@@ -297,40 +296,12 @@ class Propagator:
         """Unpropagated state: evidence factors in place, and one (N, size)
         uniform draw from ``rng`` at every other slot, rows scaled to unit
         sum.  Slots are drawn in declaration order, ("F", v) then ("B", v)
-        for each variable v in turn, and ``rng`` is left after the last."""
+        for each variable v in turn, and ``rng`` is left after the last.
+        ``em_train`` does not start from it: it draws random parameters."""
         factors, n, _ = self._evidence_factors(evidence, n_samples)
-        draws = self._start(factors, n, rng)
-        return self._to_state([(draw() if callable(draw) else draw).T for draw in draws], n)
-
-    def _start(self, factors: list, n: int, rng, keep=None, rows=None) -> list:
-        """``initial_state`` by slot number, with a draw at every slot without evidence:
-        a function that draws the slot when called.  A slot owns the n * size outputs
-        of ``rng``'s stream (one per double) after the slots before it, and a draw
-        advances the stream to them modulo 2**128, so any draws, in any order, give
-        ``initial_state``'s bits.  With a row mask ``keep``, every draw holds only the
-        kept rows: rows scale one by one, so each keeps its bits.  With ``rows``, each
-        sample's row of the factors, every evidence slot is a function too, that
-        gathers the kept samples' rows; a ``keep`` comes with ``rows``."""
-        msgs, lo, hi, inside = [f if f is None else f.T for f in factors], 0, n, None
-        if keep is not None:
-            lo, hi = (np.flatnonzero(keep)[[0, -1]] + (0, 1)).tolist()
-            inside = None if keep[lo:hi].all() else keep[lo:hi]
-        if rows is not None:
-            rows = rows[lo:hi] if inside is None else rows[lo:hi][inside]
-            msgs = [f if f is None else partial(np.take, f.T, rows, 0) for f in factors]
-        stream, offset, position = rng.bit_generator, 0, [0]
-
-        def draw(start: int, size: int) -> np.ndarray:
-            stream.advance((start + lo * size - position[0]) % 2**128)
-            position[0] = start + hi * size
-            rows = rng.random((hi - lo, size))
-            return _normalize_in_place(rows if inside is None else rows[inside])
-
-        for k, (_, var) in enumerate(self._slots):
-            if factors[k] is None:
-                msgs[k] = partial(draw, offset, self.sizes[var])
-                offset += n * self.sizes[var]
-        return msgs
+        return self._to_state([_normalize_in_place(rng.random((n, self.sizes[var]))).T
+                               if factor is None else factor
+                               for factor, (_, var) in zip(factors, self._slots)], n)
 
     def _to_state(self, msgs: list, n: int) -> MessageState:
         forward, backward = {}, {}

@@ -3,10 +3,12 @@
 Everything here recomputes quantities by brute force and stays away from
 the library's message-passing and learning code paths: posteriors come
 from explicit joint-table enumeration, learned tables from direct pair
-counting.  Agreement between these oracles and the library is what the
-exactness tests assert.  Three exceptions are written on library pieces:
-``reference_em``, the EM loop written plainly on the public per-block
-pieces, against which ``em_train``'s stacked epochs are checked,
+counting, one EM step (``reference_em_step``) from expected counts over an
+enumerated joint table.  Agreement between these oracles and the library is
+what the exactness tests assert.  Three exceptions are written on library
+pieces: ``reference_em``, the EM loop written plainly on the public per-block
+pieces from the random start that ``reference_start`` recomputes, against
+which ``em_train``'s stacked epochs are checked,
 ``reference_ancestral_sample``, the sampler that builds every sample's
 distribution row, against whose bits ``ancestral_sample`` is checked, and
 ``reference_ml``, ``reference_kl`` and ``reference_var``, the kernels that
@@ -34,7 +36,7 @@ from normalgraph.graph import (STOCHASTIC_ATOL, DiverterNode, GraphSpec, SisoBlo
                                _ends)
 from normalgraph.learning import (MESSAGE_FLOOR, BlockDataset, EpochRecord, TrainReport,
                                   _finish_rows, _pair_mass, _rescaled, train_block)
-from normalgraph.messages import TIE_RTOL, normalize
+from normalgraph.messages import _SUM_SLACK, TIE_RTOL, normalize
 from normalgraph.propagation import Propagator, aggregated_log_likelihood
 from normalgraph.synthgen import SampleSet, _equality_clusters, substream
 
@@ -124,16 +126,10 @@ def tree_posteriors(tree, evidence: dict[int, int]) -> list[np.ndarray]:
     return [m / m.sum() for m in marginals]
 
 
-def class_posteriors(graph: GraphSpec, evidence: dict[str, int]) -> dict[str, np.ndarray]:
-    """Posterior of every variable by equivalence-class enumeration.
-
-    Each diverter forces all its edges to one common value, so the joint
-    support factorizes over equivalence classes of variables.  An
-    assignment's weight is the product of the source and block entries it
-    selects; the result is exact for any cycle-free graph, including the
-    product-space joins, whose constant expander scale cancels in the
-    normalization.
-    """
+def equality_classes(graph: GraphSpec) -> tuple[dict[str, int], list[int]]:
+    """Each variable's equivalence class under the diverters, which force all
+    their edges to one common value, as an index into the classes' sizes;
+    classes are numbered in the sorted order of their root variables."""
     parent = {name: name for name, _ in graph.variables}
 
     def find(x: str) -> str:
@@ -146,27 +142,35 @@ def class_posteriors(graph: GraphSpec, evidence: dict[str, int]) -> dict[str, np
         root = find(div.edges[0])
         for edge in div.edges[1:]:
             parent[find(edge)] = root
-
-    sizes = graph.sizes
     classes = sorted({find(name) for name, _ in graph.variables})
     slot = {c: i for i, c in enumerate(classes)}
+    return {name: slot[find(name)] for name, _ in graph.variables}, [
+        graph.sizes[c] for c in classes]
 
-    def cls(var: str) -> int:
-        return slot[find(var)]
 
-    posteriors = {name: np.zeros(sizes[name]) for name, _ in graph.variables}
-    for config in itertools.product(*(range(sizes[c]) for c in classes)):
-        if any(config[cls(var)] != symbol for var, symbol in evidence.items()):
+def class_posteriors(graph: GraphSpec, evidence: dict[str, int]) -> dict[str, np.ndarray]:
+    """Posterior of every variable by equivalence-class enumeration.
+
+    The joint support factorizes over the ``equality_classes`` of the
+    variables.  An assignment's weight is the product of the source and
+    block entries it selects; the result is exact for any cycle-free graph,
+    including the product-space joins, whose constant expander scale cancels
+    in the normalization.
+    """
+    cls, class_sizes = equality_classes(graph)
+    posteriors = {name: np.zeros(size) for name, size in graph.variables}
+    for config in itertools.product(*(range(size) for size in class_sizes)):
+        if any(config[cls[var]] != symbol for var, symbol in evidence.items()):
             continue
         weight = 1.0
         for src in graph.sources:
-            weight *= src.prior[config[cls(src.variable)]]
+            weight *= src.prior[config[cls[src.variable]]]
         for blk in graph.blocks:
-            weight *= blk.theta[config[cls(blk.from_var)], config[cls(blk.to_var)]]
+            weight *= blk.theta[config[cls[blk.from_var]], config[cls[blk.to_var]]]
         if weight == 0.0:
             continue
         for name, _ in graph.variables:
-            posteriors[name][config[cls(name)]] += weight
+            posteriors[name][config[cls[name]]] += weight
     return {name: p / p.sum() for name, p in posteriors.items()}
 
 
@@ -353,18 +357,30 @@ def reference_bilinear(f: np.ndarray, theta: np.ndarray, b: np.ndarray) -> np.nd
     return np.einsum("nl,lm,nm->n", f, theta, b)
 
 
+def reference_start(graph: GraphSpec, seed: int) -> dict[str, np.ndarray]:
+    """The random parameters ``em_train`` starts from, recomputed: for each
+    trainable unit in ``trainable_units`` order, one ``Generator.random`` draw
+    of its prior's or matrix's shape from a generator seeded ``seed``, each
+    row scaled to unit sum by ``reference_normalize``."""
+    rng = np.random.default_rng(seed)
+    return {u.name: reference_normalize(rng.random(_values(u).shape), _SUM_SLACK)
+            for u in graph.trainable_units()}
+
+
+def _values(unit) -> np.ndarray:
+    return unit.prior if isinstance(unit, SourceBlock) else unit.theta
+
+
 def reference_em(graph: GraphSpec, evidence: dict, cfg, mask: np.ndarray | None = None):
-    """``em_train`` written plainly: every epoch trains the units one at a
-    time with ``train_block`` on the previous epoch's per-sample messages,
-    first those of ``Propagator.initial_state`` with
-    ``rng=np.random.default_rng(cfg.seed)``, then those of ``Propagator.run``,
-    and scores the terminals with ``aggregated_log_likelihood``.  Returns a
-    ``TrainReport`` without wall times."""
+    """``em_train`` written plainly: from ``reference_start(graph, cfg.seed)``,
+    every epoch trains the units one at a time with ``train_block`` on the
+    per-sample messages of ``Propagator.run`` under the previous epoch's
+    parameters, and scores the terminals with ``aggregated_log_likelihood``.
+    Returns a ``TrainReport`` without wall times."""
     units = graph.trainable_units()
-    shapes = {u.name: (u.prior if isinstance(u, SourceBlock) else u.theta).shape for u in units}
-    params = {name: np.full(shape, 1.0 / shape[-1]) for name, shape in shapes.items()}
+    params = reference_start(graph, cfg.seed)
     n = None if mask is None else len(mask)
-    state = Propagator(graph).initial_state(evidence, n, rng=np.random.default_rng(cfg.seed))
+    state = Propagator(graph.with_parameters(params)).run(evidence, n)
     weights = np.ones(state.n_samples) if mask is None else np.asarray(mask, dtype=np.float64)
     records = []
     for epoch in range(1, cfg.epochs + 1):
@@ -385,6 +401,48 @@ def reference_em(graph: GraphSpec, evidence: dict, cfg, mask: np.ndarray | None 
                    if np.any(weights == 0.0) else train_ll)
         records.append(EpochRecord(epoch, train_ll, test_ll, 0.0, updates))
     return TrainReport(records, graph.with_parameters(params))
+
+
+def reference_em_step(graph: GraphSpec, params: dict, evidence: dict,
+                      weights: np.ndarray) -> dict[str, np.ndarray]:
+    """One EM step of ``graph``'s trainable units from ``params`` (each unit's
+    prior or matrix by name), by enumeration, for integer symbol columns
+    ``evidence`` at terminals of distinct ``equality_classes`` and per-sample
+    ``weights``.  One einsum builds the joint table over every class; the
+    expected count of each unit's (input, output) symbol pair (a source's: of
+    its symbol) is the weighted sum over samples of its posterior under that
+    table.  Each row of counts is scaled to unit sum; a row with no count
+    keeps its row of ``params``."""
+    graph = graph.with_parameters(params)
+    cls, class_sizes = equality_classes(graph)
+    operands = [operand for k, size in enumerate(class_sizes) for operand in (np.ones(size), [k])]
+    for src in graph.sources:
+        operands += [src.prior, [cls[src.variable]]]
+    for blk in graph.blocks:
+        operands += [blk.theta, [cls[blk.from_var], cls[blk.to_var]]]
+    joint = np.einsum(*operands, list(range(len(class_sizes))), optimize=True)
+    observed = [cls[var] for var in evidence]
+    assert len(set(observed)) == len(observed), "two observed terminals share a class"
+    index = [np.zeros(len(weights), dtype=np.int64)] * len(class_sizes)
+    for var, k in zip(evidence, observed):
+        index[k] = np.asarray(evidence[var])
+    counts = np.zeros([size if k in observed else 1 for k, size in enumerate(class_sizes)])
+    np.add.at(counts, tuple(index), np.asarray(weights, dtype=np.float64))
+    hidden = tuple(k for k in range(len(class_sizes)) if k not in observed)
+    marginal = joint.sum(axis=hidden, keepdims=True)  # P(the observed symbols)
+    expected = joint * np.divide(counts, marginal, out=np.zeros(counts.shape), where=counts > 0)
+    steps = {}
+    for unit in graph.trainable_units():
+        if isinstance(unit, SourceBlock):
+            raw = np.einsum(expected, list(range(len(class_sizes))), [cls[unit.variable]])[None]
+        else:
+            raw = np.einsum(expected, list(range(len(class_sizes))),
+                            [cls[unit.from_var], cls[unit.to_var]])
+        previous = np.atleast_2d(params[unit.name])
+        sums = raw.sum(axis=1, keepdims=True)
+        step = np.where(sums > 0.0, raw / np.where(sums > 0.0, sums, 1.0), previous)
+        steps[unit.name] = step.reshape(_values(unit).shape)
+    return steps
 
 
 def reference_ancestral_sample(graph: GraphSpec, n_samples: int, seed: int = 1) -> SampleSet:

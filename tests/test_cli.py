@@ -113,12 +113,20 @@ class TestTrain:
         assert "training split; use vit or var, or train on the full data)" in err
 
     @pytest.mark.parametrize("algo", ["vit", "var"])
-    def test_holdout_only_symbol_under_zero_delta(self, star_files, tmp_path, capsys, algo):
+    def test_holdout_only_symbol_under_zero_delta(self, tmp_path, capsys, algo):
         """With delta 0 the counting rules give a symbol they never counted
-        zero probability, so their hint points at delta."""
-        _, learner, data = star_files
+        zero probability, so their hint points at delta.  In 60 star samples
+        X1 = 1 occurs only after the 45 training ones.  The learner's latent
+        variable has one state, the argmax of every row, so no row of the
+        counts is empty and none falls back to uniform."""
+        learner, data = tmp_path / "learner.json", tmp_path / "data.csv"
+        save_graph(build_latent_star(m_latent=1), learner)
+        samples = ancestral_sample(build_latent_star(generative=True), 60, seed=1)
+        x1 = samples.columns["X1"]
+        x1[:45][x1[:45] == 1] = 0
+        save_samples(samples, data)
         rc = main(["train", "--graph", str(learner), "--data", str(data),
-                   "--algo", algo, "--delta", "0", "--epochs", "2", "--split", "0.5",
+                   "--algo", algo, "--delta", "0", "--epochs", "2", "--split", "0.75",
                    "--out", str(tmp_path / "r.csv")])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
@@ -669,10 +677,10 @@ class TestPublicNames:
         assert missing == []
 
     def test_propagation_holds_no_training_loop(self):
-        """The EM epochs, their stacking bound and their port reader live in
-        ``learning``; ``propagation`` is inference only."""
+        """The EM epochs and their stacking bound live in ``learning``;
+        ``propagation`` is inference only."""
         namespace = importlib.import_module("normalgraph.propagation")
-        for name in ("_Epochs", "STACK_ENTRIES", "_drawn"):
+        for name in ("_Epochs", "STACK_ENTRIES"):
             assert not hasattr(namespace, name), name
 
     def test_synthgen_imports_no_learning_rule(self):

@@ -112,7 +112,7 @@ for rule in ("ml", "kl", "vit", "var"):
 COMMANDS = (
     ["experiment", "deep", "--epochs", "200", "--out", "deep"],
     ["experiment", "deep", "--epochs", "50", "--split", "0.8", "--n", "300", "--out", "deep_split"],
-    # Above messages.COLUMN_ROWS samples: the random start sums its rows by column.
+    # Above messages.COLUMN_ROWS samples, which training merges to their distinct rows.
     ["experiment", "deep", "--epochs", "20", "--split", "0.8", "--n", "2000", "--out",
      "deep_large"],
     ["experiment", "tree", "--epochs", "60", "--dump-coefficients", "--out", "tree"],
@@ -123,8 +123,8 @@ COMMANDS = (
     ["generate", "--graph", "star_gen.json", "--n", "300", "--seed", "4", "--out", "star.csv"],
     # Both joins of the deep graph, at more than messages.COLUMN_ROWS samples.
     ["generate", "--graph", "deep_gen.json", "--n", "20000", "--out", "deep.csv"],
-    # Epoch 1 at 16 000 training rows that merge to 18: each unit trains
-    # alone, on gathered evidence ports and messages the kernels floor or not.
+    # 16 000 training rows that merge to 18: every unit trains in one stacked
+    # call, on messages the kernels floor or not.
     ["train", "--graph", "deep_learner.json", "--data", "deep.csv", "--algo", "all",
      "--epochs", "3", "--split", "0.8", "--out", "deep_results.csv"],
     ["eval", "--graph", "star_gen.json", "--data", "star.csv"],

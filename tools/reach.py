@@ -51,11 +51,12 @@ PACKAGE = Path(normalgraph.__file__).parent
 # The library functions no run reaches, each with the reason it stays.
 STAYS = {
     "messages.hadamard_posterior": "public and in the README; bench/tracing.py wraps it, so its "
-                                   "tracer does not install without it (ROADMAP item 2)",
+                                   "tracer does not install without it (ROADMAP item 8)",
     "messages.max_indicator": "public and in the README; bench/tracing.py wraps it, so its "
-                              "tracer does not install without it (ROADMAP item 2)",
-    "propagation.Propagator.initial_state": "public and in the README: the random start "
-                                            "state; bench/tracing.py wraps it (ROADMAP item 2)",
+                              "tracer does not install without it (ROADMAP item 8)",
+    "propagation.Propagator.initial_state": "public and in the README: a random message "
+                                            "state, from which training no longer starts; "
+                                            "bench/tracing.py wraps it (ROADMAP item 8)",
     "learning.generalized_divergence": "the paper's KL objective, which kl_update descends; "
                                        "acceptance criterion 4 and the tests read it",
     "learning.kkt_multipliers": "the KKT multipliers of the block likelihood; acceptance "
